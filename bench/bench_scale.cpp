@@ -99,9 +99,7 @@ workload::WorkloadOptions scale_workload_options(std::size_t nodes,
 cluster::ClusterOptions scale_cluster_options(std::size_t nodes,
                                               cluster::SchedulerKind sched,
                                               cluster::PolicyKind pol) {
-  auto opts = cluster::paper_defaults(net::ec2_profile(nodes), sched, pol, 42);
-  opts.use_locality_index = true;
-  return opts;
+  return cluster::paper_defaults(net::ec2_profile(nodes), sched, pol, 42);
 }
 
 /// One measured configuration, in-process. Returns the min-over-repeats CPU

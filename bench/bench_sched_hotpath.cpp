@@ -1,10 +1,8 @@
-// Microbenchmarks for the scheduler hot path (google-benchmark).
-//
-// Pairs each seed-era implementation with its PR replacement so the
-// speedups are measurable in isolation:
-//   * find_local_map: linear scan over pending maps  vs  inverted index
-//   * FairScheduler::select_map ordering: stable_sort per opportunity  vs
-//     incrementally-maintained share set
+// Microbenchmarks for the scheduler hot path (google-benchmark):
+//   * find_local_map: the inverted locality index's answer for a job with
+//     many pending maps;
+//   * FairScheduler::select_map: walking the incrementally-maintained share
+//     set when every job declines;
 //   * EventQueue: schedule + fire throughput of the slab/freelist design
 //     (callbacks sized like simulation callbacks, i.e. beyond
 //     std::function's small-object buffer).
@@ -13,8 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sched/fair_scheduler.h"
@@ -57,34 +53,6 @@ std::vector<NodeId> replica_nodes(BlockId b) {
   return unique;
 }
 
-class FakeLocator final : public BlockLocator {
- public:
-  explicit FakeLocator(std::size_t num_blocks) : racks_(node_racks()) {
-    for (BlockId b = 0; b < static_cast<BlockId>(num_blocks); ++b) {
-      for (NodeId n : replica_nodes(b)) holders_[b].insert(n);
-    }
-  }
-  bool is_local(NodeId node, BlockId block) const override {
-    const auto it = holders_.find(block);
-    return it != holders_.end() && it->second.count(node) != 0;
-  }
-  bool is_rack_local(NodeId node, BlockId block) const override {
-    const auto it = holders_.find(block);
-    if (it == holders_.end()) return false;
-    for (NodeId h : it->second) {
-      if (racks_[static_cast<std::size_t>(h)] ==
-          racks_[static_cast<std::size_t>(node)]) {
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  std::unordered_map<BlockId, std::unordered_set<NodeId>> holders_;
-  std::vector<RackId> racks_;
-};
-
 JobSpec pending_heavy_job(JobId id, std::size_t maps) {
   JobSpec spec;
   spec.id = id;
@@ -98,23 +66,8 @@ JobSpec pending_heavy_job(JobId id, std::size_t maps) {
   return spec;
 }
 
-void BM_FindLocalMap_Scan(benchmark::State& state) {
+void BM_FindLocalMap(benchmark::State& state) {
   const auto maps = static_cast<std::size_t>(state.range(0));
-  FakeLocator locator(maps);
-  JobTable table;
-  table.add_job(pending_heavy_job(1, maps));
-  NodeId node = 0;
-  for (auto _ : state) {
-    auto found = table.find_local_map(1, node, locator);
-    benchmark::DoNotOptimize(found);
-    node = static_cast<NodeId>((node + 1) % kNodes);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
-void BM_FindLocalMap_Indexed(benchmark::State& state) {
-  const auto maps = static_cast<std::size_t>(state.range(0));
-  FakeLocator locator(maps);
   LocalityIndex index(kNodes, node_racks(), kRacks);
   for (BlockId b = 0; b < static_cast<BlockId>(maps); ++b) {
     for (NodeId n : replica_nodes(b)) index.replica_added(b, n);
@@ -122,31 +75,29 @@ void BM_FindLocalMap_Indexed(benchmark::State& state) {
   JobTable table;
   table.attach_locality_index(&index);
   table.add_job(pending_heavy_job(1, maps));
+  const JobRuntime& rt = table.job(1);
   NodeId node = 0;
   for (auto _ : state) {
-    auto found = table.find_local_map(1, node, locator);
+    auto found = table.find_local_map(rt, node);
     benchmark::DoNotOptimize(found);
     node = static_cast<NodeId>((node + 1) % kNodes);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-/// Build a table of `jobs` active jobs with one pending + some running maps
-/// so the fair ordering has real work to do. Blocks are chosen so no job is
-/// ever local to the probed node: select_map walks the full fair order and
-/// returns nothing (a pure measurement of the ordering machinery).
-void run_fair_select(benchmark::State& state, bool incremental) {
+/// Build a table of `jobs` active jobs with pending + some running maps so
+/// the fair ordering has real work to do. The index holds no replicas, so
+/// no job is ever local to the probed node: select_map walks the full fair
+/// order and returns nothing (a pure measurement of the ordering machinery).
+void BM_FairSelect(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
-  // One far-future block shared by all: replica_nodes(b) never includes the
-  // probe node because we probe node kNodes - 1 and pick blocks that miss it.
-  FakeLocator locator(0);  // no replicas at all: nothing is ever local
-  JobTable table;
   LocalityIndex index(kNodes, node_racks(), kRacks);
-  if (incremental) table.attach_locality_index(&index);
+  JobTable table;
+  table.attach_locality_index(&index);
   for (std::size_t j = 0; j < jobs; ++j) {
     auto spec = pending_heavy_job(static_cast<JobId>(j), 4);
     table.add_job(spec);
-    // Vary running counts so shares differ and the sort is non-trivial.
+    // Vary running counts so shares differ and the order is non-trivial.
     if (j % 3 != 0) {
       table.launch_map(static_cast<JobId>(j), 0, Locality::kOffRack);
       if (j % 3 == 2) {
@@ -154,23 +105,14 @@ void run_fair_select(benchmark::State& state, bool incremental) {
       }
     }
   }
-  FairScheduler scheduler(/*node_delay=*/1000000, /*rack_delay=*/1000000,
-                          incremental);
+  FairScheduler scheduler(/*node_delay=*/1000000, /*rack_delay=*/1000000);
   SimTime now = 1;
   for (auto _ : state) {
-    auto selection = scheduler.select_map(0, now, table, locator);
+    auto selection = scheduler.select_map(0, now, table);
     benchmark::DoNotOptimize(selection);
     ++now;  // keep every job inside its delay window (always declined)
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
-void BM_FairSelect_LegacySort(benchmark::State& state) {
-  run_fair_select(state, /*incremental=*/false);
-}
-
-void BM_FairSelect_Incremental(benchmark::State& state) {
-  run_fair_select(state, /*incremental=*/true);
 }
 
 void BM_EventQueue_ScheduleFire(benchmark::State& state) {
@@ -198,10 +140,8 @@ void BM_EventQueue_ScheduleFire(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * batch));
 }
 
-BENCHMARK(BM_FindLocalMap_Scan)->Arg(64)->Arg(512)->Arg(4096);
-BENCHMARK(BM_FindLocalMap_Indexed)->Arg(64)->Arg(512)->Arg(4096);
-BENCHMARK(BM_FairSelect_LegacySort)->Arg(50)->Arg(500);
-BENCHMARK(BM_FairSelect_Incremental)->Arg(50)->Arg(500);
+BENCHMARK(BM_FindLocalMap)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK(BM_FairSelect)->Arg(50)->Arg(500);
 BENCHMARK(BM_EventQueue_ScheduleFire)->Arg(1024);
 
 }  // namespace

@@ -40,28 +40,17 @@ const char* policy_name(PolicyKind kind) {
   return "?";
 }
 
-/// Adapts the name node's metadata to the scheduler's locality oracle —
-/// exactly what a Hadoop scheduler sees: replica locations as of the last
-/// heartbeat, not physical disk contents.
-class Cluster::Locator final : public sched::BlockLocator {
- public:
-  Locator(const storage::NameNode& nn, const net::Topology& topo)
-      : nn_(&nn), topo_(&topo) {}
-  bool is_local(NodeId node, BlockId block) const override {
-    const auto& locs = nn_->locations(block);
-    return std::find(locs.begin(), locs.end(), node) != locs.end();
-  }
-  bool is_rack_local(NodeId node, BlockId block) const override {
-    for (NodeId holder : nn_->locations(block)) {
-      if (topo_->same_rack(node, holder)) return true;
-    }
-    return false;
-  }
+bool Cluster::is_local(NodeId node, BlockId block) const {
+  const auto& locs = name_node_->locations(block);
+  return std::find(locs.begin(), locs.end(), node) != locs.end();
+}
 
- private:
-  const storage::NameNode* nn_;
-  const net::Topology* topo_;
-};
+bool Cluster::is_rack_local(NodeId node, BlockId block) const {
+  for (NodeId holder : name_node_->locations(block)) {
+    if (topology_->same_rack(node, holder)) return true;
+  }
+  return false;
+}
 
 // Root stream: the cluster owns the run's seed; every component stream is
 // forked from rng_ below, never seeded directly.
@@ -81,28 +70,35 @@ Cluster::Cluster(const ClusterOptions& options)
   faults::validate_corruption_params(options_.corruption);
   faults::validate_straggler_params(options_.stragglers);
   faults::validate_netfault_params(options_.netfault);
-  if (options_.repair_retry_backoff <= 0) {
-    throw std::invalid_argument(
-        "ClusterOptions.repair_retry_backoff must be positive");
-  }
-  if (!(options_.clone_budget_fraction >= 0.0 &&
-        options_.clone_budget_fraction <= 1.0)) {
-    throw std::invalid_argument(
-        "ClusterOptions.clone_budget_fraction must be in [0, 1]");
-  }
-  if (!(options_.straggler_detect_ratio >= 1.0)) {
-    throw std::invalid_argument(
-        "ClusterOptions.straggler_detect_ratio must be at least 1");
-  }
-  if (!(options_.straggler_detect_ewma_alpha > 0.0 &&
-        options_.straggler_detect_ewma_alpha <= 1.0)) {
-    throw std::invalid_argument(
-        "ClusterOptions.straggler_detect_ewma_alpha must be in (0, 1]");
-  }
-  if (options_.straggler_backoff <= 0) {
-    throw std::invalid_argument(
-        "ClusterOptions.straggler_backoff must be positive");
-  }
+  // The same for the cluster's own knobs. Zero slots or a zero period
+  // would hang the run: work that never launches, or a timer that never
+  // advances simulated time.
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("ClusterOptions.") + what);
+  };
+  const auto unit = [](double x) { return x >= 0.0 && x <= 1.0; };
+  require(options_.map_slots_per_node > 0,
+          "map_slots_per_node must be positive");
+  require(options_.reduce_slots_per_node > 0,
+          "reduce_slots_per_node must be positive");
+  require(options_.heartbeat_interval > 0,
+          "heartbeat_interval must be at least 1 us");
+  require(options_.scheduler_retry > 0, "scheduler_retry must be positive");
+  require(!options_.enable_speculation || options_.speculation_check > 0,
+          "speculation_check must be positive with speculation enabled");
+  require(unit(options_.trap.p), "trap.p must be in [0, 1]");
+  require(unit(options_.budget_fraction), "budget_fraction must be in [0, 1]");
+  require(options_.repair_retry_backoff > 0,
+          "repair_retry_backoff must be positive");
+  require(unit(options_.clone_budget_fraction),
+          "clone_budget_fraction must be in [0, 1]");
+  require(options_.straggler_detect_ratio >= 1.0,
+          "straggler_detect_ratio must be at least 1");
+  require(options_.straggler_detect_ewma_alpha > 0.0 &&
+              options_.straggler_detect_ewma_alpha <= 1.0,
+          "straggler_detect_ewma_alpha must be in (0, 1]");
+  require(options_.straggler_backoff > 0,
+          "straggler_backoff must be positive");
 
   net::TopologyOptions topo = options_.profile.topology;
   topo.nodes = workers;
@@ -116,7 +112,6 @@ Cluster::Cluster(const ClusterOptions& options)
     data_nodes_.push_back(std::make_unique<storage::DataNode>(
         static_cast<NodeId>(i), options_.profile.disk, rng_));
   }
-  locator_ = std::make_unique<Locator>(*name_node_, *topology_);
   node_rack_.resize(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     node_rack_[i] = topology_->rack_of(static_cast<NodeId>(i));
@@ -143,26 +138,22 @@ Cluster::Cluster(const ClusterOptions& options)
                           options_.corruption.enabled ||
                           !options_.corruption_events.empty() ||
                           netfault_active_;
-  if (options_.use_locality_index) {
-    std::vector<RackId> node_rack = node_rack_;
-    locality_index_ = std::make_unique<sched::LocalityIndex>(
-        workers, std::move(node_rack), topology_->rack_count());
-    jobs_.attach_locality_index(locality_index_.get());
-  }
+  locality_index_ = std::make_unique<sched::LocalityIndex>(
+      workers, node_rack_, topology_->rack_count());
+  jobs_.attach_locality_index(locality_index_.get());
   // Release each job's runtime as it retires: the observer snapshots its
   // metrics (on_job_retired) and the table's residency stays O(active jobs)
   // instead of O(all jobs ever submitted).
   jobs_.set_retire_observer(
       [this](const sched::JobRuntime& rt) { on_job_retired(rt); });
-  if (locality_index_ != nullptr || track_unavailability_) {
-    // Attach before load_files so the mirror sees the static placements.
-    // One observer serves both consumers (the name node supports a single
-    // one); on_replica_delta fans out.
-    name_node_->set_replica_observer(
-        [this](BlockId block, NodeId node, bool added) {
-          on_replica_delta(block, node, added);
-        });
-  }
+  // Attach before load_files so the index mirror sees the static
+  // placements. One observer serves the index and the unavailability
+  // windows (the name node supports a single one); on_replica_delta fans
+  // out.
+  name_node_->set_replica_observer(
+      [this](BlockId block, NodeId node, bool added) {
+        on_replica_delta(block, node, added);
+      });
   dead_.assign(workers, false);
   declared_dead_.assign(workers, false);
   death_time_.assign(workers, 0);
@@ -199,8 +190,7 @@ Cluster::Cluster(const ClusterOptions& options)
       break;
     case SchedulerKind::kFair:
       scheduler_ = std::make_unique<sched::FairScheduler>(
-          options_.fair_delay, options_.fair_delay,
-          options_.use_locality_index);
+          options_.fair_delay, options_.fair_delay);
       break;
   }
 
@@ -503,7 +493,7 @@ void Cluster::try_assign_node(NodeId worker) {
   if (!node_open_for_launch(w)) return;
   while (slots_.free_maps(w) > 0) {
     const auto selection =
-        scheduler_->select_map(worker, sim_.now(), jobs_, *locator_);
+        scheduler_->select_map(worker, sim_.now(), jobs_);
     if (!selection) break;
     launch_map(worker, *selection);
   }
@@ -752,10 +742,10 @@ void Cluster::launch_speculative(NodeId worker, JobId job,
   slots_.take_map(w);
   ++speculative_launched_;
 
-  const bool node_local = locator_->is_local(worker, task.block);
+  const bool node_local = is_local(worker, task.block);
   if (tracer_ != nullptr) {
     const auto loc = node_local ? sched::Locality::kNodeLocal
-                     : locator_->is_rack_local(worker, task.block)
+                     : is_rack_local(worker, task.block)
                          ? sched::Locality::kRackLocal
                          : sched::Locality::kOffRack;
     tracer_->map_launched(worker, job, map_index, static_cast<int>(loc),
@@ -878,7 +868,7 @@ void Cluster::maybe_clone(JobId job, std::size_t map_index, NodeId original) {
     if (!node_open_for_launch(w) || slots_.free_maps(w) == 0) continue;
     if (static_cast<NodeId>(w) == original) continue;
     const auto node = static_cast<NodeId>(w);
-    if (locator_->is_local(node, state.block)) {
+    if (is_local(node, state.block)) {
       best = node;
       break;
     }
@@ -897,10 +887,10 @@ void Cluster::launch_clone(NodeId worker, JobId job, std::size_t map_index) {
   ++running_clones_;
   jobs_.launch_clone(job);
 
-  const bool node_local = locator_->is_local(worker, task.block);
+  const bool node_local = is_local(worker, task.block);
   if (tracer_ != nullptr) {
     const auto loc = node_local ? sched::Locality::kNodeLocal
-                     : locator_->is_rack_local(worker, task.block)
+                     : is_rack_local(worker, task.block)
                          ? sched::Locality::kRackLocal
                          : sched::Locality::kOffRack;
     tracer_->clone_launched(worker, job, map_index, static_cast<int>(loc));
@@ -1117,7 +1107,7 @@ void Cluster::speculation_tick() {
         if (!node_open_for_launch(w) || slots_.free_maps(w) == 0) continue;
         if (static_cast<NodeId>(w) == state.attempts[0].node) continue;
         const auto node = static_cast<NodeId>(w);
-        if (locator_->is_local(node, state.block)) {
+        if (is_local(node, state.block)) {
           best = node;
           break;
         }
@@ -1768,12 +1758,10 @@ void Cluster::queue_repair(BlockId block) {
 }
 
 void Cluster::on_replica_delta(BlockId block, NodeId node, bool added) {
-  if (locality_index_ != nullptr) {
-    if (added) {
-      locality_index_->replica_added(block, node);
-    } else {
-      locality_index_->replica_removed(block, node);
-    }
+  if (added) {
+    locality_index_->replica_added(block, node);
+  } else {
+    locality_index_->replica_removed(block, node);
   }
   if (!track_unavailability_) return;
   // Unavailability windows: a block with zero visible locations is
@@ -2373,46 +2361,42 @@ void Cluster::validate() const {
 
   // Locality index <-> name node agreement: the replica mirror must match
   // the location map exactly, and for every active job's pending map the
-  // index's answer must match the locator's on every node.
-  if (locality_index_ != nullptr) {
-    for (FileId fid : name_node_->all_files()) {
-      for (BlockId bid : name_node_->file(fid).blocks) {
-        const auto& locs = name_node_->locations(bid);
-        if (locality_index_->replica_count(bid) != locs.size()) {
-          fail("locality index mirrors " +
-               std::to_string(locality_index_->replica_count(bid)) +
-               " replicas of block " + std::to_string(bid) + ", name node has " +
-               std::to_string(locs.size()));
-        }
-        for (NodeId node : locs) {
-          if (!locality_index_->mirrors_replica(bid, node)) {
-            fail("locality index misses replica of block " +
-                 std::to_string(bid) + " on node " + std::to_string(node));
-          }
+  // index's answer must match the name node's locations on every node.
+  for (FileId fid : name_node_->all_files()) {
+    for (BlockId bid : name_node_->file(fid).blocks) {
+      const auto& locs = name_node_->locations(bid);
+      if (locality_index_->replica_count(bid) != locs.size()) {
+        fail("locality index mirrors " +
+             std::to_string(locality_index_->replica_count(bid)) +
+             " replicas of block " + std::to_string(bid) + ", name node has " +
+             std::to_string(locs.size()));
+      }
+      for (NodeId node : locs) {
+        if (!locality_index_->mirrors_replica(bid, node)) {
+          fail("locality index misses replica of block " +
+               std::to_string(bid) + " on node " + std::to_string(node));
         }
       }
     }
-    for (const auto& rt : jobs_.active_jobs()) {
-      const JobId id = rt.spec.id;
-      for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
-        const auto node = static_cast<NodeId>(w);
-        std::size_t expected_node = 0;
-        std::size_t expected_rack = 0;
-        for (std::size_t mi : rt.pending_maps) {
-          const BlockId block = rt.spec.maps[mi].block;
-          if (locator_->is_local(node, block)) ++expected_node;
-          if (locator_->is_rack_local(node, block)) ++expected_rack;
-        }
-        if (locality_index_->node_candidates(id, node).size() !=
-            expected_node) {
-          fail("node-candidate count diverges for job " + std::to_string(id) +
-               " on node " + std::to_string(w));
-        }
-        if (locality_index_->rack_candidates(id, node).size() !=
-            expected_rack) {
-          fail("rack-candidate count diverges for job " + std::to_string(id) +
-               " on node " + std::to_string(w));
-        }
+  }
+  for (const auto& rt : jobs_.active_jobs()) {
+    const JobId id = rt.spec.id;
+    for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
+      const auto node = static_cast<NodeId>(w);
+      std::size_t expected_node = 0;
+      std::size_t expected_rack = 0;
+      for (std::size_t mi : rt.pending_maps) {
+        const BlockId block = rt.spec.maps[mi].block;
+        if (is_local(node, block)) ++expected_node;
+        if (is_rack_local(node, block)) ++expected_rack;
+      }
+      if (locality_index_->node_candidates(id, node).size() != expected_node) {
+        fail("node-candidate count diverges for job " + std::to_string(id) +
+             " on node " + std::to_string(w));
+      }
+      if (locality_index_->rack_candidates(id, node).size() != expected_rack) {
+        fail("rack-candidate count diverges for job " + std::to_string(id) +
+             " on node " + std::to_string(w));
       }
     }
   }

@@ -78,7 +78,12 @@ class Cluster {
   const sched::JobTable& job_table() const { return jobs_; }
 
  private:
-  class Locator;
+  /// What a Hadoop scheduler sees: replica locations as of the last
+  /// heartbeat (the name node's metadata), not physical disk contents.
+  /// Speculation and clone targeting use these, and validate() checks the
+  /// locality index against them.
+  bool is_local(NodeId node, BlockId block) const;
+  bool is_rack_local(NodeId node, BlockId block) const;
 
   /// Shared body of run()/run_stream(): catalog load, policy setup, the
   /// event loop, and result collection. `stream` yields the jobs in arrival
@@ -293,9 +298,8 @@ class Cluster {
   std::vector<std::unique_ptr<storage::DataNode>> data_nodes_;
   std::vector<std::unique_ptr<core::ReplicationPolicy>> policies_;
   std::unique_ptr<sched::Scheduler> scheduler_;
-  std::unique_ptr<Locator> locator_;
-  /// Inverted locality index fed by the name node's replica deltas; null
-  /// when options_.use_locality_index is off (legacy scan mode).
+  /// Inverted locality index fed by the name node's replica deltas; the
+  /// job table answers every scheduler locality query from it.
   std::unique_ptr<sched::LocalityIndex> locality_index_;
 
   sched::JobTable jobs_;

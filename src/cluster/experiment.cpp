@@ -1,6 +1,10 @@
 #include "cluster/experiment.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
@@ -60,13 +64,30 @@ const std::vector<std::string>& override_keys() {
   return keys;
 }
 
+namespace {
+
+/// A count knob (`key`, current value `fallback`): a value that does not fit
+/// T is rejected, naming the key, instead of wrapping around in the cast.
+template <typename T>
+T get_count(const Config& cfg, const std::string& key, T fallback) {
+  const std::int64_t value =
+      cfg.get_int(key, static_cast<std::int64_t>(fallback));
+  if (value < 0 || static_cast<std::uint64_t>(value) >
+                       std::numeric_limits<T>::max()) {
+    throw std::invalid_argument(key + " must be a count >= 0, got " +
+                                std::to_string(value));
+  }
+  return static_cast<T>(value);
+}
+
+}  // namespace
+
 ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg) {
   if (cfg.contains("profile") || cfg.contains("nodes")) {
     const std::string profile =
         cfg.get_string("profile", options.profile.name);
-    const auto nodes = static_cast<std::size_t>(
-        cfg.get_int("nodes",
-                    static_cast<std::int64_t>(options.profile.topology.nodes)));
+    const auto nodes =
+        get_count(cfg, "nodes", options.profile.topology.nodes);
     if (profile == "cct") {
       options.profile = net::cct_profile(nodes);
     } else if (profile == "ec2") {
@@ -82,14 +103,13 @@ ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg) {
     options.policy = parse_policy(cfg.get_string("policy", ""));
   }
   options.trap.p = cfg.get_double("p", options.trap.p);
-  options.trap.threshold = static_cast<std::uint32_t>(
-      cfg.get_int("threshold", options.trap.threshold));
+  options.trap.threshold =
+      get_count(cfg, "threshold", options.trap.threshold);
   options.budget_fraction = cfg.get_double("budget", options.budget_fraction);
-  options.map_slots_per_node = static_cast<std::size_t>(cfg.get_int(
-      "map_slots", static_cast<std::int64_t>(options.map_slots_per_node)));
-  options.reduce_slots_per_node = static_cast<std::size_t>(
-      cfg.get_int("reduce_slots",
-                  static_cast<std::int64_t>(options.reduce_slots_per_node)));
+  options.map_slots_per_node =
+      get_count(cfg, "map_slots", options.map_slots_per_node);
+  options.reduce_slots_per_node =
+      get_count(cfg, "reduce_slots", options.reduce_slots_per_node);
   if (cfg.contains("heartbeat_s")) {
     options.heartbeat_interval =
         from_seconds(cfg.get_double("heartbeat_s", 3.0));
@@ -106,9 +126,8 @@ ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg) {
       cfg.get_double("rack_correlation", options.faults.rack_correlation);
   options.faults.task_failure_prob =
       cfg.get_double("task_failure_prob", options.faults.task_failure_prob);
-  options.faults.min_live_workers = static_cast<std::size_t>(cfg.get_int(
-      "min_live_workers",
-      static_cast<std::int64_t>(options.faults.min_live_workers)));
+  options.faults.min_live_workers =
+      get_count(cfg, "min_live_workers", options.faults.min_live_workers);
   options.corruption.enabled =
       cfg.get_bool("corruption", options.corruption.enabled);
   options.corruption.bitrot_per_gb =
@@ -137,9 +156,8 @@ ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg) {
       "detect_stragglers", options.enable_straggler_detection);
   options.straggler_detect_ratio =
       cfg.get_double("detect_ratio", options.straggler_detect_ratio);
-  options.straggler_detect_min_samples = static_cast<std::size_t>(cfg.get_int(
-      "detect_min_samples",
-      static_cast<std::int64_t>(options.straggler_detect_min_samples)));
+  options.straggler_detect_min_samples = get_count(
+      cfg, "detect_min_samples", options.straggler_detect_min_samples);
   if (cfg.contains("backoff_s")) {
     options.straggler_backoff =
         from_seconds(cfg.get_double("backoff_s", 30.0));
@@ -170,9 +188,8 @@ ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg) {
       throw std::invalid_argument("unknown repair_policy: " + policy);
     }
   }
-  options.max_repairs_per_uplink = static_cast<std::size_t>(cfg.get_int(
-      "repairs_per_uplink",
-      static_cast<std::int64_t>(options.max_repairs_per_uplink)));
+  options.max_repairs_per_uplink =
+      get_count(cfg, "repairs_per_uplink", options.max_repairs_per_uplink);
   if (cfg.contains("repair_backoff_s")) {
     options.repair_retry_backoff =
         from_seconds(cfg.get_double("repair_backoff_s", 5.0));
@@ -181,17 +198,14 @@ ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg) {
       cfg.get_bool("cloning", options.enable_task_cloning);
   options.clone_budget_fraction =
       cfg.get_double("clone_budget", options.clone_budget_fraction);
-  options.clone_job_max_maps = static_cast<std::size_t>(cfg.get_int(
-      "clone_max_maps",
-      static_cast<std::int64_t>(options.clone_job_max_maps)));
-  options.detection_missed_heartbeats = static_cast<std::size_t>(cfg.get_int(
-      "detect_missed",
-      static_cast<std::int64_t>(options.detection_missed_heartbeats)));
-  options.max_task_attempts = static_cast<std::size_t>(cfg.get_int(
-      "max_attempts", static_cast<std::int64_t>(options.max_task_attempts)));
-  options.node_blacklist_threshold = static_cast<std::size_t>(cfg.get_int(
-      "blacklist_threshold",
-      static_cast<std::int64_t>(options.node_blacklist_threshold)));
+  options.clone_job_max_maps =
+      get_count(cfg, "clone_max_maps", options.clone_job_max_maps);
+  options.detection_missed_heartbeats =
+      get_count(cfg, "detect_missed", options.detection_missed_heartbeats);
+  options.max_task_attempts =
+      get_count(cfg, "max_attempts", options.max_task_attempts);
+  options.node_blacklist_threshold =
+      get_count(cfg, "blacklist_threshold", options.node_blacklist_threshold);
   options.seed = static_cast<std::uint64_t>(
       cfg.get_int("seed", static_cast<std::int64_t>(options.seed)));
   return options;

@@ -36,8 +36,17 @@ ClusterOptions paper_defaults(const net::ClusterProfile& profile,
 ///   tail_cap=
 ///   detect_stragglers=0|1 detect_ratio= detect_min_samples= backoff_s=
 ///   cloning=0|1 clone_budget=<0..1> clone_max_maps=<n>
+///   netfault=0|1 part_mtbf_s= part_duration_s= link_mtbf_s=
+///   link_duration_s= bandwidth_cut= latency_inflation= connect_timeout_s=
+///   repair_policy=fifo|prioritized repairs_per_uplink=<n>
+///   repair_backoff_s=<sec>
 /// Unknown keys are ignored (they may belong to the workload or harness).
-/// Throws std::invalid_argument on unparsable values for known keys.
+/// Throws std::invalid_argument on unparsable values for known keys, and on
+/// a negative or out-of-range value for a count key (nodes, threshold,
+/// map_slots, reduce_slots, min_live_workers, detect_min_samples,
+/// repairs_per_uplink, clone_max_maps, detect_missed, max_attempts,
+/// blacklist_threshold). Range checks on the other knobs happen when a
+/// Cluster is constructed from the options.
 ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg);
 
 /// Every key apply_overrides recognizes, sorted. Example binaries check

@@ -46,13 +46,6 @@ struct ClusterOptions {
   SimDuration reduce_setup = from_millis(500);
 
   SchedulerKind scheduler = SchedulerKind::kFifo;
-  /// Answer scheduler locality queries from the incrementally-maintained
-  /// inverted index (and keep the Fair scheduler's share order in a set
-  /// patched from the change journal) instead of scanning every pending map
-  /// / re-sorting every active job per scheduling opportunity. Both modes
-  /// produce bit-identical schedules; `false` is the A/B baseline for the
-  /// equivalence oracle and the benchmarks.
-  bool use_locality_index = true;
   /// Fair scheduler delay-scheduling window: how long a job waits for a
   /// local slot before accepting a non-local launch. Calibrated to the
   /// simulator's task-duration scale (the paper's Hadoop setup used ~5 s

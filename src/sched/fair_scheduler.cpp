@@ -1,6 +1,5 @@
 #include "sched/fair_scheduler.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "common/invariant.h"
@@ -8,11 +7,8 @@
 
 namespace dare::sched {
 
-FairScheduler::FairScheduler(SimDuration node_delay, SimDuration rack_delay,
-                             bool incremental)
-    : node_delay_(node_delay),
-      rack_delay_(rack_delay),
-      incremental_(incremental) {
+FairScheduler::FairScheduler(SimDuration node_delay, SimDuration rack_delay)
+    : node_delay_(node_delay), rack_delay_(rack_delay) {
   if (node_delay < 0 || rack_delay < 0) {
     throw std::invalid_argument("FairScheduler: delays must be >= 0");
   }
@@ -21,13 +17,6 @@ FairScheduler::FairScheduler(SimDuration node_delay, SimDuration rack_delay,
 FairScheduler::FairScheduler(SimDuration delay)
     : FairScheduler(delay, delay) {}
 
-void FairScheduler::insert_share_entry(JobId id, JobRuntime& rt) {
-  if (!rt.active || rt.pending_maps.empty()) return;
-  const ShareKey key{rt.fair_share(), rt.arrival_seq, id, &rt};
-  share_order_.insert(key);
-  share_keys_.emplace(id, key);
-}
-
 void FairScheduler::update_share_entry(JobTable& jobs, JobId id) {
   const auto old = share_keys_.find(id);
   if (old != share_keys_.end()) {
@@ -35,30 +24,18 @@ void FairScheduler::update_share_entry(JobTable& jobs, JobId id) {
     share_keys_.erase(old);
   }
   if (!jobs.has_job(id)) return;
-  insert_share_entry(id, jobs.job(id));
-}
-
-void FairScheduler::sync_share_order(JobTable& jobs) {
-  if (synced_table_ != &jobs) {
-    // First opportunity from this table: rebuild from scratch, then discard
-    // the journal backlog (it is subsumed by the rebuild).
-    synced_table_ = &jobs;
-    share_order_.clear();
-    share_keys_.clear();
-    jobs.consume_fair_dirty();
-    for (JobRuntime& rt : jobs.active_jobs()) {
-      insert_share_entry(rt.spec.id, rt);
-    }
-    return;
-  }
-  for (JobId id : jobs.consume_fair_dirty()) update_share_entry(jobs, id);
+  JobRuntime& rt = jobs.job(id);
+  if (!rt.active || rt.pending_maps.empty()) return;
+  const ShareKey key{rt.fair_share(), rt.arrival_seq, id, &rt};
+  share_order_.insert(key);
+  share_keys_.emplace(id, key);
 }
 
 std::optional<MapSelection> FairScheduler::try_job(JobRuntime& rt, NodeId node,
-                                                   SimTime now, JobTable& jobs,
-                                                   const BlockLocator& locator) {
+                                                   SimTime now,
+                                                   JobTable& jobs) {
   const JobId id = rt.spec.id;
-  if (const auto local = jobs.find_local_map(rt, node, locator)) {
+  if (const auto local = jobs.find_local_map(rt, node)) {
     if (tracer_ != nullptr) {
       const double waited_s =
           rt.waiting_since == kTimeNever
@@ -81,7 +58,7 @@ std::optional<MapSelection> FairScheduler::try_job(JobRuntime& rt, NodeId node,
   const SimDuration waited = now - rt.waiting_since;
   if (waited >= node_delay_) {
     // Level-1 delay expired: a rack-local launch is acceptable.
-    if (const auto rack = jobs.find_rack_local_map(rt, node, locator)) {
+    if (const auto rack = jobs.find_rack_local_map(rt, node)) {
       if (tracer_ != nullptr) {
         tracer_->scheduler_decision(node, id,
                                     static_cast<int>(Locality::kRackLocal),
@@ -105,60 +82,28 @@ std::optional<MapSelection> FairScheduler::try_job(JobRuntime& rt, NodeId node,
   return std::nullopt;
 }
 
-std::optional<MapSelection> FairScheduler::select_map(
-    NodeId node, SimTime now, JobTable& jobs, const BlockLocator& locator) {
-  if (incremental_) {
-    sync_share_order(jobs);
-    // The loop body only touches waiting_since, never a share component, so
-    // iterating the set while probing jobs is safe; a returned selection is
-    // followed by a launch whose journal entry is drained next call.
-    for (const ShareKey& key : share_order_) {
-      if (auto picked = try_job(*key.rt, node, now, jobs, locator)) {
-        return picked;
-      }
-    }
-    return std::nullopt;
-  }
-
-  // Legacy path (A/B baseline): collect + stable_sort every opportunity.
-  // Fair ordering: smallest weighted share (running maps + clones, times
-  // inv weight) first; arrival order breaks ties (active_jobs() is already
-  // in arrival order, stable_sort preserves it).
-  scratch_order_.clear();
-  for (JobRuntime& rt : jobs.active_jobs()) {
-    if (!rt.pending_maps.empty()) scratch_order_.push_back(&rt);
-  }
-  std::stable_sort(scratch_order_.begin(), scratch_order_.end(),
-                   [](const JobRuntime* a, const JobRuntime* b) {
-                     return a->fair_share() < b->fair_share();
-                   });
-
-  for (JobRuntime* rt : scratch_order_) {
-    if (auto picked = try_job(*rt, node, now, jobs, locator)) return picked;
+std::optional<MapSelection> FairScheduler::select_map(NodeId node, SimTime now,
+                                                      JobTable& jobs) {
+  // Patch the share order from the fair-share journal (add_job journals
+  // every job, so the first drain sees them all).
+  for (JobId id : jobs.consume_fair_dirty()) update_share_entry(jobs, id);
+  // The loop body only touches waiting_since, never a share component, so
+  // iterating the set while probing jobs is safe; a returned selection is
+  // followed by a launch whose journal entry is drained next call.
+  for (const ShareKey& key : share_order_) {
+    if (auto picked = try_job(*key.rt, node, now, jobs)) return picked;
   }
   return std::nullopt;
 }
 
 std::optional<JobId> FairScheduler::select_reduce(JobTable& jobs) {
-  // Fewest running reduces first among jobs with launchable reduces; the
-  // strict `<` keeps the earliest arrival among ties.
-  if (jobs.has_locality_index()) {
-    // Same scan, restricted to the ready set: it holds exactly the jobs the
-    // filter below accepts, iterated in the same arrival order.
-    const JobRuntime* best = nullptr;
-    for (const auto& [seq, rt] : jobs.reduce_ready()) {
-      if (best == nullptr || rt->running_reduces < best->running_reduces) {
-        best = rt;
-      }
-    }
-    if (best == nullptr) return std::nullopt;
-    return best->spec.id;
-  }
+  // Fewest running reduces first among jobs with launchable reduces (the
+  // ready set, iterated in arrival order); the strict `<` keeps the
+  // earliest arrival among ties.
   const JobRuntime* best = nullptr;
-  for (const JobRuntime& rt : jobs.active_jobs()) {
-    if (!rt.maps_done() || rt.pending_reduces == 0) continue;
-    if (best == nullptr || rt.running_reduces < best->running_reduces) {
-      best = &rt;
+  for (const auto& [seq, rt] : jobs.reduce_ready()) {
+    if (best == nullptr || rt->running_reduces < best->running_reduces) {
+      best = rt;
     }
   }
   if (best == nullptr) return std::nullopt;

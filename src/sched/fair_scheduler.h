@@ -10,17 +10,14 @@
 // refers to.
 //
 // Share ordering is maintained incrementally: a std::set keyed by
-// (running_maps * inv_weight, arrival_seq) is patched from the JobTable's
-// fair-share journal on each opportunity, replacing the seed's
-// collect + stable_sort of every active job per slot offer. The legacy sort
-// is kept behind `incremental = false` as the A/B baseline for the
-// equivalence oracle and benchmarks; both paths produce bit-identical
-// selection sequences (same share product, same tie-breaking).
+// (fair_share(), arrival_seq) is patched from the JobTable's fair-share
+// journal on each opportunity. It visits jobs in exactly the order of a
+// stable_sort of the active jobs with pending maps by fair_share() — the
+// seed's per-opportunity collect + sort, which it replaces.
 #pragma once
 
 #include <set>
 #include <unordered_map>
-#include <vector>
 
 #include "common/arena.h"
 #include "sched/scheduler.h"
@@ -34,13 +31,11 @@ class FairScheduler final : public Scheduler {
   /// a rack-local launch, and a further `rack_delay` before accepting an
   /// off-rack launch. Zero delays behave greedily (never wait). The
   /// single-argument form uses rack_delay = node_delay.
-  FairScheduler(SimDuration node_delay, SimDuration rack_delay,
-                bool incremental = true);
+  FairScheduler(SimDuration node_delay, SimDuration rack_delay);
   explicit FairScheduler(SimDuration delay);
 
   std::optional<MapSelection> select_map(NodeId node, SimTime now,
-                                         JobTable& jobs,
-                                         const BlockLocator& locator) override;
+                                         JobTable& jobs) override;
   std::optional<JobId> select_reduce(JobTable& jobs) override;
   std::string name() const override { return "fair"; }
 
@@ -63,25 +58,17 @@ class FairScheduler final : public Scheduler {
     }
   };
 
-  /// Bring share_order_ up to date with `jobs` (full rebuild on first sight
-  /// of a table, journal drain afterwards).
-  void sync_share_order(JobTable& jobs);
+  /// Re-key (or drop) one job's share_order_ entry after a journal entry.
+  /// One scheduler serves one JobTable.
   void update_share_entry(JobTable& jobs, JobId id);
-  void insert_share_entry(JobId id, JobRuntime& rt);
   /// One job's turn at the opportunity: returns a selection, or nullopt to
   /// move on to the next job in fair order.
   std::optional<MapSelection> try_job(JobRuntime& rt, NodeId node, SimTime now,
-                                      JobTable& jobs,
-                                      const BlockLocator& locator);
+                                      JobTable& jobs);
 
   SimDuration node_delay_;
   SimDuration rack_delay_;
-  bool incremental_;
 
-  /// Incremental-mode state. Valid for one JobTable at a time; seeing a
-  /// different table triggers a rebuild (fixtures construct fresh pairs, so
-  /// in practice this fires once).
-  const JobTable* synced_table_ = nullptr;
   /// Slab-backed: every fair-share journal entry erases and reinserts one
   /// tree node, so the arena turns the scheduler's steady-state churn into
   /// freelist pops.
@@ -90,10 +77,6 @@ class FairScheduler final : public Scheduler {
   std::unordered_map<JobId, ShareKey, std::hash<JobId>, std::equal_to<JobId>,
                      common::SlabAllocator<std::pair<const JobId, ShareKey>>>
       share_keys_;
-
-  /// Legacy-mode scratch, reused across calls so the per-opportunity sort
-  /// at least stops allocating.
-  std::vector<JobRuntime*> scratch_order_;
 };
 
 }  // namespace dare::sched

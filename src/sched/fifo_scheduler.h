@@ -15,8 +15,7 @@ namespace dare::sched {
 class FifoScheduler final : public Scheduler {
  public:
   std::optional<MapSelection> select_map(NodeId node, SimTime now,
-                                         JobTable& jobs,
-                                         const BlockLocator& locator) override;
+                                         JobTable& jobs) override;
   std::optional<JobId> select_reduce(JobTable& jobs) override;
   std::string name() const override { return "fifo"; }
 };

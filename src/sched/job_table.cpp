@@ -1,12 +1,32 @@
 #include "sched/job_table.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "common/invariant.h"
 #include "sched/locality_index.h"
 
 namespace dare::sched {
+namespace {
+
+/// Argmin of pending position over the indexed candidates: the first match
+/// a front-to-back scan of pending_maps would find.
+std::optional<std::size_t> earliest_pending(
+    const JobRuntime& rt, const std::vector<std::uint32_t>& candidates) {
+  std::size_t best = JobRuntime::kNotPending;
+  for (std::uint32_t mi : candidates) {
+    const std::size_t pos = rt.pending_pos[mi];
+    DARE_INVARIANT(pos != JobRuntime::kNotPending,
+                   "JobTable: locality index lists a non-pending map");
+    best = std::min(best, pos);
+  }
+  if (best == JobRuntime::kNotPending) return std::nullopt;
+  return best;
+}
+
+}  // namespace
 
 void JobTable::attach_locality_index(LocalityIndex* index) {
   if (index == nullptr) {
@@ -21,16 +41,12 @@ void JobTable::attach_locality_index(LocalityIndex* index) {
 
 void JobTable::watch_pending(JobId id, const JobRuntime& rt,
                              std::size_t map_index) {
-  if (index_ != nullptr) {
-    index_->watch_map(id, map_index, rt.spec.maps[map_index].block);
-  }
+  index_->watch_map(id, map_index, rt.spec.maps[map_index].block);
 }
 
 void JobTable::unwatch_pending(JobId id, const JobRuntime& rt,
                                std::size_t map_index) {
-  if (index_ != nullptr) {
-    index_->unwatch_map(id, map_index, rt.spec.maps[map_index].block);
-  }
+  index_->unwatch_map(id, map_index, rt.spec.maps[map_index].block);
 }
 
 void JobTable::mark_fair_dirty(JobId id, JobRuntime& rt) {
@@ -103,10 +119,8 @@ void JobTable::retire_active(JobId id, JobRuntime& rt) {
   rt.active_next = nullptr;
   --active_count_;
   mark_fair_dirty(id, rt);
-  if (index_ != nullptr) {
-    index_->job_retired(id);
-    rt.locality = nullptr;
-  }
+  index_->job_retired(id);
+  rt.locality = nullptr;
   if (retire_observer_) {
     retire_observer_(rt);
     // A job can retire while losing clone attempts are still in flight
@@ -118,6 +132,9 @@ void JobTable::retire_active(JobId id, JobRuntime& rt) {
 }
 
 void JobTable::add_job(const JobSpec& spec) {
+  if (index_ == nullptr) {
+    throw std::logic_error("JobTable: add_job before attach_locality_index");
+  }
   if (spec.id == kInvalidJob) {
     throw std::invalid_argument("JobTable: job needs a valid id");
   }
@@ -160,7 +177,7 @@ void JobTable::add_job(const JobSpec& spec) {
 
   mark_fair_dirty(spec.id, stored);
   update_map_ready(stored);
-  if (index_ != nullptr) stored.locality = index_->job_state_ptr(spec.id);
+  stored.locality = index_->job_state_ptr(spec.id);
   for (std::size_t i = 0; i < stored.spec.maps.size(); ++i) {
     watch_pending(spec.id, stored, i);
   }
@@ -180,64 +197,17 @@ const JobRuntime& JobTable::job(JobId id) const {
 
 bool JobTable::has_job(JobId id) const { return jobs_.count(id) != 0; }
 
-std::optional<std::size_t> JobTable::find_local_map(
-    JobId id, NodeId node, const BlockLocator& locator) const {
-  return find_local_map(job(id), node, locator);
+std::optional<std::size_t> JobTable::find_local_map(const JobRuntime& rt,
+                                                    NodeId node) const {
+  // A retired job has no candidate state, and no pending maps either.
+  if (rt.locality == nullptr) return std::nullopt;
+  return earliest_pending(rt, index_->node_candidates(*rt.locality, node));
 }
 
-std::optional<std::size_t> JobTable::find_local_map(
-    const JobRuntime& rt, NodeId node, const BlockLocator& locator) const {
-  if (index_ != nullptr && rt.locality != nullptr) {
-    // Argmin of pending position over the indexed candidates == the first
-    // match of the front-to-back scan below. (Retired jobs have a null
-    // locality pointer and fall through to the scan of their — empty —
-    // pending set.)
-    std::size_t best = JobRuntime::kNotPending;
-    for (std::uint32_t mi : index_->node_candidates(*rt.locality, node)) {
-      const std::size_t pos = rt.pending_pos[mi];
-      DARE_INVARIANT(pos != JobRuntime::kNotPending,
-                     "JobTable: locality index lists a non-pending map");
-      best = std::min(best, pos);
-    }
-    if (best == JobRuntime::kNotPending) return std::nullopt;
-    return best;
-  }
-  for (std::size_t i = 0; i < rt.pending_maps.size(); ++i) {
-    const MapTaskSpec& task = rt.spec.maps[rt.pending_maps[i]];
-    if (locator.is_local(node, task.block)) return i;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::size_t> JobTable::find_rack_local_map(
-    JobId id, NodeId node, const BlockLocator& locator) const {
-  return find_rack_local_map(job(id), node, locator);
-}
-
-std::optional<std::size_t> JobTable::find_rack_local_map(
-    const JobRuntime& rt, NodeId node, const BlockLocator& locator) const {
-  if (index_ != nullptr && rt.locality != nullptr) {
-    std::size_t best = JobRuntime::kNotPending;
-    for (std::uint32_t mi : index_->rack_candidates(*rt.locality, node)) {
-      const std::size_t pos = rt.pending_pos[mi];
-      DARE_INVARIANT(pos != JobRuntime::kNotPending,
-                     "JobTable: locality index lists a non-pending map");
-      best = std::min(best, pos);
-    }
-    if (best == JobRuntime::kNotPending) return std::nullopt;
-    return best;
-  }
-  for (std::size_t i = 0; i < rt.pending_maps.size(); ++i) {
-    const MapTaskSpec& task = rt.spec.maps[rt.pending_maps[i]];
-    if (locator.is_rack_local(node, task.block)) return i;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::size_t> JobTable::find_any_map(JobId id) const {
-  const JobRuntime& rt = job(id);
-  if (rt.pending_maps.empty()) return std::nullopt;
-  return 0;
+std::optional<std::size_t> JobTable::find_rack_local_map(const JobRuntime& rt,
+                                                         NodeId node) const {
+  if (rt.locality == nullptr) return std::nullopt;
+  return earliest_pending(rt, index_->rack_candidates(*rt.locality, node));
 }
 
 std::size_t JobTable::launch_map(JobId id, std::size_t pending_index,

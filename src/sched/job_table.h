@@ -5,13 +5,10 @@
 // methods below so invariants (pending + running + completed == total) hold
 // by construction.
 //
-// Locality queries run in one of two modes:
-//  * with a LocalityIndex attached (production), find_local_map /
-//    find_rack_local_map answer from the inverted index in O(candidates on
-//    the node) by taking the argmin of pending position — bit-identical to
-//    the scan below;
-//  * without one (unit tests with fake locators, or the A/B "legacy" mode),
-//    they scan every pending map against the BlockLocator.
+// Locality queries answer from the attached LocalityIndex in O(candidates
+// on the node) by taking the argmin of pending position — the element a
+// front-to-back scan of pending_maps would find first. The index is
+// required: it must be attached before the first add_job.
 #pragma once
 
 #include <cstddef>
@@ -29,20 +26,6 @@
 #include "sched/locality_index.h"
 
 namespace dare::sched {
-
-/// Oracle answering "does `node` hold a visible replica of `block`?" and
-/// "is a replica of `block` in the same rack as `node`?".
-/// Backed by the name node + topology in production; fakeable in tests.
-class BlockLocator {
- public:
-  virtual ~BlockLocator() = default;
-  virtual bool is_local(NodeId node, BlockId block) const = 0;
-  /// Rack locality; single-rack topologies return true for every block.
-  /// Default: no rack information (everything off-rack unless node-local).
-  virtual bool is_rack_local(NodeId node, BlockId block) const {
-    return is_local(node, block);
-  }
-};
 
 /// How close a launched map task is to its input data — Hadoop's three
 /// locality tiers.
@@ -107,9 +90,7 @@ struct JobRuntime {
   std::size_t arrival_seq = 0;
   /// Cached 1.0 / max(spec.weight, default): the fair share is computed as
   /// running_maps * inv_weight on every comparison, so the division happens
-  /// once per job instead of once per scheduling opportunity. Both the
-  /// incremental and the legacy fair paths use this product, keeping their
-  /// floating-point results bit-identical.
+  /// once per job instead of once per scheduling opportunity.
   double inv_weight = 1.0;
 
   /// Membership + links of the intrusive active list (see active_jobs()).
@@ -122,19 +103,17 @@ struct JobRuntime {
   /// Dedup flag for the fair-share change journal.
   bool fair_dirty = false;
 
-  /// Cached pointer to this job's LocalityIndex candidate lists (null when
-  /// no index is attached, or after retirement). Lets the find_*_map hot
-  /// path read candidates directly instead of hashing the JobId per probe.
+  /// Cached pointer to this job's LocalityIndex candidate lists (null after
+  /// retirement). Lets the find_*_map hot path read candidates directly
+  /// instead of hashing the JobId per probe.
   LocalityIndex::JobState* locality = nullptr;
 
   bool maps_done() const {
     return pending_maps.empty() && running_maps == 0;
   }
   /// Weighted fair share consumed by this job's running work (original map
-  /// attempts plus proactive clones). Both the incremental and the legacy
-  /// fair paths call this, keeping their floating-point results
-  /// bit-identical; with cloning disabled running_clones is always 0 and
-  /// the product reduces to the historical running_maps * inv_weight.
+  /// attempts plus proactive clones). With cloning disabled running_clones
+  /// is always 0 and the product reduces to running_maps * inv_weight.
   double fair_share() const {
     return static_cast<double>(running_maps + running_clones) * inv_weight;
   }
@@ -218,33 +197,22 @@ class JobTable {
   /// Ids of all jobs ever submitted, in arrival order.
   const std::vector<JobId>& all_jobs() const { return order_; }
 
-  /// Attach the inverted locality index; from then on every pending-map
-  /// transition is published to it and the find_*_map queries answer from
-  /// it (the BlockLocator argument is ignored). Must be attached before the
-  /// first add_job; the index must outlive the table's mutations.
+  /// Attach the inverted locality index: every pending-map transition is
+  /// published to it and the find_*_map queries answer from it. Required
+  /// before the first add_job (which throws without one); the index must
+  /// outlive the table's mutations.
   void attach_locality_index(LocalityIndex* index);
-  bool has_locality_index() const { return index_ != nullptr; }
 
-  /// Find a pending map of `job` whose block is local to `node`.
+  /// Find a pending map of `rt`'s job whose block is local to `node`.
   /// Returns the smallest matching position in pending_maps (the same
   /// element a front-to-back scan finds first).
-  std::optional<std::size_t> find_local_map(JobId job, NodeId node,
-                                            const BlockLocator& locator) const;
+  std::optional<std::size_t> find_local_map(const JobRuntime& rt,
+                                            NodeId node) const;
 
-  /// Find a pending map of `job` whose block has a replica in `node`'s rack
-  /// (not necessarily on the node itself).
-  std::optional<std::size_t> find_rack_local_map(
-      JobId job, NodeId node, const BlockLocator& locator) const;
-
-  /// Any pending map of `job` (the first pending one).
-  std::optional<std::size_t> find_any_map(JobId job) const;
-
-  /// Lookup-free variants for callers already holding the runtime (the
-  /// schedulers, which iterate active_jobs()).
-  std::optional<std::size_t> find_local_map(const JobRuntime& rt, NodeId node,
-                                            const BlockLocator& locator) const;
-  std::optional<std::size_t> find_rack_local_map(
-      const JobRuntime& rt, NodeId node, const BlockLocator& locator) const;
+  /// Find a pending map of `rt`'s job whose block has a replica in
+  /// `node`'s rack (not necessarily on the node itself).
+  std::optional<std::size_t> find_rack_local_map(const JobRuntime& rt,
+                                                 NodeId node) const;
 
   /// --- state transitions ------------------------------------------------
   /// Launch pending map `pending_index` (an index into pending_maps, not
@@ -294,8 +262,7 @@ class JobTable {
   /// arrival_seq so iteration is in arrival order — exactly the subset (and
   /// order) the seed's select_reduce scan visited, without walking jobs
   /// still in their map phase. Maintained incrementally on the transitions
-  /// that can change membership; the schedulers use it when a locality
-  /// index is attached (the A/B legacy mode keeps the seed's full scan).
+  /// that can change membership.
   using ReduceReadySet =
       std::set<std::pair<std::size_t, JobRuntime*>,
                std::less<std::pair<std::size_t, JobRuntime*>>,
@@ -307,7 +274,7 @@ class JobTable {
   /// always launches from the first such job (it never declines), so its
   /// selection reduces to this set's first element — the seed's scan paid
   /// O(active jobs) per opportunity walking the reduce-phase prefix, which
-  /// dominated large-run profiles. Same indexed-mode gating as reduce_ready.
+  /// dominated large-run profiles.
   const ReduceReadySet& map_ready() const { return map_ready_; }
 
   /// --- fair-share change journal -----------------------------------------
@@ -358,7 +325,7 @@ class JobTable {
   void update_reduce_ready(JobRuntime& rt);
   /// Recompute `rt`'s map_ready_ membership after a pending-set transition.
   void update_map_ready(JobRuntime& rt);
-  /// Publish a pending-set entry/exit to the locality index, if attached.
+  /// Publish a pending-set entry/exit to the locality index.
   void watch_pending(JobId id, const JobRuntime& rt, std::size_t map_index);
   void unwatch_pending(JobId id, const JobRuntime& rt, std::size_t map_index);
 

@@ -33,9 +33,8 @@ class Scheduler {
 
   /// Pick a map task to launch on `node` at time `now`, or nullopt to leave
   /// the slot idle.
-  virtual std::optional<MapSelection> select_map(
-      NodeId node, SimTime now, JobTable& jobs,
-      const BlockLocator& locator) = 0;
+  virtual std::optional<MapSelection> select_map(NodeId node, SimTime now,
+                                                 JobTable& jobs) = 0;
 
   /// Pick a job whose reduce should launch (reduces have no locality).
   virtual std::optional<JobId> select_reduce(JobTable& jobs) = 0;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/trace_analysis.h"
 #include "cluster/experiment.h"
@@ -37,6 +40,72 @@ TEST(Cluster, RejectsDegenerateClusters) {
   ClusterOptions opts = tiny_options();
   opts.profile.topology.nodes = 1;
   EXPECT_THROW(Cluster{opts}, std::invalid_argument);
+}
+
+/// Requires constructing a cluster from `opts` to throw
+/// std::invalid_argument whose message names the offending field.
+void expect_rejects(const ClusterOptions& opts, const std::string& field) {
+  try {
+    Cluster cluster(opts);
+    FAIL() << "expected std::invalid_argument naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << "message does not name the field: " << e.what();
+  }
+}
+
+// --- option validation (one test per rejected field) ----------------------
+// Each of these settings would hang a run (work that never launches, or a
+// timer that never advances simulated time) or warp it silently.
+
+TEST(ClusterValidation, RejectsZeroMapSlots) {
+  ClusterOptions opts = tiny_options();
+  opts.map_slots_per_node = 0;
+  expect_rejects(opts, "map_slots_per_node");
+}
+
+TEST(ClusterValidation, RejectsZeroReduceSlots) {
+  ClusterOptions opts = tiny_options();
+  opts.reduce_slots_per_node = 0;
+  expect_rejects(opts, "reduce_slots_per_node");
+}
+
+TEST(ClusterValidation, RejectsSubMicrosecondHeartbeat) {
+  for (const double s : {0.0, -3.0, 1e-9}) {  // 1e-9 s truncates to 0 us
+    ClusterOptions opts = tiny_options();
+    opts.heartbeat_interval = from_seconds(s);
+    expect_rejects(opts, "heartbeat_interval");
+  }
+}
+
+TEST(ClusterValidation, RejectsNonPositiveSchedulerRetry) {
+  ClusterOptions opts = tiny_options();
+  opts.scheduler_retry = 0;
+  expect_rejects(opts, "scheduler_retry");
+}
+
+TEST(ClusterValidation, RejectsNonPositiveSpeculationCheckWhenEnabled) {
+  ClusterOptions opts = tiny_options();
+  opts.speculation_check = 0;
+  EXPECT_NO_THROW(Cluster{opts});  // never scheduled without speculation
+  opts.enable_speculation = true;
+  expect_rejects(opts, "speculation_check");
+}
+
+TEST(ClusterValidation, RejectsTrapProbabilityOutsideUnitInterval) {
+  for (const double p : {-0.1, 1.5, std::nan("")}) {
+    ClusterOptions opts = tiny_options(PolicyKind::kElephantTrap);
+    opts.trap.p = p;
+    expect_rejects(opts, "trap.p");
+  }
+}
+
+TEST(ClusterValidation, RejectsBudgetOutsideUnitInterval) {
+  for (const double budget : {-0.1, 1.5, std::nan("")}) {
+    ClusterOptions opts = tiny_options(PolicyKind::kGreedyLru);
+    opts.budget_fraction = budget;
+    expect_rejects(opts, "budget_fraction");
+  }
 }
 
 TEST(Cluster, RunsAllJobsToCompletion) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "cluster/experiment.h"
 
@@ -97,6 +98,45 @@ TEST(ApplyOverrides, BadValuesThrow) {
       std::invalid_argument);
   EXPECT_THROW(apply_overrides(base, Config::from_string("p = high\n")),
                std::invalid_argument);
+}
+
+class NegativeCountKnob : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(NegativeCountKnob, RejectedNamingTheKey) {
+  // Unchecked, a negative count wraps around in the cast to size_t/uint32_t
+  // (nodes=-1 dies in vector growth, map_slots=-1 runs with SIZE_MAX slots).
+  const auto base = paper_defaults(net::cct_profile(20), SchedulerKind::kFifo,
+                                   PolicyKind::kVanilla);
+  const std::string key = GetParam();
+  try {
+    apply_overrides(base, Config::from_string(key + " = -1\n"));
+    FAIL() << "expected std::invalid_argument naming " << key;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+        << "message does not name the key: " << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CountKnobs, NegativeCountKnob,
+    ::testing::Values("nodes", "threshold", "map_slots", "reduce_slots",
+                      "min_live_workers", "detect_min_samples",
+                      "repairs_per_uplink", "clone_max_maps", "detect_missed",
+                      "max_attempts", "blacklist_threshold"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
+
+TEST(ApplyOverrides, CountBeyondItsTypeRejected) {
+  const auto base = paper_defaults(net::cct_profile(20), SchedulerKind::kFifo,
+                                   PolicyKind::kElephantTrap);
+  // trap.threshold is 32-bit: 2^32 would wrap to 0.
+  EXPECT_THROW(
+      apply_overrides(base, Config::from_string("threshold = 4294967296\n")),
+      std::invalid_argument);
+  EXPECT_EQ(apply_overrides(base, Config::from_string("threshold = 0\n"))
+                .trap.threshold,
+            0u);
 }
 
 TEST(StandardWorkloads, ScaleArrivalsWithClusterSize) {

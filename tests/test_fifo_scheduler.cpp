@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <set>
+#include "sched/locality_index.h"
 
 namespace dare::sched {
 namespace {
@@ -21,43 +20,37 @@ JobSpec make_job(JobId id, std::size_t maps, BlockId first_block,
   return spec;
 }
 
-/// Locator with per-node local block sets.
-class MapLocator final : public BlockLocator {
- public:
-  void add(NodeId node, BlockId block) { local_[node].insert(block); }
-  bool is_local(NodeId node, BlockId block) const override {
-    const auto it = local_.find(node);
-    return it != local_.end() && it->second.count(block) != 0;
-  }
-
- private:
-  std::map<NodeId, std::set<BlockId>> local_;
-};
-
+/// One node per rack, so rack-local equals node-local (no rack
+/// information); add_replica() places a block on a node.
 class FifoTest : public ::testing::Test {
  protected:
+  FifoTest() { jobs_.attach_locality_index(&index_); }
+  void add_replica(NodeId node, BlockId block) {
+    index_.replica_added(block, node);
+  }
+
   FifoScheduler sched_;
+  LocalityIndex index_{4, {0, 1, 2, 3}, 4};
   JobTable jobs_;
-  MapLocator locator_;
 };
 
 TEST_F(FifoTest, NoJobsNoSelection) {
-  EXPECT_FALSE(sched_.select_map(0, 0, jobs_, locator_).has_value());
+  EXPECT_FALSE(sched_.select_map(0, 0, jobs_).has_value());
   EXPECT_FALSE(sched_.select_reduce(jobs_).has_value());
 }
 
 TEST_F(FifoTest, HeadOfLineJobServedFirst) {
   jobs_.add_job(make_job(1, 1, 100));
   jobs_.add_job(make_job(2, 1, 200));
-  const auto sel = sched_.select_map(0, 0, jobs_, locator_);
+  const auto sel = sched_.select_map(0, 0, jobs_);
   ASSERT_TRUE(sel.has_value());
   EXPECT_EQ(sel->job, 1);
 }
 
 TEST_F(FifoTest, PrefersLocalTaskWithinHeadJob) {
   jobs_.add_job(make_job(1, 3, 100));
-  locator_.add(0, 102);
-  const auto sel = sched_.select_map(0, 0, jobs_, locator_);
+  add_replica(0, 102);
+  const auto sel = sched_.select_map(0, 0, jobs_);
   ASSERT_TRUE(sel.has_value());
   EXPECT_TRUE(sel->node_local());
   const auto& rt = jobs_.job(1);
@@ -66,8 +59,8 @@ TEST_F(FifoTest, PrefersLocalTaskWithinHeadJob) {
 
 TEST_F(FifoTest, LaunchesNonLocalImmediatelyWhenNoLocalWork) {
   jobs_.add_job(make_job(1, 2, 100));
-  locator_.add(1, 100);  // local only on another node
-  const auto sel = sched_.select_map(0, 0, jobs_, locator_);
+  add_replica(1, 100);  // local only on another node
+  const auto sel = sched_.select_map(0, 0, jobs_);
   ASSERT_TRUE(sel.has_value());
   EXPECT_FALSE(sel->node_local());  // FIFO never waits
   EXPECT_EQ(sel->job, 1);
@@ -76,8 +69,8 @@ TEST_F(FifoTest, LaunchesNonLocalImmediatelyWhenNoLocalWork) {
 TEST_F(FifoTest, NeverSkipsToLaterJobWhileHeadHasPendingMaps) {
   jobs_.add_job(make_job(1, 1, 100));
   jobs_.add_job(make_job(2, 1, 200));
-  locator_.add(0, 200);  // job 2 would be local here
-  const auto sel = sched_.select_map(0, 0, jobs_, locator_);
+  add_replica(0, 200);  // job 2 would be local here
+  const auto sel = sched_.select_map(0, 0, jobs_);
   ASSERT_TRUE(sel.has_value());
   EXPECT_EQ(sel->job, 1);  // strict FIFO
   EXPECT_FALSE(sel->node_local());
@@ -86,9 +79,9 @@ TEST_F(FifoTest, NeverSkipsToLaterJobWhileHeadHasPendingMaps) {
 TEST_F(FifoTest, MovesToNextJobWhenHeadFullyLaunched) {
   jobs_.add_job(make_job(1, 1, 100));
   jobs_.add_job(make_job(2, 1, 200));
-  const auto first = sched_.select_map(0, 0, jobs_, locator_);
+  const auto first = sched_.select_map(0, 0, jobs_);
   jobs_.launch_map(first->job, first->pending_index, first->locality);
-  const auto second = sched_.select_map(0, 0, jobs_, locator_);
+  const auto second = sched_.select_map(0, 0, jobs_);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->job, 2);
 }

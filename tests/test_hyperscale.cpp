@@ -34,8 +34,7 @@ void expect_stream_matches_materialized(SchedulerKind sched, PolicyKind pol) {
   const auto wopts = small_wl2_options(400);
   const auto spec = workload::make_wl2_spec(wopts);
 
-  auto opts = paper_defaults(net::cct_profile(20), sched, pol, 42);
-  opts.use_locality_index = true;
+  const auto opts = paper_defaults(net::cct_profile(20), sched, pol, 42);
 
   Cluster streamed(opts);
   const auto stream_result = streamed.run_stream(spec);
@@ -64,20 +63,6 @@ TEST(StreamedAdmission, MatchesMaterializedFairElephantTrap) {
                                      PolicyKind::kElephantTrap);
 }
 
-TEST(StreamedAdmission, LegacyScanPathAlsoMatches) {
-  // The equivalence must hold in legacy (scan) mode too — streaming sits
-  // above the scheduler, not inside it.
-  const auto wopts = small_wl2_options(200);
-  const auto spec = workload::make_wl2_spec(wopts);
-  auto opts = paper_defaults(net::cct_profile(20), SchedulerKind::kFifo,
-                             PolicyKind::kVanilla, 42);
-  opts.use_locality_index = false;
-  Cluster streamed(opts);
-  Cluster materialized(opts);
-  EXPECT_EQ(metrics::fingerprint(streamed.run_stream(spec)),
-            metrics::fingerprint(materialized.run(workload::materialize(spec))));
-}
-
 std::size_t peak_residency_of_streamed_run(std::size_t jobs) {
   auto wopts = small_wl2_options(jobs);
   // A stable arrival rate (the paper-calibrated default deliberately
@@ -85,10 +70,8 @@ std::size_t peak_residency_of_streamed_run(std::size_t jobs) {
   // the job count and mask what this test measures).
   wopts.small_interarrival_s = 0.6;
   const auto spec = workload::make_wl2_spec(wopts);
-  auto opts = paper_defaults(net::cct_profile(20), SchedulerKind::kFair,
-                             PolicyKind::kElephantTrap, 42);
-  opts.use_locality_index = true;
-  Cluster sim(opts);
+  Cluster sim(paper_defaults(net::cct_profile(20), SchedulerKind::kFair,
+                             PolicyKind::kElephantTrap, 42));
   sim.run_stream(spec);
   EXPECT_EQ(sim.job_table().released_jobs(), jobs);
   EXPECT_EQ(sim.job_table().resident_jobs(), 0u);
@@ -113,10 +96,8 @@ TEST(Residency, MaterializedRunReleasesToo) {
   // materialized workloads as well, keeping the two paths identical.
   const std::size_t kJobs = 300;
   const auto wl = workload::make_wl2(small_wl2_options(kJobs));
-  auto opts = paper_defaults(net::cct_profile(20), SchedulerKind::kFifo,
-                             PolicyKind::kVanilla, 42);
-  opts.use_locality_index = true;
-  Cluster sim(opts);
+  Cluster sim(paper_defaults(net::cct_profile(20), SchedulerKind::kFifo,
+                             PolicyKind::kVanilla, 42));
   sim.run(wl);
   EXPECT_EQ(sim.job_table().released_jobs(), kJobs);
   EXPECT_EQ(sim.job_table().resident_jobs(), 0u);

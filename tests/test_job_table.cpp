@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <stdexcept>
+
+#include "sched/locality_index.h"
 
 namespace dare::sched {
 namespace {
@@ -21,20 +23,21 @@ JobSpec make_job(JobId id, std::size_t maps, std::size_t reduces = 1,
   return spec;
 }
 
-/// Locator marking a fixed set of blocks local to every node.
-class FakeLocator final : public BlockLocator {
- public:
-  explicit FakeLocator(std::set<BlockId> local) : local_(std::move(local)) {}
-  bool is_local(NodeId, BlockId block) const override {
-    return local_.count(block) != 0;
-  }
-
- private:
-  std::set<BlockId> local_;
+/// A table with its required locality index: 4 nodes, one per rack.
+class JobTableTest : public ::testing::Test {
+ protected:
+  JobTableTest() { table.attach_locality_index(&index); }
+  LocalityIndex index{4, {0, 1, 2, 3}, 4};
+  JobTable table;
 };
 
-TEST(JobTable, AddJobInitializesState) {
+TEST(JobTableIndex, AddJobWithoutIndexThrows) {
   JobTable table;
+  EXPECT_THROW(table.add_job(make_job(1, 1)), std::logic_error);
+  EXPECT_TRUE(table.active_jobs().empty());
+}
+
+TEST_F(JobTableTest, AddJobInitializesState) {
   table.add_job(make_job(1, 3, 2));
   const auto& rt = table.job(1);
   EXPECT_EQ(rt.pending_maps.size(), 3u);
@@ -47,8 +50,7 @@ TEST(JobTable, AddJobInitializesState) {
   EXPECT_FALSE(table.all_done());
 }
 
-TEST(JobTable, DuplicateAndInvalidJobsRejected) {
-  JobTable table;
+TEST_F(JobTableTest, DuplicateAndInvalidJobsRejected) {
   table.add_job(make_job(1, 1));
   EXPECT_THROW(table.add_job(make_job(1, 1)), std::logic_error);
   JobSpec no_maps = make_job(2, 1);
@@ -58,8 +60,7 @@ TEST(JobTable, DuplicateAndInvalidJobsRejected) {
   EXPECT_THROW(table.add_job(bad_id), std::invalid_argument);
 }
 
-TEST(JobTable, MapLifecycle) {
-  JobTable table;
+TEST_F(JobTableTest, MapLifecycle) {
   table.add_job(make_job(1, 2, 1));
   const std::size_t idx = table.launch_map(1, 0, Locality::kNodeLocal);
   EXPECT_LT(idx, 2u);
@@ -75,8 +76,7 @@ TEST(JobTable, MapLifecycle) {
   EXPECT_TRUE(table.job(1).maps_done());
 }
 
-TEST(JobTable, ReduceGatedOnMapsDone) {
-  JobTable table;
+TEST_F(JobTableTest, ReduceGatedOnMapsDone) {
   table.add_job(make_job(1, 1, 1));
   EXPECT_THROW(table.launch_reduce(1), std::logic_error);
   table.launch_map(1, 0, Locality::kNodeLocal);
@@ -89,8 +89,7 @@ TEST(JobTable, ReduceGatedOnMapsDone) {
   EXPECT_TRUE(table.all_done());
 }
 
-TEST(JobTable, ZeroReduceJobCompletesWithLastMap) {
-  JobTable table;
+TEST_F(JobTableTest, ZeroReduceJobCompletesWithLastMap) {
   table.add_job(make_job(1, 1, /*reduces=*/0));
   table.launch_map(1, 0, Locality::kNodeLocal);
   table.complete_map(1, 33);
@@ -99,8 +98,7 @@ TEST(JobTable, ZeroReduceJobCompletesWithLastMap) {
   EXPECT_TRUE(table.active_jobs().empty());
 }
 
-TEST(JobTable, ActiveJobsShrinkOnCompletion) {
-  JobTable table;
+TEST_F(JobTableTest, ActiveJobsShrinkOnCompletion) {
   table.add_job(make_job(1, 1, 1));
   table.add_job(make_job(2, 1, 1));
   EXPECT_EQ(table.active_jobs().size(), 2u);
@@ -113,8 +111,7 @@ TEST(JobTable, ActiveJobsShrinkOnCompletion) {
   EXPECT_EQ(table.all_jobs().size(), 2u);
 }
 
-TEST(JobTable, ReduceReadyTracksTransitions) {
-  JobTable table;
+TEST_F(JobTableTest, ReduceReadyTracksTransitions) {
   table.add_job(make_job(1, 1, /*reduces=*/2));
   table.add_job(make_job(2, 1, /*reduces=*/1));
   EXPECT_TRUE(table.reduce_ready().empty());
@@ -152,47 +149,35 @@ TEST(JobTable, ReduceReadyTracksTransitions) {
   EXPECT_TRUE(table.reduce_ready().empty());
 }
 
-TEST(JobTable, FindLocalMapUsesLocator) {
-  JobTable table;
+TEST_F(JobTableTest, FindLocalMapUsesIndex) {
   table.add_job(make_job(1, 3, 1, /*first_block=*/100));
-  const FakeLocator locator({101});
-  const auto found = table.find_local_map(1, 0, locator);
-  ASSERT_TRUE(found.has_value());
+  index.replica_added(101, 0);
   const auto& rt = table.job(1);
+  const auto found = table.find_local_map(rt, 0);
+  ASSERT_TRUE(found.has_value());
   EXPECT_EQ(rt.spec.maps[rt.pending_maps[*found]].block, 101);
+  EXPECT_FALSE(table.find_local_map(rt, 1).has_value());
 }
 
-TEST(JobTable, FindLocalMapReturnsNulloptWhenNoneLocal) {
-  JobTable table;
+TEST_F(JobTableTest, FindLocalMapReturnsNulloptWhenNoneLocal) {
   table.add_job(make_job(1, 3, 1, 100));
-  const FakeLocator locator({999});
-  EXPECT_FALSE(table.find_local_map(1, 0, locator).has_value());
+  index.replica_added(999, 0);
+  EXPECT_FALSE(table.find_local_map(table.job(1), 0).has_value());
 }
 
-TEST(JobTable, FindAnyMapEmptyWhenAllLaunched) {
-  JobTable table;
-  table.add_job(make_job(1, 1, 1));
-  EXPECT_TRUE(table.find_any_map(1).has_value());
-  table.launch_map(1, 0, Locality::kNodeLocal);
-  EXPECT_FALSE(table.find_any_map(1).has_value());
-}
-
-TEST(JobTable, CountersNeverUnderflow) {
-  JobTable table;
+TEST_F(JobTableTest, CountersNeverUnderflow) {
   table.add_job(make_job(1, 1, 1));
   EXPECT_THROW(table.complete_map(1, 0), std::logic_error);
   EXPECT_THROW(table.complete_reduce(1, 0), std::logic_error);
   EXPECT_THROW(table.launch_map(1, 5, Locality::kNodeLocal), std::out_of_range);
 }
 
-TEST(JobTable, UnknownJobThrows) {
-  JobTable table;
+TEST_F(JobTableTest, UnknownJobThrows) {
   EXPECT_THROW(table.job(9), std::out_of_range);
   EXPECT_FALSE(table.has_job(9));
 }
 
-TEST(JobTable, RunningTotalsTrackAllJobs) {
-  JobTable table;
+TEST_F(JobTableTest, RunningTotalsTrackAllJobs) {
   table.add_job(make_job(1, 2, 1));
   table.add_job(make_job(2, 2, 1, 200));
   table.launch_map(1, 0, Locality::kNodeLocal);

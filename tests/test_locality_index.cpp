@@ -3,10 +3,10 @@
 // The unit tests pin the incremental-maintenance contract for each event
 // the index must absorb: replica create/evict, node death and rejoin
 // reconciliation (via a live NameNode with the observer attached), map
-// launch/requeue, and job failure. The oracle drives two JobTables through
-// an identical randomized schedule — one answering from the index, one
-// scanning with a BlockLocator over the same replica map — and asserts
-// every single selection matches.
+// launch/requeue, and job failure. The oracle drives an indexed JobTable
+// through a randomized schedule and asserts every answer matches a
+// front-to-back scan of the job's pending maps over the test's own replica
+// map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,33 +38,37 @@ JobSpec make_job(JobId id, const std::vector<BlockId>& blocks,
   return spec;
 }
 
-/// Scan-mode oracle locator over a shared replica map.
-class MapLocator final : public BlockLocator {
- public:
-  MapLocator(const std::unordered_map<BlockId, std::set<NodeId>>* replicas,
-             const std::vector<RackId>* node_rack)
-      : replicas_(replicas), node_rack_(node_rack) {}
+using ReplicaMap = std::unordered_map<BlockId, std::set<NodeId>>;
 
-  bool is_local(NodeId node, BlockId block) const override {
-    const auto it = replicas_->find(block);
-    return it != replicas_->end() && it->second.count(node) != 0;
-  }
-  bool is_rack_local(NodeId node, BlockId block) const override {
-    const auto it = replicas_->find(block);
-    if (it == replicas_->end()) return false;
+/// The reference the index must reproduce: the first pending position, in
+/// a front-to-back scan, whose block has a replica on a node `near` accepts.
+template <typename Near>
+std::optional<std::size_t> scan_first(const JobRuntime& rt,
+                                      const ReplicaMap& replicas, Near near) {
+  for (std::size_t i = 0; i < rt.pending_maps.size(); ++i) {
+    const auto it = replicas.find(rt.spec.maps[rt.pending_maps[i]].block);
+    if (it == replicas.end()) continue;
     for (NodeId holder : it->second) {
-      if ((*node_rack_)[static_cast<std::size_t>(holder)] ==
-          (*node_rack_)[static_cast<std::size_t>(node)]) {
-        return true;
-      }
+      if (near(holder)) return i;
     }
-    return false;
   }
+  return std::nullopt;
+}
 
- private:
-  const std::unordered_map<BlockId, std::set<NodeId>>* replicas_;
-  const std::vector<RackId>* node_rack_;
-};
+std::optional<std::size_t> scan_local(const JobRuntime& rt,
+                                      const ReplicaMap& replicas,
+                                      NodeId node) {
+  return scan_first(rt, replicas, [&](NodeId h) { return h == node; });
+}
+
+std::optional<std::size_t> scan_rack_local(
+    const JobRuntime& rt, const ReplicaMap& replicas,
+    const std::vector<RackId>& node_rack, NodeId node) {
+  const RackId rack = node_rack[static_cast<std::size_t>(node)];
+  return scan_first(rt, replicas, [&](NodeId h) {
+    return node_rack[static_cast<std::size_t>(h)] == rack;
+  });
+}
 
 /// 4 nodes in 2 racks: nodes 0,1 in rack 0; nodes 2,3 in rack 1.
 class LocalityIndexTest : public ::testing::Test {
@@ -139,17 +143,15 @@ TEST_F(LocalityIndexTest, JobRetirementFreesState) {
   EXPECT_TRUE(index_.node_candidates(1, 0).empty());
 }
 
-/// JobTable + index integration: the index answer must equal the legacy
+/// JobTable + index integration: the index answer must equal the reference
 /// scan at every step of a launch/requeue/fail lifecycle.
 TEST(JobTableIndexTest, LaunchRequeueFailKeepCandidatesExact) {
-  std::unordered_map<BlockId, std::set<NodeId>> replicas;
-  std::vector<RackId> node_rack{0, 0, 1, 1};
-  MapLocator locator(&replicas, &node_rack);
+  ReplicaMap replicas;
+  const std::vector<RackId> node_rack{0, 0, 1, 1};
 
   LocalityIndex index(4, node_rack, 2);
-  JobTable indexed;
-  indexed.attach_locality_index(&index);
-  JobTable scanned;
+  JobTable table;
+  table.attach_locality_index(&index);
 
   const auto add_replica = [&](BlockId b, NodeId n) {
     replicas[b].insert(n);
@@ -160,43 +162,38 @@ TEST(JobTableIndexTest, LaunchRequeueFailKeepCandidatesExact) {
   add_replica(11, 1);
   add_replica(12, 3);
 
-  const auto spec = make_job(1, {10, 11, 12});
-  indexed.add_job(spec);
-  scanned.add_job(spec);
+  table.add_job(make_job(1, {10, 11, 12}));
+  const JobRuntime& rt = table.job(1);
 
   const auto expect_equal_everywhere = [&]() {
     for (NodeId n = 0; n < 4; ++n) {
-      EXPECT_EQ(indexed.find_local_map(1, n, locator),
-                scanned.find_local_map(1, n, locator))
+      EXPECT_EQ(table.find_local_map(rt, n), scan_local(rt, replicas, n))
           << "local divergence on node " << n;
-      EXPECT_EQ(indexed.find_rack_local_map(1, n, locator),
-                scanned.find_rack_local_map(1, n, locator))
+      EXPECT_EQ(table.find_rack_local_map(rt, n),
+                scan_rack_local(rt, replicas, node_rack, n))
           << "rack divergence on node " << n;
     }
   };
   expect_equal_everywhere();
 
-  // Launch the map local to node 0 in both tables.
-  const auto sel = indexed.find_local_map(1, 0, locator);
+  // Launch the map local to node 0.
+  const auto sel = table.find_local_map(rt, 0);
   ASSERT_TRUE(sel.has_value());
-  const std::size_t launched =
-      indexed.launch_map(1, *sel, Locality::kNodeLocal);
-  EXPECT_EQ(scanned.launch_map(1, *sel, Locality::kNodeLocal), launched);
+  const std::size_t launched = table.launch_map(1, *sel, Locality::kNodeLocal);
+  EXPECT_EQ(rt.spec.maps[launched].block, 10);
   expect_equal_everywhere();
-  EXPECT_FALSE(indexed.find_local_map(1, 0, locator).has_value());
+  EXPECT_FALSE(table.find_local_map(rt, 0).has_value());
 
   // Node death drops the replica; requeue puts the map back.
   replicas[10].erase(2);
   index.replica_removed(10, 2);
-  indexed.requeue_running_map(1, launched, Locality::kNodeLocal);
-  scanned.requeue_running_map(1, launched, Locality::kNodeLocal);
+  table.requeue_running_map(1, launched, Locality::kNodeLocal);
   expect_equal_everywhere();
-  EXPECT_TRUE(indexed.find_local_map(1, 0, locator).has_value());
-  EXPECT_FALSE(indexed.find_local_map(1, 2, locator).has_value());
+  EXPECT_TRUE(table.find_local_map(rt, 0).has_value());
+  EXPECT_FALSE(table.find_local_map(rt, 2).has_value());
 
   // Job failure drops every pending map from the index.
-  indexed.fail_job(1, 100);
-  scanned.fail_job(1, 100);
+  table.fail_job(1, 100);
   EXPECT_TRUE(index.node_candidates(1, 0).empty());
   EXPECT_EQ(index.tracked_job_count(), 0u);
 }
@@ -288,8 +285,8 @@ TEST(LocalityIndexNameNodeTest, ObserverMirrorsEveryTransition) {
   EXPECT_FALSE(index.mirrors_replica(b0, victim));
 }
 
-/// Randomized oracle: an indexed table and a scanning table driven through
-/// the same schedule must make the same selection at every opportunity.
+/// Randomized oracle: an indexed table driven through a random schedule
+/// must answer every opportunity exactly as the reference scan does.
 TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
   constexpr std::size_t kNodes = 8;
   constexpr std::size_t kRacks = 3;
@@ -300,13 +297,11 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
   for (std::size_t n = 0; n < kNodes; ++n) {
     node_rack[n] = static_cast<RackId>(n % kRacks);
   }
-  std::unordered_map<BlockId, std::set<NodeId>> replicas;
-  MapLocator locator(&replicas, &node_rack);
+  ReplicaMap replicas;
 
   LocalityIndex index(kNodes, node_rack, kRacks);
-  JobTable indexed;
-  indexed.attach_locality_index(&index);
-  JobTable scanned;
+  JobTable table;
+  table.attach_locality_index(&index);
 
   Rng rng(4242);
   JobId next_job = 0;
@@ -338,9 +333,7 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
       std::vector<BlockId> blocks;
       const int maps = rng.uniform_int(1, 6);
       for (int m = 0; m < maps; ++m) blocks.push_back(random_block());
-      const auto spec = make_job(next_job, blocks);
-      indexed.add_job(spec);
-      scanned.add_job(spec);
+      table.add_job(make_job(next_job, blocks));
       live_jobs.push_back(next_job);
       ++next_job;
     } else if (action == 3 && !running.empty()) {  // requeue a running map
@@ -348,16 +341,14 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
           rng.uniform_int(0, static_cast<int>(running.size()) - 1));
       const auto [job, mi] = running[pick];
       running.erase(running.begin() + static_cast<std::ptrdiff_t>(pick));
-      indexed.requeue_running_map(job, mi, Locality::kOffRack);
-      scanned.requeue_running_map(job, mi, Locality::kOffRack);
+      table.requeue_running_map(job, mi, Locality::kOffRack);
     } else if (action == 4 && !running.empty()) {  // complete a running map
       const auto pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(running.size()) - 1));
       const auto [job, mi] = running[pick];
       running.erase(running.begin() + static_cast<std::ptrdiff_t>(pick));
-      indexed.complete_map(job, step);
-      scanned.complete_map(job, step);
-      if (!indexed.has_job(job) || !indexed.job(job).active) {
+      table.complete_map(job, step);
+      if (!table.has_job(job) || !table.job(job).active) {
         live_jobs.erase(
             std::find(live_jobs.begin(), live_jobs.end(), job));
       }
@@ -366,8 +357,7 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
       const auto pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(live_jobs.size()) - 1));
       const JobId job = live_jobs[pick];
-      indexed.fail_job(job, step);
-      scanned.fail_job(job, step);
+      table.fail_job(job, step);
       live_jobs.erase(live_jobs.begin() + static_cast<std::ptrdiff_t>(pick));
       for (std::size_t r = running.size(); r-- > 0;) {
         if (running[r].first == job) {
@@ -378,29 +368,24 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
       const auto pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(live_jobs.size()) - 1));
       const JobId job = live_jobs[pick];
+      const JobRuntime& rt = table.job(job);
       const NodeId node = random_node();
 
-      const auto local_a = indexed.find_local_map(job, node, locator);
-      const auto local_b = scanned.find_local_map(job, node, locator);
-      ASSERT_EQ(local_a, local_b)
+      const auto local = table.find_local_map(rt, node);
+      ASSERT_EQ(local, scan_local(rt, replicas, node))
           << "local divergence at step " << step << " job " << job
           << " node " << node;
-      const auto rack_a = indexed.find_rack_local_map(job, node, locator);
-      const auto rack_b = scanned.find_rack_local_map(job, node, locator);
-      ASSERT_EQ(rack_a, rack_b)
+      const auto rack = table.find_rack_local_map(rt, node);
+      ASSERT_EQ(rack, scan_rack_local(rt, replicas, node_rack, node))
           << "rack divergence at step " << step << " job " << job << " node "
           << node;
 
-      const auto chosen = local_a ? local_a : rack_a;
+      const auto chosen = local ? local : rack;
       if (chosen) {
-        const std::size_t launched = indexed.launch_map(
-            job, *chosen,
-            local_a ? Locality::kNodeLocal : Locality::kRackLocal);
-        const std::size_t launched_b = scanned.launch_map(
-            job, *chosen,
-            local_a ? Locality::kNodeLocal : Locality::kRackLocal);
-        ASSERT_EQ(launched, launched_b);
-        running.emplace_back(job, launched);
+        running.emplace_back(
+            job, table.launch_map(job, *chosen,
+                                  local ? Locality::kNodeLocal
+                                        : Locality::kRackLocal));
       }
     }
   }

@@ -1,18 +1,20 @@
-// End-to-end equivalence oracle for the locality-indexed scheduler path.
+// End-to-end fingerprint oracle for the scheduler layer.
 //
-// use_locality_index toggles three hot-path replacements at once (inverted
-// locality index, incremental fair-share ordering, cached inverse weights).
-// All of them are claimed to be *bit-identical* rewrites of the legacy
-// scan/sort code, so for any configuration the two modes must produce the
-// same metrics::fingerprint — including under chaos-level node churn, where
-// the index has to absorb death sweeps, rejoin reconciliation, and replica
-// evictions without drifting from the name node.
+// The locality-indexed scheduler replaced the seed's scan/sort path
+// (linear find_*_map scans, a per-opportunity stable_sort for Fair, and
+// select_reduce scans) as a bit-identical rewrite. This test used to run
+// both paths and compare their metrics::fingerprint; the fingerprints below
+// were recorded from that A/B, where both paths agreed, before the scan/sort
+// path was deleted. They cover FIFO/Fair x vanilla/LRU/ElephantTrap on
+// paper defaults and under chaos-level node churn (death sweeps, rejoin
+// reconciliation and replica evictions the index must absorb without
+// drifting from the name node), plus speculative execution, which consults
+// the name node's locations on its own path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <stdexcept>
-#include <tuple>
-#include <vector>
+#include <string>
 
 #include "cluster/cluster.h"
 #include "cluster/experiment.h"
@@ -36,35 +38,44 @@ class ThrowOnInvariant {
   InvariantHandler previous_;
 };
 
-std::uint64_t fingerprint_with(ClusterOptions opts,
-                               const workload::Workload& wl,
-                               bool use_index) {
-  opts.use_locality_index = use_index;
+std::uint64_t fingerprint_of(const ClusterOptions& opts,
+                             const workload::Workload& wl) {
   return metrics::fingerprint(run_once(opts, wl));
 }
 
-using Combo = std::tuple<SchedulerKind, PolicyKind>;
+struct RecordedCase {
+  SchedulerKind scheduler;
+  PolicyKind policy;
+  std::uint64_t paper_defaults;  ///< CCT 20 nodes, 60 wl1 jobs, seed 42
+  std::uint64_t chaos_churn;     ///< EC2 10 nodes, 50 wl1 jobs, churn
+};
 
-class SchedEquivalence : public ::testing::TestWithParam<Combo> {};
-
-TEST_P(SchedEquivalence, PaperDefaultsFingerprintMatchesLegacy) {
-  ThrowOnInvariant guard;
-  const auto [scheduler, policy] = GetParam();
-  const auto opts =
-      paper_defaults(net::cct_profile(20), scheduler, policy, 42);
-  const auto wl = standard_wl1(20, 60, 1);
-  EXPECT_EQ(fingerprint_with(opts, wl, true),
-            fingerprint_with(opts, wl, false))
-      << scheduler_name(scheduler) << "/" << policy_name(policy);
+std::string case_name(const ::testing::TestParamInfo<RecordedCase>& info) {
+  std::string name = std::string(scheduler_name(info.param.scheduler)) +
+                     "_" + policy_name(info.param.policy);
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
 }
 
-TEST_P(SchedEquivalence, ChaosChurnFingerprintMatchesLegacy) {
+class SchedFingerprint : public ::testing::TestWithParam<RecordedCase> {};
+
+TEST_P(SchedFingerprint, PaperDefaultsMatchRecorded) {
   ThrowOnInvariant guard;
-  const auto [scheduler, policy] = GetParam();
+  const RecordedCase& c = GetParam();
+  const auto opts = paper_defaults(net::cct_profile(20), c.scheduler,
+                                   c.policy, 42);
+  EXPECT_EQ(fingerprint_of(opts, standard_wl1(20, 60, 1)), c.paper_defaults);
+}
+
+TEST_P(SchedFingerprint, ChaosChurnMatchesRecorded) {
+  ThrowOnInvariant guard;
+  const RecordedCase& c = GetParam();
   // Mirrors the chaos-soak configuration: stochastic transient + permanent
   // failures with rack correlation, injected task failures, aggressive
   // re-replication — every index-reconciliation path fires.
-  auto opts = paper_defaults(net::ec2_profile(10), scheduler, policy, 7);
+  auto opts = paper_defaults(net::ec2_profile(10), c.scheduler, c.policy, 7);
   opts.faults.enabled = true;
   opts.faults.mtbf_s = 60.0;
   opts.faults.mttr_s = 20.0;
@@ -82,31 +93,33 @@ TEST_P(SchedEquivalence, ChaosChurnFingerprintMatchesLegacy) {
   wopts.catalog.large_files = 2;
   wopts.catalog.large_min_blocks = 5;
   wopts.catalog.large_max_blocks = 8;
-  const auto wl = workload::make_wl1(wopts);
-
-  EXPECT_EQ(fingerprint_with(opts, wl, true),
-            fingerprint_with(opts, wl, false))
-      << scheduler_name(scheduler) << "/" << policy_name(policy);
+  EXPECT_EQ(fingerprint_of(opts, workload::make_wl1(wopts)), c.chaos_churn);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Combos, SchedEquivalence,
-    ::testing::Combine(::testing::Values(SchedulerKind::kFifo,
-                                         SchedulerKind::kFair),
-                       ::testing::Values(PolicyKind::kVanilla,
-                                         PolicyKind::kGreedyLru,
-                                         PolicyKind::kElephantTrap)));
+    Recorded, SchedFingerprint,
+    ::testing::Values(
+        RecordedCase{SchedulerKind::kFifo, PolicyKind::kVanilla,
+                     0x78bc58fd5e560dcfULL, 0xf36ce6b9820ceed6ULL},
+        RecordedCase{SchedulerKind::kFifo, PolicyKind::kGreedyLru,
+                     0x0fdb81ebf2ce1291ULL, 0x6e47fd02c97a985cULL},
+        RecordedCase{SchedulerKind::kFifo, PolicyKind::kElephantTrap,
+                     0x7d62b415eb3fec73ULL, 0x62c59d8dcc62283bULL},
+        RecordedCase{SchedulerKind::kFair, PolicyKind::kVanilla,
+                     0x8460d1e0fa55b740ULL, 0xace6ff4050100df4ULL},
+        RecordedCase{SchedulerKind::kFair, PolicyKind::kGreedyLru,
+                     0x06c2c70c723040aeULL, 0x85c2bf95b856481eULL},
+        RecordedCase{SchedulerKind::kFair, PolicyKind::kElephantTrap,
+                     0x0088e6eb1b64691fULL, 0x1e53497d7a87bc3aULL}),
+    case_name);
 
-// Speculative execution consults the locator on its own path; make sure the
-// indexed mode agrees there too.
-TEST(SchedEquivalenceSpeculation, SpeculationFingerprintMatchesLegacy) {
+TEST(SchedFingerprintSpeculation, SpeculationMatchesRecorded) {
   ThrowOnInvariant guard;
   auto opts = paper_defaults(net::ec2_profile(10), SchedulerKind::kFair,
                              PolicyKind::kElephantTrap, 11);
   opts.enable_speculation = true;
-  const auto wl = standard_wl1(10, 40, 3);
-  EXPECT_EQ(fingerprint_with(opts, wl, true),
-            fingerprint_with(opts, wl, false));
+  EXPECT_EQ(fingerprint_of(opts, standard_wl1(10, 40, 3)),
+            0x015c63a92d5beaadULL);
 }
 
 }  // namespace

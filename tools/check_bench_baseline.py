@@ -1,27 +1,24 @@
 #!/usr/bin/env python3
 """Compare a fresh bench JSON against a committed perf baseline.
 
-Understands both tracked baselines:
-
-  * BENCH_PR3.json (bench_sched_e2e): rows carry `indexed_ms` and the
-    legacy/indexed `fingerprint_match` bit;
-  * BENCH_PR8.json (bench_scale): rows carry `cpu_ms`, `peak_rss_kb` and
-    `allocations` from one forked process per configuration.
+Both tracked baselines share one row schema: `profile`, `nodes`, `jobs`,
+`scheduler`, `policy`, `cpu_ms` and `fingerprint`. BENCH_PR8.json
+(bench_scale, one forked process per configuration) also records
+`peak_rss_kb` and `allocations`; BENCH_PR3.json (bench_sched_e2e) does not.
 
 Checks, in order of severity (every failure names the judged field):
 
   1. [fingerprint] (hard fail, no tolerance). Every configuration's
-     metrics::fingerprint must equal the committed baseline's, and — where
-     the row records one — the fresh run's own legacy/indexed A/B must
-     agree. A mismatch means simulation *behavior* changed, e.g. an
-     "observability" hook that consumed an RNG draw or reordered a float
-     sum, which silently invalidates every recorded figure.
+     metrics::fingerprint must equal the committed baseline's. A mismatch
+     means simulation *behavior* changed, e.g. an "observability" hook that
+     consumed an RNG draw or reordered a float sum, which silently
+     invalidates every recorded figure.
 
-  2. [indexed_ms] / [cpu_ms] (tolerance, default 5%). The summed CPU time
-     across all compared configurations must not exceed the baseline's sum
-     by more than --cpu-tolerance. The sum (not per-row deltas) is compared
-     because individual rows are noisy on shared runners while the
-     aggregate is stable; getting faster never fails.
+  2. [cpu_ms] (tolerance, default 5%). The summed CPU time across all
+     compared configurations must not exceed the baseline's sum by more
+     than --cpu-tolerance. The sum (not per-row deltas) is compared because
+     individual rows are noisy on shared runners while the aggregate is
+     stable; getting faster never fails.
 
   3. [peak_rss_kb] / [allocations] (tolerance, default 25%). Only judged
      when both sides record them. RSS gets a looser budget than CPU: the
@@ -68,12 +65,6 @@ def key(row: dict) -> tuple:
 def label(k: tuple) -> str:
     profile, nodes, jobs, scheduler, policy = k
     return f"{profile}/{nodes}x{jobs}/{scheduler}/{policy}"
-
-
-def cpu_field(rows: dict) -> str:
-    """The CPU field this schema records (bench_sched_e2e vs bench_scale)."""
-    sample = next(iter(rows.values()))
-    return "indexed_ms" if "indexed_ms" in sample else "cpu_ms"
 
 
 def sum_check(name: str, base_rows: dict, fresh_rows: dict, keys: list,
@@ -136,9 +127,6 @@ def compare(baseline: dict, fresh: dict, cpu_tolerance: float,
                 failures.append(f"[row] {label(k)}: missing from fresh run")
             continue
         common.append(k)
-        if not row.get("fingerprint_match", True):
-            failures.append(f"[fingerprint] {label(k)}: fresh legacy/indexed "
-                            f"fingerprints diverged")
         if row["fingerprint"] != base["fingerprint"]:
             failures.append(
                 f"[fingerprint] {label(k)}: {row['fingerprint']} != baseline "
@@ -153,8 +141,8 @@ def compare(baseline: dict, fresh: dict, cpu_tolerance: float,
               f"(not judged)")
 
     if common:
-        sum_check(cpu_field(base_rows), base_rows, fresh_rows, common,
-                  cpu_tolerance, failures, required=True)
+        sum_check("cpu_ms", base_rows, fresh_rows, common, cpu_tolerance,
+                  failures, required=True)
         for name in ("peak_rss_kb", "allocations"):
             sum_check(name, base_rows, fresh_rows, common, rss_tolerance,
                       failures, required=False)
@@ -174,11 +162,9 @@ def _e2e_fixture(**overrides) -> dict:
     """A two-row bench_sched_e2e-style file; overrides patch row 0."""
     rows = [
         {"profile": "ec2", "nodes": 100, "jobs": 2000, "scheduler": "FIFO",
-         "policy": "vanilla", "indexed_ms": 40.0, "fingerprint": "aa00",
-         "fingerprint_match": True},
+         "policy": "vanilla", "cpu_ms": 40.0, "fingerprint": "aa00"},
         {"profile": "ec2", "nodes": 100, "jobs": 2000, "scheduler": "Fair",
-         "policy": "lru", "indexed_ms": 60.0, "fingerprint": "bb11",
-         "fingerprint_match": True},
+         "policy": "lru", "cpu_ms": 60.0, "fingerprint": "bb11"},
     ]
     rows[0].update(overrides)
     return {"mode": "full", "results": rows}
@@ -206,16 +192,13 @@ def self_test() -> int:
         ("fingerprint mismatch fails hard",
          _e2e_fixture(), _e2e_fixture(fingerprint="9999"), False, 1,
          "[fingerprint]"),
-        ("legacy/indexed divergence fails",
-         _e2e_fixture(), _e2e_fixture(fingerprint_match=False), False, 1,
-         "[fingerprint]"),
         ("cpu regression beyond budget fails",
-         _e2e_fixture(), _e2e_fixture(indexed_ms=80.0), False, 1,
-         "[indexed_ms]"),
+         _e2e_fixture(), _e2e_fixture(cpu_ms=80.0), False, 1,
+         "[cpu_ms]"),
         ("cpu wobble within budget ok",
-         _e2e_fixture(), _e2e_fixture(indexed_ms=43.0), False, 0, None),
+         _e2e_fixture(), _e2e_fixture(cpu_ms=43.0), False, 0, None),
         ("getting faster never fails",
-         _e2e_fixture(), _e2e_fixture(indexed_ms=1.0), False, 0, None),
+         _e2e_fixture(), _e2e_fixture(cpu_ms=1.0), False, 0, None),
         ("scale rows with rss wobble within looser budget ok",
          _scale_fixture(), _scale_fixture(peak_rss_kb=24000), False, 0, None),
         ("rss regression beyond budget fails",
