@@ -3,6 +3,8 @@
 //     many pending maps;
 //   * FairScheduler::select_map: walking the incrementally-maintained share
 //     set when every job declines;
+//   * LocalityIndex watch + unwatch of one map as its block's replica count
+//     R grows (the per-map index maintenance cost, linear in R);
 //   * EventQueue: schedule + fire throughput of the slab/freelist design
 //     (callbacks sized like simulation callbacks, i.e. beyond
 //     std::function's small-object buffer).
@@ -115,6 +117,32 @@ void BM_FairSelect(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+/// One watch plus one unwatch of a map whose block has R replicas, on an
+/// EC2-shaped topology (two nodes per rack, replicas in distinct racks, as
+/// DARE's adoptions scatter them). Each iteration is one pending map entering
+/// and leaving the index, so the time per iteration is the per-map cost as a
+/// function of R.
+void BM_WatchUnwatch(benchmark::State& state) {
+  constexpr std::size_t kWideNodes = 1024;
+  const auto replicas = static_cast<std::size_t>(state.range(0));
+  std::vector<RackId> racks(kWideNodes);
+  for (std::size_t n = 0; n < kWideNodes; ++n) {
+    racks[n] = static_cast<RackId>(n / 2);
+  }
+  LocalityIndex index(kWideNodes, racks, kWideNodes / 2);
+  const BlockId block = 0;
+  for (std::size_t r = 0; r < replicas; ++r) {
+    index.replica_added(block,
+                        static_cast<NodeId>(r * (kWideNodes / replicas)));
+  }
+  for (auto _ : state) {
+    index.watch_map(1, 0, block);
+    index.unwatch_map(1, 0, block);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 void BM_EventQueue_ScheduleFire(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   sim::EventQueue queue;
@@ -142,6 +170,7 @@ void BM_EventQueue_ScheduleFire(benchmark::State& state) {
 
 BENCHMARK(BM_FindLocalMap)->Arg(64)->Arg(512)->Arg(4096);
 BENCHMARK(BM_FairSelect)->Arg(50)->Arg(500);
+BENCHMARK(BM_WatchUnwatch)->Arg(3)->Arg(64)->Arg(512);
 BENCHMARK(BM_EventQueue_ScheduleFire)->Arg(1024);
 
 }  // namespace

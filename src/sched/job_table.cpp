@@ -11,20 +11,28 @@
 namespace dare::sched {
 namespace {
 
-/// Argmin of pending position over the indexed candidates: the first match
-/// a front-to-back scan of pending_maps would find.
-std::optional<std::size_t> earliest_pending(
-    const JobRuntime& rt, const std::vector<std::uint32_t>& candidates) {
-  std::size_t best = JobRuntime::kNotPending;
-  for (std::uint32_t mi : candidates) {
-    const std::size_t pos = rt.pending_pos[mi];
+/// Argmin of pending position over the indexed candidates it is fed: the
+/// first match a front-to-back scan of pending_maps would find.
+class EarliestPending {
+ public:
+  explicit EarliestPending(const JobRuntime& rt) : rt_(rt) {}
+
+  void operator()(std::uint32_t mi) {
+    const std::size_t pos = rt_.pending_pos[mi];
     DARE_INVARIANT(pos != JobRuntime::kNotPending,
                    "JobTable: locality index lists a non-pending map");
-    best = std::min(best, pos);
+    best_ = std::min(best_, pos);
   }
-  if (best == JobRuntime::kNotPending) return std::nullopt;
-  return best;
-}
+
+  std::optional<std::size_t> result() const {
+    if (best_ == JobRuntime::kNotPending) return std::nullopt;
+    return best_;
+  }
+
+ private:
+  const JobRuntime& rt_;
+  std::size_t best_ = JobRuntime::kNotPending;
+};
 
 }  // namespace
 
@@ -201,13 +209,17 @@ std::optional<std::size_t> JobTable::find_local_map(const JobRuntime& rt,
                                                     NodeId node) const {
   // A retired job has no candidate state, and no pending maps either.
   if (rt.locality == nullptr) return std::nullopt;
-  return earliest_pending(rt, index_->node_candidates(*rt.locality, node));
+  EarliestPending earliest(rt);
+  index_->for_each_node_candidate(*rt.locality, node, earliest);
+  return earliest.result();
 }
 
 std::optional<std::size_t> JobTable::find_rack_local_map(const JobRuntime& rt,
                                                          NodeId node) const {
   if (rt.locality == nullptr) return std::nullopt;
-  return earliest_pending(rt, index_->rack_candidates(*rt.locality, node));
+  EarliestPending earliest(rt);
+  index_->for_each_rack_candidate(*rt.locality, node, earliest);
+  return earliest.result();
 }
 
 std::size_t JobTable::launch_map(JobId id, std::size_t pending_index,

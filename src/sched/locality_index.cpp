@@ -8,8 +8,49 @@
 
 namespace dare::sched {
 
+bool CandidateMap::erase(std::uint32_t key, std::uint32_t map_index) {
+  if (size_ == 0) return false;
+  const std::size_t mask = entries_.size() - 1;
+  std::size_t hole = home(key);
+  while (entries_[hole].key != key || entries_[hole].map_index != map_index) {
+    if (entries_[hole].key == kEmptyKey) return false;
+    hole = (hole + 1) & mask;
+  }
+  // Backward shift: move each later entry of the chain into the hole unless
+  // that would put it before its home slot, so no chain is ever broken.
+  for (std::size_t i = (hole + 1) & mask; entries_[i].key != kEmptyKey;
+       i = (i + 1) & mask) {
+    if (((i - home(entries_[i].key)) & mask) >= ((i - hole) & mask)) {
+      entries_[hole] = entries_[i];
+      hole = i;
+    }
+  }
+  entries_[hole] = Entry{};
+  --size_;
+  return true;
+}
+
+void CandidateMap::grow() {
+  std::vector<Entry> old = std::move(entries_);
+  const std::size_t capacity = old.empty() ? 8 : old.size() * 2;
+  entries_.assign(capacity, Entry{});
+  shift_ = 64;
+  for (std::size_t c = capacity; c > 1; c >>= 1) --shift_;
+  for (const Entry& e : old) {
+    if (e.key != kEmptyKey) place(e);
+  }
+}
+
 namespace {
-const std::vector<std::uint32_t> kNoCandidates;
+
+std::vector<std::uint32_t> sorted_candidates(const CandidateMap& candidates,
+                                             std::uint32_t key) {
+  std::vector<std::uint32_t> out;
+  candidates.for_each(key, [&](std::uint32_t mi) { out.push_back(mi); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 }  // namespace
 
 LocalityIndex::LocalityIndex(std::size_t num_nodes,
@@ -17,7 +58,8 @@ LocalityIndex::LocalityIndex(std::size_t num_nodes,
                              std::size_t num_racks)
     : num_nodes_(num_nodes),
       num_racks_(num_racks),
-      node_rack_(std::move(node_rack)) {
+      node_rack_(std::move(node_rack)),
+      rack_stamp_(num_racks, 0) {
   if (num_nodes_ == 0 || num_racks_ == 0) {
     throw std::invalid_argument("LocalityIndex: need >= 1 node and rack");
   }
@@ -41,38 +83,30 @@ std::size_t LocalityIndex::rack_replicas(BlockId block, RackId rack) const {
   return count;
 }
 
-void LocalityIndex::drop_candidate(std::vector<std::uint32_t>& candidates,
-                                   std::uint32_t map_index) {
-  const auto it =
-      std::find(candidates.begin(), candidates.end(), map_index);
-  DARE_INVARIANT(it != candidates.end(),
-                 "LocalityIndex: candidate to drop is not indexed (map " +
-                     std::to_string(map_index) + ")");
-  // Swap-erase: candidate order is irrelevant (queries take the argmin of
-  // pending position, not the first element).
-  *it = candidates.back();
-  candidates.pop_back();
+template <typename Fn>
+void LocalityIndex::for_each_distinct_rack(const std::vector<NodeId>& nodes,
+                                           Fn&& fn) {
+  if (++stamp_ == 0) {  // wrapped: no stale stamp may equal the new one
+    std::fill(rack_stamp_.begin(), rack_stamp_.end(), 0);
+    stamp_ = 1;
+  }
+  for (NodeId n : nodes) {
+    const RackId rack = node_rack_[static_cast<std::size_t>(n)];
+    std::uint32_t& seen = rack_stamp_[static_cast<std::size_t>(rack)];
+    if (seen != stamp_) {
+      seen = stamp_;
+      fn(rack);
+    }
+  }
 }
 
-LocalityIndex::JobState& LocalityIndex::job_state(JobId job) {
-  const auto it = jobs_.find(job);
-  if (it != jobs_.end()) return it->second;
-  // Small domains take the direct layout (one slot per node/rack, indexed
-  // without probing — the replica-delta fan-out loops are too hot for even
-  // a perfect-hash probe); at hyperscale the per-job footprint of a full
-  // domain is what made large backlogs unrepresentable, so the table goes
-  // sparse, pre-sized for a typical replica footprint (maps x replication
-  // distinct nodes) and growing with the job's actual candidate set.
-  constexpr std::size_t kDirectNodes = 256;
-  JobState& state = jobs_[job];
-  if (num_nodes_ <= kDirectNodes) {
-    state.by_node.reserve_domain(num_nodes_);
-    state.by_rack.reserve_domain(num_racks_);
-  } else {
-    state.by_node.reserve_slots(48);
-    state.by_rack.reserve_slots(12);
-  }
-  return state;
+void LocalityIndex::drop_candidate(CandidateMap& candidates, std::uint32_t key,
+                                   std::uint32_t map_index) {
+  const bool erased = candidates.erase(key, map_index);
+  DARE_INVARIANT(erased,
+                 "LocalityIndex: candidate to drop is not indexed (key " +
+                     std::to_string(key) + ", map " +
+                     std::to_string(map_index) + ")");
 }
 
 void LocalityIndex::replica_added(BlockId block, NodeId node) {
@@ -90,11 +124,9 @@ void LocalityIndex::replica_added(BlockId block, NodeId node) {
   const auto wit = watchers_.find(block);
   if (wit == watchers_.end()) return;
   for (const Watcher& w : wit->second) {
-    w.state->by_node.slot_mut(static_cast<std::uint32_t>(node))
-        .push_back(w.map_index);
+    w.state->by_node.insert(static_cast<std::uint32_t>(node), w.map_index);
     if (first_in_rack) {
-      w.state->by_rack.slot_mut(static_cast<std::uint32_t>(rack))
-          .push_back(w.map_index);
+      w.state->by_rack.insert(static_cast<std::uint32_t>(rack), w.map_index);
     }
   }
 }
@@ -116,12 +148,11 @@ void LocalityIndex::replica_removed(BlockId block, NodeId node) {
   const auto wit = watchers_.find(block);
   if (wit == watchers_.end()) return;
   for (const Watcher& w : wit->second) {
-    drop_candidate(w.state->by_node.slot_mut(static_cast<std::uint32_t>(node)),
+    drop_candidate(w.state->by_node, static_cast<std::uint32_t>(node),
                    w.map_index);
     if (last_in_rack) {
-      drop_candidate(
-          w.state->by_rack.slot_mut(static_cast<std::uint32_t>(rack)),
-          w.map_index);
+      drop_candidate(w.state->by_rack, static_cast<std::uint32_t>(rack),
+                     w.map_index);
     }
   }
 }
@@ -129,27 +160,17 @@ void LocalityIndex::replica_removed(BlockId block, NodeId node) {
 void LocalityIndex::watch_map(JobId job, std::size_t map_index,
                               BlockId block) {
   const auto mi = static_cast<std::uint32_t>(map_index);
-  JobState& state = job_state(job);
+  JobState& state = jobs_[job];
   watchers_[block].push_back(Watcher{job, mi, &state});
   const auto it = block_nodes_.find(block);
   if (it == block_nodes_.end()) return;  // block has no live replica
   for (NodeId n : it->second) {
-    state.by_node.slot_mut(static_cast<std::uint32_t>(n)).push_back(mi);
+    state.by_node.insert(static_cast<std::uint32_t>(n), mi);
   }
   // One rack-candidate entry per distinct rack holding a replica.
-  for (std::size_t i = 0; i < it->second.size(); ++i) {
-    const RackId rack = node_rack_[static_cast<std::size_t>(it->second[i])];
-    bool seen = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (node_rack_[static_cast<std::size_t>(it->second[j])] == rack) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      state.by_rack.slot_mut(static_cast<std::uint32_t>(rack)).push_back(mi);
-    }
-  }
+  for_each_distinct_rack(it->second, [&](RackId rack) {
+    state.by_rack.insert(static_cast<std::uint32_t>(rack), mi);
+  });
 }
 
 void LocalityIndex::unwatch_map(JobId job, std::size_t map_index,
@@ -168,65 +189,52 @@ void LocalityIndex::unwatch_map(JobId job, std::size_t map_index,
                  "LocalityIndex: unwatch of an unwatched map (job " +
                      std::to_string(job) + ", map " + std::to_string(mi) +
                      ")");
+  JobState& state = *pos->state;
   *pos = watchers.back();
   watchers.pop_back();
   if (watchers.empty()) watchers_.erase(wit);
 
   const auto bit = block_nodes_.find(block);
   if (bit == block_nodes_.end()) return;
-  const auto jit = jobs_.find(job);
-  DARE_INVARIANT(jit != jobs_.end(),
-                 "LocalityIndex: unwatch for an untracked job " +
-                     std::to_string(job));
-  JobState& state = jit->second;
   for (NodeId n : bit->second) {
-    drop_candidate(state.by_node.slot_mut(static_cast<std::uint32_t>(n)), mi);
+    drop_candidate(state.by_node, static_cast<std::uint32_t>(n), mi);
   }
-  for (std::size_t i = 0; i < bit->second.size(); ++i) {
-    const RackId rack = node_rack_[static_cast<std::size_t>(bit->second[i])];
-    bool seen = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (node_rack_[static_cast<std::size_t>(bit->second[j])] == rack) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      drop_candidate(state.by_rack.slot_mut(static_cast<std::uint32_t>(rack)),
-                     mi);
-    }
-  }
+  for_each_distinct_rack(bit->second, [&](RackId rack) {
+    drop_candidate(state.by_rack, static_cast<std::uint32_t>(rack), mi);
+  });
 }
 
 void LocalityIndex::job_retired(JobId job) {
   const auto it = jobs_.find(job);
   if (it == jobs_.end()) return;  // never had candidates
-#ifndef NDEBUG
-  DARE_INVARIANT(it->second.by_node.all_empty(),
-                 "LocalityIndex: job retired with live node candidates");
-#endif
+  DARE_INVARIANT(it->second.by_node.size() == 0 &&
+                     it->second.by_rack.size() == 0,
+                 "LocalityIndex: job " + std::to_string(job) +
+                     " retired with live candidates");
   jobs_.erase(it);
 }
 
-const std::vector<std::uint32_t>& LocalityIndex::node_candidates(
-    JobId job, NodeId node) const {
+std::vector<std::uint32_t> LocalityIndex::node_candidates(JobId job,
+                                                          NodeId node) const {
   if (node < 0 || static_cast<std::size_t>(node) >= num_nodes_) {
     throw std::out_of_range("LocalityIndex: bad node id");
   }
   const auto it = jobs_.find(job);
-  if (it == jobs_.end()) return kNoCandidates;
-  return it->second.by_node.find(static_cast<std::uint32_t>(node));
+  if (it == jobs_.end()) return {};
+  return sorted_candidates(it->second.by_node,
+                           static_cast<std::uint32_t>(node));
 }
 
-const std::vector<std::uint32_t>& LocalityIndex::rack_candidates(
-    JobId job, NodeId node) const {
+std::vector<std::uint32_t> LocalityIndex::rack_candidates(JobId job,
+                                                          NodeId node) const {
   if (node < 0 || static_cast<std::size_t>(node) >= num_nodes_) {
     throw std::out_of_range("LocalityIndex: bad node id");
   }
   const auto it = jobs_.find(job);
-  if (it == jobs_.end()) return kNoCandidates;
+  if (it == jobs_.end()) return {};
   const RackId rack = node_rack_[static_cast<std::size_t>(node)];
-  return it->second.by_rack.find(static_cast<std::uint32_t>(rack));
+  return sorted_candidates(it->second.by_rack,
+                           static_cast<std::uint32_t>(rack));
 }
 
 std::size_t LocalityIndex::replica_count(BlockId block) const {

@@ -8,10 +8,10 @@
 // misses into hits. This index inverts the relationship and maintains it
 // incrementally:
 //
-//   by_node[job][node] = pending map indices of `job` whose block has a
-//                        visible replica on `node`
-//   by_rack[job][rack] = pending map indices whose block has >= 1 visible
-//                        replica anywhere in `rack`
+//   by_node[job] holds (node, map) for each pending map of `job` whose
+//                block has a visible replica on `node`
+//   by_rack[job] holds (rack, map) for each pending map whose block has
+//                >= 1 visible replica anywhere in `rack`
 //
 // Two event streams keep it current:
 //  * replica deltas from the NameNode (static placement at file create,
@@ -23,9 +23,15 @@
 // Equivalence with the linear scan: the scan returns the *first* pending
 // position whose block matches, so JobTable answers queries by taking the
 // argmin of pending-position over the candidate set (see
-// JobRuntime::pending_pos). Candidate-vector order therefore never affects
-// results, which keeps the structure deterministic even though replica
-// deltas can arrive in unordered-map order from NameNode::node_failed.
+// JobRuntime::pending_pos). The order in which a query visits candidates
+// therefore never affects results, which keeps the structure deterministic
+// even though replica deltas can arrive in unordered-map order from
+// NameNode::node_failed.
+//
+// Cost per pending map is linear in its block's replica count R: watch and
+// unwatch touch one node entry per replica and one rack entry per distinct
+// rack, found in one pass with a rack-sized stamp array. DARE's adoptions
+// push R into the hundreds for hot blocks, so nothing here may be O(R^2).
 #pragma once
 
 #include <cstddef>
@@ -38,141 +44,82 @@
 
 namespace dare::sched {
 
-/// Slot -> candidate-list map with two layouts behind one interface.
+/// One job's candidate table: a multiset of (key, map index) pairs, where
+/// the key is a node id (by_node) or a rack id (by_rack).
 ///
-/// A job only ever has candidates on the nodes holding replicas of its input
-/// blocks — a few dozen of 10k nodes — but the previous dense layout paid a
-/// vector header per node per job (~240 KiB per active job at 10k nodes),
-/// which alone made large FIFO backlogs unrepresentable. Two regimes:
-///
-///  * direct (reserve_domain, small clusters): capacity covers the whole
-///    key domain, slot i lives at index i, every access is one indexed
-///    load — bit-for-bit the dense layout's speed, which the replica-delta
-///    fan-out loops are too hot to give up;
-///  * sparse (reserve_slots, hyperscale): open addressing with linear
-///    probing under a masked-identity hash, so the table stays a handful of
-///    cache lines no matter how many nodes the cluster has.
-///
-/// Entries are never removed before the owning job retires (a drained list
-/// stays, exactly like a drained dense element), so probing needs no
-/// tombstones.
+/// The whole table is one flat open-addressing array of 8-byte entries with
+/// linear probing, so every entry of a key lies on that key's probe chain
+/// (home slot to the next empty slot). A query walks the chain and reports
+/// each matching map index; erase pulls later chain entries back into the
+/// hole (backward shift), so the table needs no tombstones. The array grows
+/// by doubling and is never allocated per key: under DARE a hot block sits
+/// on dozens of nodes, so one job's candidates span hundreds of keys, and a
+/// list per key would cost a heap allocation and a vector header for each.
+/// Keys are Fibonacci-hashed: node and rack ids are dense small integers,
+/// and an identity hash would pile every key's run into the low slots.
 class CandidateMap {
  public:
-  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
-
-  /// Candidate list of `slot`; a shared empty list when absent.
-  const std::vector<std::uint32_t>& find(std::uint32_t slot) const {
-    if (direct_) return slots_[slot].list;
-    if (used_ == 0) return empty_list();
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = slot & mask;; i = (i + 1) & mask) {
-      if (slots_[i].key == slot) return slots_[i].list;
-      if (slots_[i].key == kEmptySlot) return empty_list();
+  /// Calls fn(map_index) for every entry under `key`, in no fixed order.
+  template <typename Fn>
+  void for_each(std::uint32_t key, Fn&& fn) const {
+    if (size_ == 0) return;
+    const std::size_t mask = entries_.size() - 1;
+    for (std::size_t i = home(key); entries_[i].key != kEmptyKey;
+         i = (i + 1) & mask) {
+      if (entries_[i].key == key) fn(entries_[i].map_index);
     }
   }
 
-  /// Mutable candidate list of `slot`, inserted empty when absent.
-  std::vector<std::uint32_t>& slot_mut(std::uint32_t slot) {
-    if (direct_) {
-      Slot& s = slots_[slot];
-      if (s.key == kEmptySlot) {
-        s.key = slot;
-        ++used_;
-      }
-      return s.list;
-    }
-    if (slots_.empty()) rehash(8);
-    std::size_t mask = slots_.size() - 1;
-    std::size_t i = slot & mask;
-    while (slots_[i].key != slot) {
-      if (slots_[i].key == kEmptySlot) {
-        if ((used_ + 1) * 4 > slots_.size() * 3) {
-          rehash(slots_.size() * 2);
-          mask = slots_.size() - 1;
-          i = slot & mask;
-          while (slots_[i].key != kEmptySlot) i = (i + 1) & mask;
-        }
-        slots_[i].key = slot;
-        ++used_;
-        return slots_[i].list;
-      }
-      i = (i + 1) & mask;
-    }
-    return slots_[i].list;
+  /// Adds one (key, map_index) entry. `key` must differ from kEmptyKey.
+  void insert(std::uint32_t key, std::uint32_t map_index) {
+    if ((size_ + 1) * 2 > entries_.size()) grow();
+    place(Entry{key, map_index});
+    ++size_;
   }
 
-  /// Retirement audit: every present list has been drained.
-  bool all_empty() const {
-    for (const Slot& s : slots_) {
-      if (s.key != kEmptySlot && !s.list.empty()) return false;
-    }
-    return true;
+  /// Removes one (key, map_index) entry. Returns false, leaving the table
+  /// unchanged, when no such entry exists.
+  bool erase(std::uint32_t key, std::uint32_t map_index);
+
+  std::size_t size() const { return size_; }
+  std::size_t capacity() const { return entries_.size(); }
+  /// Slot where `key`'s probe chain starts; requires capacity() > 0.
+  std::size_t home(std::uint32_t key) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> shift_);
   }
 
-  std::size_t used() const { return used_; }
-  bool direct() const { return direct_; }
-
-  /// Direct mode: allocate one slot per key in [0, domain) and index without
-  /// probing. Call before any insertion; every later slot value must be
-  /// < domain. Worth its footprint only when the domain is small.
-  void reserve_domain(std::size_t domain) {
-    slots_ = std::vector<Slot>(domain);
-    direct_ = true;
-  }
-
-  /// Sparse mode: pre-size the probe table (next power of two >= `slots` /
-  /// 0.75 load) so the expected candidate set inserts without a rehash
-  /// chain. No-op when the table is already at least that large.
-  void reserve_slots(std::size_t slots) {
-    std::size_t capacity = 8;
-    while (slots * 4 > capacity * 3) capacity *= 2;
-    if (capacity > slots_.size()) rehash(capacity);
-  }
+  static constexpr std::uint32_t kEmptyKey = 0xFFFFFFFFu;
 
  private:
-  /// Key and list side by side: the delta hot loops probe and then touch the
-  /// list header, so both land on the same cache line. The hash is the
-  /// identity (masked): slot keys are dense small integers (node ids, rack
-  /// ids), which masked-identity spreads at least as well as any mixer while
-  /// keeping adjacent ids adjacent — the watch burst walks a block's replica
-  /// nodes in placement order, so consecutive probes share lines.
-  struct Slot {
-    std::uint32_t key = kEmptySlot;
-    std::vector<std::uint32_t> list;
+  struct Entry {
+    std::uint32_t key = kEmptyKey;
+    std::uint32_t map_index = 0;
   };
 
-  static const std::vector<std::uint32_t>& empty_list() {
-    static const std::vector<std::uint32_t> kNone;
-    return kNone;
+  /// Stores `e` in the first empty slot of its chain (capacity is ensured).
+  void place(Entry e) {
+    const std::size_t mask = entries_.size() - 1;
+    std::size_t i = home(e.key);
+    while (entries_[i].key != kEmptyKey) i = (i + 1) & mask;
+    entries_[i] = e;
   }
+  void grow();
 
-  void rehash(std::size_t capacity) {
-    std::vector<Slot> old = std::move(slots_);
-    slots_ = std::vector<Slot>(capacity);
-    const std::size_t mask = capacity - 1;
-    for (Slot& s : old) {
-      if (s.key == kEmptySlot) continue;
-      std::size_t j = s.key & mask;
-      while (slots_[j].key != kEmptySlot) j = (j + 1) & mask;
-      slots_[j].key = s.key;
-      slots_[j].list = std::move(s.list);
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t used_ = 0;
-  bool direct_ = false;
+  std::vector<Entry> entries_;  // power-of-two size, at most half full
+  std::size_t size_ = 0;
+  unsigned shift_ = 0;  // 64 - log2(entries_.size())
 };
 
 class LocalityIndex {
  public:
-  /// Per-job candidate lists. Nodes live inside an unordered_map, so their
+  /// Per-job candidate tables. Nodes live inside an unordered_map, so their
   /// addresses are stable for the job's lifetime; the JobTable caches a
   /// pointer in JobRuntime and queries through it without any hash lookup.
   struct JobState {
-    /// node -> pending map indices with a replica on that node.
+    /// (node, pending map index) per replica of the map's block.
     CandidateMap by_node;
-    /// rack -> pending map indices with >= 1 replica in that rack.
+    /// (rack, pending map index) per rack holding >= 1 of those replicas.
     CandidateMap by_rack;
   };
 
@@ -196,30 +143,32 @@ class LocalityIndex {
   void job_retired(JobId job);
 
   /// --- queries ------------------------------------------------------------
-  /// Pending map indices of `job` whose block is on `node` / in `node`'s
-  /// rack. Unknown jobs (or jobs with no candidates) return an empty vector.
-  const std::vector<std::uint32_t>& node_candidates(JobId job,
-                                                    NodeId node) const;
-  const std::vector<std::uint32_t>& rack_candidates(JobId job,
-                                                    NodeId node) const;
-
-  /// Hash-free variants over a cached JobState (the scheduling hot path:
-  /// the Fair scheduler probes every active job per slot offer, so a map
-  /// lookup per probe showed up in large-run profiles).
-  const std::vector<std::uint32_t>& node_candidates(const JobState& state,
-                                                    NodeId node) const {
-    return state.by_node.find(static_cast<std::uint32_t>(node));
+  /// Hash-free queries over a cached JobState (the scheduling hot path: the
+  /// Fair scheduler probes every active job per slot offer, so a map lookup
+  /// per probe showed up in large-run profiles). Call fn(map_index) for each
+  /// pending map of the job whose block is on `node` / in `node`'s rack.
+  template <typename Fn>
+  void for_each_node_candidate(const JobState& state, NodeId node,
+                               Fn&& fn) const {
+    state.by_node.for_each(static_cast<std::uint32_t>(node), fn);
   }
-  const std::vector<std::uint32_t>& rack_candidates(const JobState& state,
-                                                    NodeId node) const {
-    return state.by_rack.find(static_cast<std::uint32_t>(node_rack_[node]));
+  template <typename Fn>
+  void for_each_rack_candidate(const JobState& state, NodeId node,
+                               Fn&& fn) const {
+    state.by_rack.for_each(
+        static_cast<std::uint32_t>(node_rack_[static_cast<std::size_t>(node)]),
+        fn);
   }
 
   /// Create-or-get the job's candidate state. The returned pointer is
   /// stable until job_retired(job).
-  JobState* job_state_ptr(JobId job) { return &job_state(job); }
+  JobState* job_state_ptr(JobId job) { return &jobs_[job]; }
 
   /// --- introspection (tests / validate) -----------------------------------
+  /// Sorted pending map indices of `job` whose block is on `node` / in
+  /// `node`'s rack; empty for unknown jobs.
+  std::vector<std::uint32_t> node_candidates(JobId job, NodeId node) const;
+  std::vector<std::uint32_t> rack_candidates(JobId job, NodeId node) const;
   std::size_t tracked_job_count() const { return jobs_.size(); }
   std::size_t replica_count(BlockId block) const;
   /// True iff the mirror believes `node` holds a replica of `block`.
@@ -234,15 +183,20 @@ class LocalityIndex {
     JobState* state;
   };
 
-  JobState& job_state(JobId job);
   /// Replicas of `block` currently in `rack` (per the mirror).
   std::size_t rack_replicas(BlockId block, RackId rack) const;
-  static void drop_candidate(std::vector<std::uint32_t>& candidates,
+  /// Calls fn(rack) once per distinct rack of `nodes`, in one pass.
+  template <typename Fn>
+  void for_each_distinct_rack(const std::vector<NodeId>& nodes, Fn&& fn);
+  static void drop_candidate(CandidateMap& candidates, std::uint32_t key,
                              std::uint32_t map_index);
 
   std::size_t num_nodes_;
   std::size_t num_racks_;
   std::vector<RackId> node_rack_;
+  /// rack -> last for_each_distinct_rack pass that visited it.
+  std::vector<std::uint32_t> rack_stamp_;
+  std::uint32_t stamp_ = 0;
 
   /// Slab-backed maps (watcher and job nodes churn at task / job rate).
   template <typename K, typename V>

@@ -6,16 +6,21 @@
 // launch/requeue, and job failure. The oracle drives an indexed JobTable
 // through a randomized schedule and asserts every answer matches a
 // front-to-back scan of the job's pending maps over the test's own replica
-// map.
+// map. The CandidateMap tests check the flat (key, map) table against a
+// std::multimap model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/invariant.h"
 #include "common/rng.h"
 #include "sched/job_table.h"
 #include "sched/locality_index.h"
@@ -39,6 +44,7 @@ JobSpec make_job(JobId id, const std::vector<BlockId>& blocks,
 }
 
 using ReplicaMap = std::unordered_map<BlockId, std::set<NodeId>>;
+using Candidates = std::vector<std::uint32_t>;
 
 /// The reference the index must reproduce: the first pending position, in
 /// a front-to-back scan, whose block has a replica on a node `near` accepts.
@@ -87,31 +93,31 @@ TEST_F(LocalityIndexTest, WatchAfterReplicaSeesExistingLocations) {
   index_.replica_added(7, 0);
   index_.replica_added(7, 2);
   index_.watch_map(1, 0, 7);
-  EXPECT_EQ(index_.node_candidates(1, 0).size(), 1u);
-  EXPECT_EQ(index_.node_candidates(1, 1).size(), 0u);
-  EXPECT_EQ(index_.node_candidates(1, 2).size(), 1u);
+  EXPECT_EQ(index_.node_candidates(1, 0), Candidates{0});
+  EXPECT_EQ(index_.node_candidates(1, 1), Candidates{});
+  EXPECT_EQ(index_.node_candidates(1, 2), Candidates{0});
   // Rack candidates: rack 0 via node 0, rack 1 via node 2.
-  EXPECT_EQ(index_.rack_candidates(1, 1).size(), 1u);  // node 1 -> rack 0
-  EXPECT_EQ(index_.rack_candidates(1, 3).size(), 1u);  // node 3 -> rack 1
+  EXPECT_EQ(index_.rack_candidates(1, 1), Candidates{0});  // node 1 -> rack 0
+  EXPECT_EQ(index_.rack_candidates(1, 3), Candidates{0});  // node 3 -> rack 1
 }
 
 TEST_F(LocalityIndexTest, ReplicaAfterWatchReachesCandidates) {
   index_.watch_map(1, 0, 7);
   EXPECT_TRUE(index_.node_candidates(1, 0).empty());
   index_.replica_added(7, 0);
-  EXPECT_EQ(index_.node_candidates(1, 0).size(), 1u);
-  EXPECT_EQ(index_.rack_candidates(1, 1).size(), 1u);
+  EXPECT_EQ(index_.node_candidates(1, 0), Candidates{0});
+  EXPECT_EQ(index_.rack_candidates(1, 1), Candidates{0});
 }
 
 TEST_F(LocalityIndexTest, EvictionRemovesCandidateAndRackEntryAtZero) {
   index_.watch_map(1, 0, 7);
   index_.replica_added(7, 0);
   index_.replica_added(7, 1);  // second replica in rack 0
-  EXPECT_EQ(index_.rack_candidates(1, 0).size(), 1u);
+  EXPECT_EQ(index_.rack_candidates(1, 0), Candidates{0});
   index_.replica_removed(7, 0);  // rack 0 still holds one replica
   EXPECT_TRUE(index_.node_candidates(1, 0).empty());
-  EXPECT_EQ(index_.node_candidates(1, 1).size(), 1u);
-  EXPECT_EQ(index_.rack_candidates(1, 0).size(), 1u);
+  EXPECT_EQ(index_.node_candidates(1, 1), Candidates{0});
+  EXPECT_EQ(index_.rack_candidates(1, 0), Candidates{0});
   index_.replica_removed(7, 1);  // rack is now empty
   EXPECT_TRUE(index_.rack_candidates(1, 0).empty());
   EXPECT_EQ(index_.replica_count(7), 0u);
@@ -122,11 +128,10 @@ TEST_F(LocalityIndexTest, UnwatchDropsAllCandidateEntries) {
   index_.replica_added(7, 3);
   index_.watch_map(1, 0, 7);
   index_.watch_map(1, 1, 7);  // two maps of the same job reading block 7
-  EXPECT_EQ(index_.node_candidates(1, 0).size(), 2u);
+  EXPECT_EQ(index_.node_candidates(1, 0), (Candidates{0, 1}));
   index_.unwatch_map(1, 0, 7);
-  EXPECT_EQ(index_.node_candidates(1, 0).size(), 1u);
-  EXPECT_EQ(index_.node_candidates(1, 0)[0], 1u);
-  EXPECT_EQ(index_.rack_candidates(1, 2).size(), 1u);
+  EXPECT_EQ(index_.node_candidates(1, 0), Candidates{1});
+  EXPECT_EQ(index_.rack_candidates(1, 2), Candidates{1});
   index_.unwatch_map(1, 1, 7);
   EXPECT_TRUE(index_.node_candidates(1, 0).empty());
   EXPECT_TRUE(index_.rack_candidates(1, 2).empty());
@@ -391,60 +396,183 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
   }
 }
 
-TEST(CandidateMapTest, DirectAndSparseLayoutsAnswerIdentically) {
-  // The two layouts behind CandidateMap must be observationally identical:
-  // drive one direct-mode and one sparse-mode map through the same
-  // randomized mutation schedule and compare every slot's list afterwards
-  // (and at checkpoints along the way).
-  constexpr std::uint32_t kDomain = 64;
-  CandidateMap direct;
-  direct.reserve_domain(kDomain);
-  CandidateMap sparse;
-  sparse.reserve_slots(8);  // deliberately small: forces rehash chains
-
-  ASSERT_TRUE(direct.direct());
-  ASSERT_FALSE(sparse.direct());
-
-  Rng rng(777);
-  for (int step = 0; step < 5000; ++step) {
-    const auto slot = static_cast<std::uint32_t>(rng.uniform_int(kDomain));
-    if (rng.uniform_int(3) != 0) {
-      const auto value = static_cast<std::uint32_t>(rng.uniform_int(1000));
-      direct.slot_mut(slot).push_back(value);
-      sparse.slot_mut(slot).push_back(value);
-    } else {
-      auto& d = direct.slot_mut(slot);
-      auto& s = sparse.slot_mut(slot);
-      ASSERT_EQ(d.size(), s.size());
-      if (!d.empty()) {
-        d.pop_back();
-        s.pop_back();
-      }
-    }
-    if (step % 500 == 0) {
-      for (std::uint32_t k = 0; k < kDomain; ++k) {
-        ASSERT_EQ(direct.find(k), sparse.find(k)) << "slot " << k;
-      }
-      ASSERT_EQ(direct.used(), sparse.used());
-    }
-  }
-  for (std::uint32_t k = 0; k < kDomain; ++k) {
-    EXPECT_EQ(direct.find(k), sparse.find(k)) << "slot " << k;
-  }
-  EXPECT_EQ(direct.all_empty(), sparse.all_empty());
+[[noreturn]] void throwing_handler(const InvariantViolation& violation) {
+  throw std::logic_error(std::string(violation.condition) + ": " +
+                         violation.message);
 }
 
-TEST(CandidateMapTest, FindOnAbsentSlotReturnsEmpty) {
-  CandidateMap sparse;
-  EXPECT_TRUE(sparse.find(7).empty());  // empty table, no probe loop
-  sparse.slot_mut(3).push_back(1);
-  EXPECT_TRUE(sparse.find(7).empty());
-  EXPECT_EQ(sparse.find(3).size(), 1u);
+/// Installs the throwing invariant handler for one scope.
+struct ThrowingInvariants {
+  ThrowingInvariants() { set_invariant_handler(&throwing_handler); }
+  ~ThrowingInvariants() { set_invariant_handler(nullptr); }
+};
 
-  CandidateMap direct;
-  direct.reserve_domain(16);
-  EXPECT_TRUE(direct.find(7).empty());
-  EXPECT_EQ(direct.used(), 0u);  // find never inserts
+TEST_F(LocalityIndexTest, RetiringAJobWithLiveCandidatesTripsTheAudit) {
+  if (!DARE_INVARIANTS_ENABLED) {
+    GTEST_SKIP() << "DARE_INVARIANT is compiled out in this build";
+  }
+  const ThrowingInvariants guard;
+  index_.replica_added(7, 0);
+  index_.watch_map(1, 0, 7);  // still pending: one node and one rack entry
+  EXPECT_THROW(index_.job_retired(1), std::logic_error);
+  index_.unwatch_map(1, 0, 7);
+  EXPECT_NO_THROW(index_.job_retired(1));
+  EXPECT_EQ(index_.tracked_job_count(), 0u);
+}
+
+/// A block adopted onto many nodes (as DARE does with hot blocks): each
+/// rack holds exactly one entry per map however many replicas it has, and
+/// the rack entry leaves exactly when the rack's last replica does.
+TEST(LocalityIndexManyReplicasTest, OneRackEntryPerMapAcrossManyReplicas) {
+  constexpr std::size_t kNodes = 99;
+  constexpr std::size_t kRacks = 3;
+  std::vector<RackId> node_rack(kNodes);
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    node_rack[n] = static_cast<RackId>(n % kRacks);
+  }
+  LocalityIndex index(kNodes, node_rack, kRacks);
+  constexpr BlockId kBlock = 5;
+  std::vector<NodeId> holders;
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    if (n % 10 == 9) continue;  // leave some nodes without a replica
+    holders.push_back(static_cast<NodeId>(n));
+    index.replica_added(kBlock, static_cast<NodeId>(n));
+  }
+  ASSERT_GE(holders.size(), 64u);
+
+  index.watch_map(1, 0, kBlock);
+  const LocalityIndex::JobState& state = *index.job_state_ptr(1);
+  EXPECT_EQ(state.by_node.size(), holders.size());
+  EXPECT_EQ(state.by_rack.size(), kRacks);
+  for (std::size_t r = 0; r < kRacks; ++r) {
+    EXPECT_EQ(index.rack_candidates(1, static_cast<NodeId>(r)), Candidates{0})
+        << "rack " << r;
+  }
+  for (NodeId n : holders) {
+    EXPECT_EQ(index.node_candidates(1, n), Candidates{0}) << "node " << n;
+  }
+
+  // Empty rack 0 replica by replica: its entry stays until the last one.
+  std::vector<NodeId> rack0;
+  for (NodeId n : holders) {
+    if (node_rack[static_cast<std::size_t>(n)] == 0) rack0.push_back(n);
+  }
+  for (std::size_t i = 0; i < rack0.size(); ++i) {
+    index.replica_removed(kBlock, rack0[i]);
+    const bool last = i + 1 == rack0.size();
+    EXPECT_EQ(index.rack_candidates(1, 0).empty(), last) << "after " << i;
+  }
+  EXPECT_EQ(state.by_rack.size(), kRacks - 1);
+  EXPECT_EQ(state.by_node.size(), holders.size() - rack0.size());
+  EXPECT_EQ(index.rack_candidates(1, 1), Candidates{0});
+  EXPECT_EQ(index.rack_candidates(1, 2), Candidates{0});
+
+  index.unwatch_map(1, 0, kBlock);
+  EXPECT_EQ(state.by_node.size(), 0u);
+  EXPECT_EQ(state.by_rack.size(), 0u);
+}
+
+/// Every (key, map) pair stored under `key`, sorted.
+Candidates entries_of(const CandidateMap& map, std::uint32_t key) {
+  Candidates out;
+  map.for_each(key, [&](std::uint32_t mi) { out.push_back(mi); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+using Model = std::multimap<std::uint32_t, std::uint32_t>;
+
+Candidates entries_of(const Model& model, std::uint32_t key) {
+  Candidates out;
+  const auto [lo, hi] = model.equal_range(key);
+  for (auto it = lo; it != hi; ++it) out.push_back(it->second);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void expect_same(const CandidateMap& map, const Model& model,
+                 const std::vector<std::uint32_t>& keys) {
+  ASSERT_EQ(map.size(), model.size());
+  for (std::uint32_t k : keys) {
+    ASSERT_EQ(entries_of(map, k), entries_of(model, k)) << "key " << k;
+  }
+}
+
+TEST(CandidateMapTest, ChainWrappingPastTheLastSlot) {
+  CandidateMap map;
+  Model model;
+  map.insert(0, 0);
+  model.emplace(0, 0);
+  ASSERT_EQ(map.capacity(), 8u);
+  std::uint32_t wrap = 1;
+  while (map.home(wrap) != map.capacity() - 1) ++wrap;
+  std::vector<std::uint32_t> keys{0, wrap};
+  // Three entries homed at the last slot: the chain wraps to the front.
+  for (std::uint32_t mi = 10; mi < 13; ++mi) {
+    map.insert(wrap, mi);
+    model.emplace(wrap, mi);
+    expect_same(map, model, keys);
+  }
+  ASSERT_EQ(map.capacity(), 8u);  // no growth: the wrap really happened
+  // Erasing the entry in the last slot backward-shifts across the wrap.
+  for (std::uint32_t mi : {10u, 12u}) {
+    ASSERT_TRUE(map.erase(wrap, mi));
+    model.erase(std::find_if(model.begin(), model.end(), [&](const auto& e) {
+      return e.first == wrap && e.second == mi;
+    }));
+    expect_same(map, model, keys);
+  }
+  EXPECT_FALSE(map.erase(wrap, 10));
+  EXPECT_FALSE(map.erase(0, 11));
+  expect_same(map, model, keys);
+}
+
+/// Randomized model check against std::multimap: inserts with heavy key
+/// duplication (a node holding many of a job's blocks), erases of present
+/// and absent pairs, and growth from the smallest table. An absent erase
+/// must report false and leave every key's contents as they were.
+TEST(CandidateMapTest, MatchesMultimapModelUnderGrowthAndErase) {
+  std::vector<std::uint32_t> keys;
+  for (std::uint32_t k = 0; k < 48; ++k) keys.push_back(k);
+  keys.push_back(0x7FFFFFFFu);
+  keys.push_back(CandidateMap::kEmptyKey - 1);  // largest legal key
+
+  CandidateMap map;
+  Model model;
+  std::size_t growths = 0;
+  Rng rng(20251017);
+  for (int step = 0; step < 20000; ++step) {
+    const auto key = keys[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(keys.size()) - 1))];
+    const auto mi = static_cast<std::uint32_t>(rng.uniform_int(0, 63));
+    const int action = rng.uniform_int(0, 9);
+    if (action < 6) {
+      const std::size_t before = map.capacity();
+      map.insert(key, mi);
+      model.emplace(key, mi);
+      if (map.capacity() != before) ++growths;
+    } else {
+      const auto [lo, hi] = model.equal_range(key);
+      auto it = lo;
+      while (it != hi && it->second != mi) ++it;
+      const bool present = it != hi;
+      ASSERT_EQ(map.erase(key, mi), present) << "step " << step;
+      if (present) {
+        model.erase(it);
+      } else {
+        expect_same(map, model, keys);
+      }
+    }
+    if (step % 97 == 0) expect_same(map, model, keys);
+    // Drain now and then so the table refills from sparse chains.
+    if (step % 5000 == 4999) {
+      for (const auto& [k, v] : model) ASSERT_TRUE(map.erase(k, v));
+      model.clear();
+      expect_same(map, model, keys);
+    }
+  }
+  expect_same(map, model, keys);
+  EXPECT_GE(growths, 6u);  // 8 -> 512 slots at least once
 }
 
 }  // namespace
