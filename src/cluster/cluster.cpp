@@ -16,6 +16,17 @@
 
 namespace dare::cluster {
 
+namespace {
+
+/// Fixed per-task overhead (JVM launch, task setup), maps and reduces alike.
+constexpr SimDuration kTaskSetup = from_millis(500);
+/// Once a job has dispatched all its maps, a lone attempt older than this
+/// multiple of the job's (or the cluster's) mean completed-map duration
+/// gets a speculative backup.
+constexpr double kSpeculationThreshold = 1.7;
+
+}  // namespace
+
 const char* scheduler_name(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kFifo:
@@ -50,6 +61,12 @@ bool Cluster::is_rack_local(NodeId node, BlockId block) const {
     if (topology_->same_rack(node, holder)) return true;
   }
   return false;
+}
+
+sched::Locality Cluster::locality_of(NodeId node, BlockId block) const {
+  if (is_local(node, block)) return sched::Locality::kNodeLocal;
+  return is_rack_local(node, block) ? sched::Locality::kRackLocal
+                                    : sched::Locality::kOffRack;
 }
 
 // Root stream: the cluster owns the run's seed; every component stream is
@@ -557,7 +574,7 @@ bool Cluster::checksum_fails(NodeId holder, BlockId block, Bytes bytes) {
 
 void Cluster::mark_replica_corrupt(NodeId holder, BlockId block) {
   if (data_nodes_[static_cast<std::size_t>(holder)]->corrupt_replica(block)) {
-    ++corrupt_replicas_injected_;
+    ++result_.corrupt_replicas;
     if (tracer_ != nullptr) tracer_->replica_corrupted(holder, block);
   }
 }
@@ -566,13 +583,13 @@ void Cluster::record_data_loss(BlockId block) {
   // One loss event per block: repeated reads of the same corrupt last copy
   // must not inflate the count.
   if (!data_loss_blocks_.insert(block).second) return;
-  ++data_loss_events_;
+  ++result_.data_loss_events;
   if (tracer_ != nullptr) tracer_->data_loss(block);
 }
 
 storage::NameNode::BadBlockResult Cluster::handle_bad_block(BlockId block,
                                                             NodeId holder) {
-  ++corrupt_reads_;
+  ++result_.corrupt_reads;
   if (tracer_ != nullptr) tracer_->checksum_failed(holder, block);
   const auto verdict = name_node_->report_bad_block(block, holder);
   switch (verdict) {
@@ -580,7 +597,7 @@ storage::NameNode::BadBlockResult Cluster::handle_bad_block(BlockId block,
       const auto h = static_cast<std::size_t>(holder);
       data_nodes_[h]->quarantine_replica(block);
       policies_[h]->on_replica_dropped(block);
-      ++replicas_quarantined_;
+      ++result_.replicas_quarantined;
       if (options_.enable_rereplication &&
           name_node_->is_under_replicated(block)) {
         queue_repair(block);
@@ -627,7 +644,7 @@ Cluster::ReadPlan Cluster::plan_read(NodeId worker, BlockId block, Bytes bytes,
       // partitioned boundary, burned one connect timeout, and moved on to a
       // reachable copy (or the archival fallback below).
       plan.duration += from_seconds(options_.netfault.connect_timeout_s);
-      ++unreachable_reads_;
+      ++result_.unreachable_reads;
     }
     if (src == kInvalidNode) {
       // Every other replica is on a dead or unreachable node or burned by
@@ -672,114 +689,97 @@ Cluster::ReadPlan Cluster::plan_read(NodeId worker, BlockId block, Bytes bytes,
 }
 
 void Cluster::launch_map(NodeId worker, const sched::MapSelection& selection) {
-  const auto w = static_cast<std::size_t>(worker);
+  const JobId job = selection.job;
   const std::size_t map_index =
-      jobs_.launch_map(selection.job, selection.pending_index,
-                       selection.locality);
-  const sched::MapTaskSpec task =
-      jobs_.job(selection.job).spec.maps[map_index];
+      jobs_.launch_map(job, selection.pending_index, selection.locality);
+  auto& state = running_maps_[task_key(job, map_index)];
+  state.original_locality = selection.locality;
+  const SimDuration duration =
+      start_map_attempt(worker, job, map_index, state, selection.locality,
+                        AttemptKind::kOriginal);
+  map_time_stats_.add(to_seconds(duration));
+  if (scarlett_ || options_.record_access_trace) {
+    const FileId file = name_node_->block(state.block).file;
+    if (scarlett_) scarlett_->record_access(file);
+    if (options_.record_access_trace) {
+      access_trace_.events.push_back({file, sim_.now()});
+    }
+  }
+  // Proactive cloning fires at launch time, not on a timer: the clone runs
+  // from the start, hedging against a slow node before any evidence exists.
+  maybe_clone(job, map_index, state, worker);
+}
+
+SimDuration Cluster::start_map_attempt(NodeId worker, JobId job,
+                                       std::size_t map_index,
+                                       MapTaskState& state,
+                                       sched::Locality locality,
+                                       AttemptKind kind) {
+  const auto w = static_cast<std::size_t>(worker);
+  const sched::MapTaskSpec task = jobs_.job(job).spec.maps[map_index];
+  state.block = task.block;  // unchanged for a backup or a clone
   const storage::BlockMeta meta = name_node_->block(task.block);
   slots_.take_map(w);
+  if (kind == AttemptKind::kSpeculative) ++result_.speculative_launched;
+  if (kind == AttemptKind::kClone) {
+    ++result_.clones_launched;
+    ++running_clones_;
+    jobs_.launch_clone(job);
+  }
   if (tracer_ != nullptr) {
-    tracer_->map_launched(worker, selection.job, map_index,
-                          static_cast<int>(selection.locality),
-                          /*speculative=*/false);
+    if (kind == AttemptKind::kClone) {
+      tracer_->clone_launched(worker, job, map_index,
+                              static_cast<int>(locality));
+    } else {
+      tracer_->map_launched(worker, job, map_index, static_cast<int>(locality),
+                            kind == AttemptKind::kSpeculative);
+    }
   }
 
-  const bool node_local = selection.node_local();
+  const bool node_local = locality == sched::Locality::kNodeLocal;
   const ReadPlan plan = plan_read(worker, task.block, task.bytes, node_local);
-  const SimDuration compute =
-      straggler_compute(worker, options_.map_setup + task.cpu);
-  SimDuration duration = compute + plan.duration;
-  const NodeId src = plan.src;
-  const bool remote_flow = plan.remote_flow;
+  SimDuration duration =
+      straggler_compute(worker, kTaskSetup + task.cpu) + plan.duration;
   duration = static_cast<SimDuration>(static_cast<double>(duration) *
                                       node_slowdown_[w]);
 
   // The DARE hook: the block is streaming through this node anyway, so the
   // policy may capture it (remote case) or refresh its bookkeeping (local).
-  // `node_local` is the scheduler's view at launch — kept even when a
-  // checksum failure rerouted the read, so the policy draw sequence is
-  // independent of corruption outcomes.
+  // Backups and clones read the block too, so the hook fires for every
+  // attempt. `node_local` is the scheduler's view at launch — kept even
+  // when a checksum failure rerouted the read, so the policy draw sequence
+  // is independent of corruption outcomes.
   {
     obs::PhaseScope prof(profiler_, obs::Phase::kReplication);
     policies_[w]->on_map_task(meta, node_local);
   }
-  if (scarlett_) scarlett_->record_access(meta.file);
-  if (options_.record_access_trace) {
-    access_trace_.events.push_back({meta.file, sim_.now()});
-  }
 
-  map_time_stats_.add(to_seconds(duration));
-
-  const JobId job = selection.job;
-  const double duration_s = to_seconds(duration);
-  auto& state = running_maps_[task_key(job, map_index)];
-  state.block = task.block;
-  state.original_locality = selection.locality;
   MapAttempt attempt;
   attempt.node = worker;
   attempt.started = sim_.now();
-  attempt.speculative = false;
-  attempt.holds_flow = remote_flow;
-  attempt.flow_src = src;
+  attempt.kind = kind;
+  attempt.holds_flow = plan.remote_flow;
+  attempt.flow_src = plan.src;
   attempt.completion = sim_.after(
-      duration, [this, job, map_index, worker, remote_flow, src, duration_s] {
+      duration, [this, job, map_index, worker, remote_flow = plan.remote_flow,
+                 src = plan.src, duration_s = to_seconds(duration)] {
         on_map_attempt_finished(job, map_index, worker, remote_flow, src,
                                 duration_s);
       });
   state.attempts.push_back(std::move(attempt));
-  // Proactive cloning fires at launch time, not on a timer: the clone runs
-  // from the start, hedging against a slow node before any evidence exists.
-  maybe_clone(job, map_index, worker);
+  return duration;
 }
 
-void Cluster::launch_speculative(NodeId worker, JobId job,
-                                 std::size_t map_index) {
-  const auto w = static_cast<std::size_t>(worker);
-  const sched::MapTaskSpec task = jobs_.job(job).spec.maps[map_index];
-  const storage::BlockMeta meta = name_node_->block(task.block);
-  slots_.take_map(w);
-  ++speculative_launched_;
-
-  const bool node_local = is_local(worker, task.block);
-  if (tracer_ != nullptr) {
-    const auto loc = node_local ? sched::Locality::kNodeLocal
-                     : is_rack_local(worker, task.block)
-                         ? sched::Locality::kRackLocal
-                         : sched::Locality::kOffRack;
-    tracer_->map_launched(worker, job, map_index, static_cast<int>(loc),
-                          /*speculative=*/true);
+NodeId Cluster::pick_backup_node(NodeId original, BlockId block) const {
+  NodeId best = kInvalidNode;
+  for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
+    if (!node_open_for_launch(w) || slots_.free_maps(w) == 0) continue;
+    const auto node = static_cast<NodeId>(w);
+    if (node == original) continue;
+    if (is_local(node, block)) return node;
+    if (best == kInvalidNode) best = node;
   }
-  const ReadPlan plan = plan_read(worker, task.block, task.bytes, node_local);
-  const SimDuration compute =
-      straggler_compute(worker, options_.map_setup + task.cpu);
-  SimDuration duration = compute + plan.duration;
-  const NodeId src = plan.src;
-  const bool remote_flow = plan.remote_flow;
-  duration = static_cast<SimDuration>(static_cast<double>(duration) *
-                                      node_slowdown_[w]);
-  // The backup attempt reads the block through this node too — the DARE
-  // hook applies exactly as for a regular attempt.
-  {
-    obs::PhaseScope prof(profiler_, obs::Phase::kReplication);
-    policies_[w]->on_map_task(meta, node_local);
-  }
-
-  const double duration_s = to_seconds(duration);
-  auto& state = running_maps_[task_key(job, map_index)];
-  MapAttempt attempt;
-  attempt.node = worker;
-  attempt.started = sim_.now();
-  attempt.speculative = true;
-  attempt.holds_flow = remote_flow;
-  attempt.flow_src = src;
-  attempt.completion = sim_.after(
-      duration, [this, job, map_index, worker, remote_flow, src, duration_s] {
-        on_map_attempt_finished(job, map_index, worker, remote_flow, src,
-                                duration_s);
-      });
-  state.attempts.push_back(std::move(attempt));
+  return best;
 }
 
 SimDuration Cluster::straggler_compute(NodeId worker, SimDuration compute) {
@@ -791,7 +791,7 @@ SimDuration Cluster::straggler_compute(NodeId worker, SimDuration compute) {
   // straggler stream position never depends on which node runs the task.
   const double factor = straggler_process_->sample_task_inflation();
   if (factor > 1.0) {
-    ++tail_inflations_;
+    ++result_.tail_inflations;
     scaled *= factor;
   }
   return static_cast<SimDuration>(scaled);
@@ -824,7 +824,7 @@ void Cluster::straggler_decision(NodeId worker) {
     detected_slow_[w] = false;
     progress_ewma_[w] = 0.0;
     progress_samples_[w] = 0;
-    ++straggler_readmissions_;
+    ++result_.straggler_readmissions;
     if (tracer_ != nullptr) tracer_->straggler_cleared(worker);
     try_assign_node(worker);
     return;
@@ -844,87 +844,24 @@ void Cluster::straggler_decision(NodeId worker) {
   // 16x so a recovered node is not sidelined forever.
   const auto shift = std::min<std::size_t>(slow_strikes_[w] - 1, 4);
   slow_until_[w] = sim_.now() + (options_.straggler_backoff << shift);
-  ++stragglers_detected_;
+  ++result_.stragglers_detected;
   if (tracer_ != nullptr) {
     tracer_->straggler_detected(worker, progress_ewma_[w]);
   }
 }
 
-void Cluster::maybe_clone(JobId job, std::size_t map_index, NodeId original) {
+void Cluster::maybe_clone(JobId job, std::size_t map_index,
+                          MapTaskState& state, NodeId original) {
   if (!options_.enable_task_cloning) return;
   if (running_clones_ >= clone_budget_slots_) return;
   if (options_.clone_job_max_maps != 0 &&
       jobs_.job(job).total_maps() > options_.clone_job_max_maps) {
     return;  // cloning is reserved for small jobs (the cheap-to-hedge ones)
   }
-  const auto it = running_maps_.find(task_key(job, map_index));
-  if (it == running_maps_.end()) return;
-  const MapTaskState& state = it->second;
-  if (state.attempts.size() != 1) return;
-  // Same target scan as speculation: a free open slot, preferring one local
-  // to the block; detected-slow nodes are never clone targets.
-  NodeId best = kInvalidNode;
-  for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
-    if (!node_open_for_launch(w) || slots_.free_maps(w) == 0) continue;
-    if (static_cast<NodeId>(w) == original) continue;
-    const auto node = static_cast<NodeId>(w);
-    if (is_local(node, state.block)) {
-      best = node;
-      break;
-    }
-    if (best == kInvalidNode) best = node;
-  }
-  if (best == kInvalidNode) return;
-  launch_clone(best, job, map_index);
-}
-
-void Cluster::launch_clone(NodeId worker, JobId job, std::size_t map_index) {
-  const auto w = static_cast<std::size_t>(worker);
-  const sched::MapTaskSpec task = jobs_.job(job).spec.maps[map_index];
-  const storage::BlockMeta meta = name_node_->block(task.block);
-  slots_.take_map(w);
-  ++clones_launched_;
-  ++running_clones_;
-  jobs_.launch_clone(job);
-
-  const bool node_local = is_local(worker, task.block);
-  if (tracer_ != nullptr) {
-    const auto loc = node_local ? sched::Locality::kNodeLocal
-                     : is_rack_local(worker, task.block)
-                         ? sched::Locality::kRackLocal
-                         : sched::Locality::kOffRack;
-    tracer_->clone_launched(worker, job, map_index, static_cast<int>(loc));
-  }
-  const ReadPlan plan = plan_read(worker, task.block, task.bytes, node_local);
-  const SimDuration compute =
-      straggler_compute(worker, options_.map_setup + task.cpu);
-  SimDuration duration = compute + plan.duration;
-  const NodeId src = plan.src;
-  const bool remote_flow = plan.remote_flow;
-  duration = static_cast<SimDuration>(static_cast<double>(duration) *
-                                      node_slowdown_[w]);
-  // The clone streams the block through this node too — the DARE hook
-  // applies exactly as for any other attempt.
-  {
-    obs::PhaseScope prof(profiler_, obs::Phase::kReplication);
-    policies_[w]->on_map_task(meta, node_local);
-  }
-
-  const double duration_s = to_seconds(duration);
-  auto& state = running_maps_[task_key(job, map_index)];
-  MapAttempt attempt;
-  attempt.node = worker;
-  attempt.started = sim_.now();
-  attempt.speculative = false;
-  attempt.clone = true;
-  attempt.holds_flow = remote_flow;
-  attempt.flow_src = src;
-  attempt.completion = sim_.after(
-      duration, [this, job, map_index, worker, remote_flow, src, duration_s] {
-        on_map_attempt_finished(job, map_index, worker, remote_flow, src,
-                                duration_s);
-      });
-  state.attempts.push_back(std::move(attempt));
+  const NodeId target = pick_backup_node(original, state.block);
+  if (target == kInvalidNode) return;
+  start_map_attempt(target, job, map_index, state,
+                    locality_of(target, state.block), AttemptKind::kClone);
 }
 
 void Cluster::retire_clone(JobId job) {
@@ -933,6 +870,36 @@ void Cluster::retire_clone(JobId job) {
   }
   --running_clones_;
   jobs_.finish_clone(job);
+}
+
+void Cluster::retire_killed_clone(JobId job, std::size_t map_index,
+                                  const MapAttempt& attempt) {
+  ++result_.clones_killed;
+  clone_wasted_work_ += sim_.now() - attempt.started;
+  if (tracer_ != nullptr) tracer_->clone_killed(attempt.node, job, map_index);
+  retire_clone(job);
+}
+
+bool Cluster::kill_map_attempt(JobId job, std::size_t map_index,
+                               MapAttempt& attempt) {
+  const bool pending = attempt.completion.cancel();
+  // Retirement and the kill event happen whether the completion was still
+  // pending (a real kill) or already fired as a zombie on a dead node: the
+  // caller erases the attempt, unseen by any later sweep, and a zombie's
+  // trace slice would otherwise stay open.
+  if (attempt.kind == AttemptKind::kClone) {
+    retire_killed_clone(job, map_index, attempt);
+  } else if (tracer_ != nullptr) {
+    tracer_->map_killed(attempt.node, job, map_index);
+  }
+  if (pending) {
+    if (attempt.holds_flow) {
+      network_->flow_finished(attempt.flow_src, attempt.node);
+    }
+    const auto n = static_cast<std::size_t>(attempt.node);
+    if (!dead_[n]) slots_.give_map(n);
+  }
+  return pending;
 }
 
 void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
@@ -966,8 +933,8 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
     return;
   }
 
-  const bool was_speculative = att_it->speculative;
-  const bool was_clone = att_it->clone;
+  const bool was_speculative = att_it->kind == AttemptKind::kSpeculative;
+  const bool was_clone = att_it->kind == AttemptKind::kClone;
   state.attempts.erase(att_it);
   slots_.give_map(wi);
   // A clone's budget is returned the moment it reports back, win or fail —
@@ -978,7 +945,7 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
   // but reports failure. Unlike a kill by node loss, this *does* count
   // against the Hadoop retry budget.
   if (fault_process_ && fault_process_->sample_task_failure()) {
-    ++task_attempt_failures_;
+    ++result_.task_attempt_failures;
     if (tracer_ != nullptr) {
       tracer_->task_attempt_fault(worker, job,
                                   static_cast<std::int64_t>(map_index));
@@ -986,7 +953,7 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
     if (was_clone) {
       // For the wins + killed == launched ledger a faulted clone counts as
       // killed; its whole runtime was wasted.
-      ++clones_killed_;
+      ++result_.clones_killed;
       clone_wasted_work_ += from_seconds(duration_s);
       if (tracer_ != nullptr) tracer_->clone_killed(worker, job, map_index);
     }
@@ -1000,7 +967,7 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
       // No speculative sibling still running: back to the pending queue.
       if (tracer_ != nullptr) tracer_->map_requeued(worker, job, map_index);
       jobs_.requeue_running_map(job, map_index, state.original_locality);
-      ++task_reexecutions_;
+      ++result_.task_reexecutions;
       running_maps_.erase(state_it);
     }
     try_assign_all();
@@ -1008,8 +975,8 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
   }
 
   // This attempt wins the task.
-  if (was_speculative) ++speculative_wins_;
-  if (was_clone) ++clone_wins_;
+  if (was_speculative) ++result_.speculative_wins;
+  if (was_clone) ++result_.clone_wins;
   if (tracer_ != nullptr) {
     tracer_->map_finished(worker, job, map_index, duration_s, was_speculative);
   }
@@ -1031,30 +998,12 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
     tracer_->job_finished(job, to_seconds(sim_.now() - done.arrival));
   }
 
-  // Kill the losing attempts: cancel their completion events, release the
-  // network flows they held, and free their slots now (Hadoop sends a kill
-  // to the slower attempt).
+  // Kill the losing attempts now (Hadoop sends a kill to the slower
+  // attempt), freeing their slots and flows.
   for (auto& other : state.attempts) {
-    const bool cancelled = other.completion.cancel();
-    if (other.clone) {
-      // A losing clone retires here whether its completion was still
-      // pending (a real kill) or already fired as a zombie on a dead node —
-      // the erase below destroys it either way, unseen by any later sweep.
-      ++clones_killed_;
-      clone_wasted_work_ += sim_.now() - other.started;
-      if (tracer_ != nullptr) tracer_->clone_killed(other.node, job, map_index);
-      retire_clone(job);
-    } else if (cancelled && tracer_ != nullptr) {
-      tracer_->map_killed(other.node, job, map_index);
-    }
-    if (cancelled) {
-      if (!other.clone) ++speculative_killed_;
-      if (other.holds_flow) {
-        network_->flow_finished(other.flow_src, other.node);
-      }
-      if (!dead_[static_cast<std::size_t>(other.node)]) {
-        slots_.give_map(static_cast<std::size_t>(other.node));
-      }
+    if (kill_map_attempt(job, map_index, other) &&
+        other.kind != AttemptKind::kClone) {
+      ++result_.speculative_killed;
     }
   }
   running_maps_.erase(state_it);
@@ -1098,22 +1047,13 @@ void Cluster::speculation_tick() {
       MapTaskState& state = it->second;
       if (state.attempts.size() != 1) continue;  // already speculated
       const double age_s = to_seconds(sim_.now() - state.attempts[0].started);
-      if (age_s < options_.speculation_threshold * mean_s) continue;
-      // Find a free open slot, preferring one local to the block. A
-      // detected-slow node is never a backup target — launching the hedge
-      // on a suspect defeats its purpose.
-      NodeId best = kInvalidNode;
-      for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
-        if (!node_open_for_launch(w) || slots_.free_maps(w) == 0) continue;
-        if (static_cast<NodeId>(w) == state.attempts[0].node) continue;
-        const auto node = static_cast<NodeId>(w);
-        if (is_local(node, state.block)) {
-          best = node;
-          break;
-        }
-        if (best == kInvalidNode) best = node;
-      }
-      if (best != kInvalidNode) launch_speculative(best, id, map_index);
+      if (age_s < kSpeculationThreshold * mean_s) continue;
+      const NodeId target =
+          pick_backup_node(state.attempts[0].node, state.block);
+      if (target == kInvalidNode) continue;
+      start_map_attempt(target, id, map_index, state,
+                        locality_of(target, state.block),
+                        AttemptKind::kSpeculative);
     }
   }
   if (!run_finished()) {
@@ -1130,7 +1070,7 @@ void Cluster::launch_reduce(NodeId worker, JobId job) {
   // Reduces suffer degraded-mode compute and tail inflation exactly like
   // maps (the shuffle leg below is network-bound and stays untouched).
   SimDuration duration =
-      straggler_compute(worker, options_.reduce_setup + spec.reduce_cpu);
+      straggler_compute(worker, kTaskSetup + spec.reduce_cpu);
   const Bytes shuffle =
       spec.reduces > 0 ? spec.shuffle_bytes / static_cast<Bytes>(spec.reduces)
                        : 0;
@@ -1186,7 +1126,7 @@ void Cluster::launch_reduce(NodeId worker, JobId job) {
         running_reduces_.erase(it);
         slots_.give_reduce(wi);
         if (fault_process_ && fault_process_->sample_task_failure()) {
-          ++task_attempt_failures_;
+          ++result_.task_attempt_failures;
           if (tracer_ != nullptr) {
             tracer_->task_attempt_fault(
                 worker, job, static_cast<std::int64_t>(attempt_id));
@@ -1202,7 +1142,7 @@ void Cluster::launch_reduce(NodeId worker, JobId job) {
                                      static_cast<std::int64_t>(attempt_id));
           }
           jobs_.requeue_running_reduce(job);
-          ++task_reexecutions_;
+          ++result_.task_reexecutions;
           try_assign_all();
           return;
         }
@@ -1242,14 +1182,14 @@ void Cluster::fail_node(NodeId worker, faults::FaultKind kind,
   slots_.clear_node(w);
   heartbeat_event_[w].cancel();
   next_failure_[w].cancel();
-  ++node_failures_;
+  ++result_.node_failures;
   if (kind == faults::FaultKind::kPermanent) {
-    ++permanent_failures_;
+    ++result_.permanent_failures;
     // The disk is gone with the node; blocks only it held are lost unless
     // another replica survives somewhere.
     data_nodes_[w]->wipe_disk();
   } else {
-    ++transient_failures_;
+    ++result_.transient_failures;
     const std::uint64_t epoch = fault_epoch_[w];
     recover_event_[w] =
         sim_.after(std::max<SimDuration>(downtime, from_millis(1)),
@@ -1283,7 +1223,7 @@ void Cluster::declare_node_dead(NodeId worker) {
                  "Cluster: declaring a physically live, reachable node dead "
                  "(node " + std::to_string(w) + ")");
   declared_dead_[w] = true;
-  ++failures_detected_;
+  ++result_.failures_detected;
   detection_latency_total_ +=
       sim_.now() -
       (dead_[w] ? death_time_[w]
@@ -1319,31 +1259,25 @@ void Cluster::cleanup_node_attempts(NodeId worker) {
         state.attempts.begin(), state.attempts.end(),
         [worker](const MapAttempt& a) { return a.node == worker; });
     if (att_it == state.attempts.end()) continue;
-    const auto sweep_job = static_cast<JobId>(key >> 20);
-    const auto sweep_index = static_cast<std::size_t>(key & 0xFFFFF);
+    const JobId job = task_job(key);
+    const std::size_t map_index = task_map(key);
     // A still-pending completion is cancelled here; if it already fired as
-    // a zombie, its flow was released at fire time (holds_flow false).
+    // a zombie, its flow was released at fire time (holds_flow false). No
+    // slot is given back: the caller clears or restores the node's slots.
     if (att_it->completion.cancel() && att_it->holds_flow) {
       network_->flow_finished(att_it->flow_src, att_it->node);
     }
-    if (att_it->clone) {
+    if (att_it->kind == AttemptKind::kClone) {
       // The node died with the clone on it: its budget comes back here.
-      ++clones_killed_;
-      clone_wasted_work_ += sim_.now() - att_it->started;
-      if (tracer_ != nullptr) {
-        tracer_->clone_killed(worker, sweep_job, sweep_index);
-      }
-      retire_clone(sweep_job);
+      retire_killed_clone(job, map_index, *att_it);
     } else if (tracer_ != nullptr) {
-      tracer_->map_killed(worker, sweep_job, sweep_index);
+      tracer_->map_killed(worker, job, map_index);
     }
     state.attempts.erase(att_it);
     if (state.attempts.empty()) {
-      const auto job = static_cast<JobId>(key >> 20);
-      const auto map_index = static_cast<std::size_t>(key & 0xFFFFF);
       if (tracer_ != nullptr) tracer_->map_requeued(worker, job, map_index);
       jobs_.requeue_running_map(job, map_index, state.original_locality);
-      ++task_reexecutions_;
+      ++result_.task_reexecutions;
       running_maps_.erase(it);
     }
   }
@@ -1360,7 +1294,7 @@ void Cluster::cleanup_node_attempts(NodeId worker) {
                                static_cast<std::int64_t>(it->first));
     }
     jobs_.requeue_running_reduce(it->second.job);
-    ++task_reexecutions_;
+    ++result_.task_reexecutions;
     it = running_reduces_.erase(it);
   }
 }
@@ -1384,7 +1318,7 @@ void Cluster::recover_node(NodeId worker, std::uint64_t epoch) {
   if (declared_dead_[w]) {
     reregister_node(worker);
   } else {
-    ++node_rejoins_;
+    ++result_.node_rejoins;
     // Blip shorter than the detection timeout: the name node never
     // noticed, its metadata is still correct, and the disk (and policy
     // state) is intact. But the rebooted tracker does not resume tasks —
@@ -1405,7 +1339,7 @@ void Cluster::reregister_node(NodeId worker) {
   const auto w = static_cast<std::size_t>(worker);
   auto& dn = *data_nodes_[w];
   declared_dead_[w] = false;
-  ++node_rejoins_;
+  ++result_.node_rejoins;
   // Full re-registration: anything the tracker had queued for its next
   // block report is stale (a dead process lost it; a partitioned one may
   // have marked replicas the master re-replicated meanwhile); the disk
@@ -1421,7 +1355,7 @@ void Cluster::reregister_node(NodeId worker) {
     if (name_node_->locations(b).empty()) {
       record_data_loss(b);
     } else if (dn.quarantine_replica(b)) {
-      ++replicas_quarantined_;
+      ++result_.replicas_quarantined;
       // The name node holds no location for this copy, so the tracer
       // event comes from the cluster glue.
       if (tracer_ != nullptr) tracer_->replica_quarantined(worker, b);
@@ -1438,7 +1372,7 @@ void Cluster::reregister_node(NodeId worker) {
     // surplus now, drop it (exactly once — node_rejoined prunes only what
     // it just adopted back above target).
     dn.remove_static_block(pruned);
-    ++overreplication_prunes_;
+    ++result_.overreplication_prunes;
   }
   // The policy's in-memory state (recency lists, aging ring, budgets) is
   // stale; rebuild it from the surviving replicas.
@@ -1514,7 +1448,7 @@ void Cluster::begin_degrade(NodeId worker, SimDuration duration,
   const auto w = static_cast<std::size_t>(worker);
   if (degraded_[w]) return;
   degraded_[w] = true;
-  ++degraded_onsets_;
+  ++result_.degraded_onsets;
   if (tracer_ != nullptr) {
     tracer_->node_degraded(worker, rack_correlated,
                            options_.stragglers.compute_slowdown);
@@ -1526,7 +1460,7 @@ void Cluster::begin_degrade(NodeId worker, SimDuration duration,
 void Cluster::end_degrade(NodeId worker) {
   const auto w = static_cast<std::size_t>(worker);
   degraded_[w] = false;
-  ++degraded_recoveries_;
+  ++result_.degraded_recoveries;
   if (tracer_ != nullptr) tracer_->node_degrade_ended(worker);
   if (run_finished()) return;
   schedule_degrade_onset(worker);  // the chain continues until the run ends
@@ -1561,7 +1495,7 @@ void Cluster::begin_partition(RackId rack, SimDuration duration) {
   rack_partitioned_[r] = true;
   rack_partition_start_[r] = sim_.now();
   network_->set_rack_partitioned(rack, true);
-  ++partition_episodes_;
+  ++result_.partition_episodes;
   if (tracer_ != nullptr) {
     tracer_->partition_started(rack, to_seconds(duration));
   }
@@ -1575,7 +1509,7 @@ void Cluster::end_partition(RackId rack) {
   obs::PhaseScope prof(profiler_, obs::Phase::kChurn);
   rack_partitioned_[r] = false;
   network_->set_rack_partitioned(rack, false);
-  ++partitions_healed_;
+  ++result_.partitions_healed;
   if (tracer_ != nullptr) tracer_->partition_healed(rack);
   for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
     if (node_rack_[w] != rack) continue;
@@ -1620,7 +1554,7 @@ void Cluster::begin_link_degrade(RackId rack, SimDuration duration) {
   const auto r = static_cast<std::size_t>(rack);
   if (run_finished() || network_->uplink_degraded(rack)) return;
   network_->set_uplink_degraded(rack, true);
-  ++link_degrade_episodes_;
+  ++result_.link_degrade_episodes;
   if (tracer_ != nullptr) {
     tracer_->link_degraded(rack, to_seconds(duration));
   }
@@ -1640,35 +1574,13 @@ void Cluster::fail_job(JobId job) {
   std::vector<std::uint64_t> keys;
   // dare-lint: allow(unordered-iteration) -- keys are sorted before use.
   for (const auto& [key, state] : running_maps_) {
-    if (static_cast<JobId>(key >> 20) == job) keys.push_back(key);
+    if (task_job(key) == job) keys.push_back(key);
   }
   std::sort(keys.begin(), keys.end());
   for (const std::uint64_t key : keys) {
     const auto it = running_maps_.find(key);
     for (auto& attempt : it->second.attempts) {
-      const auto map_index = static_cast<std::size_t>(key & 0xFFFFF);
-      const bool cancelled = attempt.completion.cancel();
-      if (attempt.clone) {
-        // Clone retirement must happen for zombies too (cancel() == false):
-        // the erase below destroys the attempt unseen by any later sweep.
-        ++clones_killed_;
-        clone_wasted_work_ += sim_.now() - attempt.started;
-        if (tracer_ != nullptr) {
-          tracer_->clone_killed(attempt.node, job, map_index);
-        }
-        retire_clone(job);
-      } else if (cancelled && tracer_ != nullptr) {
-        tracer_->map_killed(attempt.node, job, map_index);
-      }
-      if (cancelled) {
-        if (attempt.holds_flow) {
-          network_->flow_finished(attempt.flow_src, attempt.node);
-        }
-        if (!dead_[static_cast<std::size_t>(attempt.node)]) {
-          slots_.give_map(static_cast<std::size_t>(attempt.node));
-        }
-      }
-      // cancel() == false: zombie on a dead node, flow already released.
+      kill_map_attempt(job, task_map(key), attempt);
     }
     running_maps_.erase(it);
   }
@@ -1692,7 +1604,7 @@ void Cluster::fail_job(JobId job) {
     it = running_reduces_.erase(it);
   }
   jobs_.fail_job(job, sim_.now());
-  ++failed_jobs_;
+  ++result_.failed_jobs;
   if (tracer_ != nullptr) tracer_->job_failed(job);
   if (run_finished()) cancel_pending_churn();
   try_assign_all();
@@ -1712,7 +1624,7 @@ void Cluster::note_node_task_failure(NodeId worker) {
   }
   if (usable <= 2) return;
   blacklisted_[w] = true;
-  ++blacklisted_total_;
+  ++result_.blacklisted_nodes;
 }
 
 void Cluster::cancel_pending_churn() {
@@ -1748,7 +1660,7 @@ void Cluster::queue_repair(BlockId block) {
   // stamp (repair latency measures first queue entry to repair-copy
   // registration) and at most gets upgraded to critical in place.
   if (repairs_.enqueue(block, classify_repair(block), sim_.now())) {
-    ++repairs_enqueued_;
+    ++result_.repairs_enqueued;
   }
   if (!repair_tick_scheduled_) {
     repair_tick_scheduled_ = true;
@@ -1771,7 +1683,7 @@ void Cluster::on_replica_delta(BlockId block, NodeId node, bool added) {
   if (added) {
     const auto it = unavail_open_.find(block);
     if (it != unavail_open_.end()) {
-      ++unavailability_windows_;
+      ++result_.unavailability_windows;
       unavailability_total_ += sim_.now() - it->second;
       unavail_open_.erase(it);
     }
@@ -1789,7 +1701,7 @@ void Cluster::on_replica_delta(BlockId block, NodeId node, bool added) {
   } else {
     const auto it = one_replica_open_.find(block);
     if (it != one_replica_open_.end()) {
-      ++one_replica_windows_;
+      ++result_.one_replica_windows;
       one_replica_total_ += sim_.now() - it->second;
       one_replica_open_.erase(it);
     }
@@ -1843,7 +1755,7 @@ void Cluster::retry_repair(RepairScheduler::Entry entry) {
     abandon_repair(entry);
     return;
   }
-  ++repair_retries_;
+  ++result_.repair_retries;
   ++entry.retries;
   // Exponential backoff, shift-capped so a long outage can't overflow the
   // arithmetic; the heal-time tick drains the queue regardless of backoff
@@ -1863,12 +1775,12 @@ void Cluster::retry_repair(RepairScheduler::Entry entry) {
 }
 
 void Cluster::abandon_repair(const RepairScheduler::Entry&) {
-  ++repairs_abandoned_;
+  ++result_.repairs_abandoned;
 }
 
 void Cluster::land_repair(const RepairScheduler::Entry& entry) {
-  ++repairs_landed_;
-  ++rereplicated_blocks_;
+  ++result_.repairs_landed;
+  ++result_.rereplicated_blocks;
   // Repair latency measures first queue entry to repair-copy registration
   // (retries included — backoff time is real exposure time).
   repair_latency_total_ += sim_.now() - entry.enqueued;
@@ -1900,7 +1812,7 @@ void Cluster::rereplication_tick() {
         e.cls == RepairClass::kBulk) {
       // A critical entry is waiting on uplink bandwidth: bulk repairs must
       // not steal the capacity it is waiting for.
-      ++repair_preemptions_;
+      ++result_.repair_preemptions;
       if (tracer_ != nullptr) tracer_->repair_preempted(e.block);
       deferred.push_back(e);
       continue;
@@ -2016,7 +1928,7 @@ void Cluster::rereplication_tick() {
       if (netfault_active_ && !network_->reachable(src, dst)) {
         // A partition severed the transfer mid-flight; the bytes never
         // landed. Retry from a reachable replica after backoff.
-        ++repair_timeouts_;
+        ++result_.repair_timeouts;
         retry_repair(e);
         return;
       }
@@ -2029,7 +1941,7 @@ void Cluster::rereplication_tick() {
       if (!name_node_->is_under_replicated(e.block)) {
         // A rejoin beat the transfer: the in-flight copy is surplus and is
         // discarded on arrival.
-        ++overreplication_prunes_;
+        ++result_.overreplication_prunes;
         abandon_repair(e);
         return;
       }
@@ -2114,7 +2026,7 @@ double Cluster::dedicated_runtime_s(const sched::JobSpec& spec) const {
 
   double mean_map_s = 0.0;
   for (const auto& task : spec.maps) {
-    mean_map_s += to_seconds(options_.map_setup + task.cpu) +
+    mean_map_s += to_seconds(kTaskSetup + task.cpu) +
                   static_cast<double>(task.bytes) /
                       mb_per_sec(options_.profile.disk.mean);
   }
@@ -2128,7 +2040,7 @@ double Cluster::dedicated_runtime_s(const sched::JobSpec& spec) const {
     const double shuffle_per_reduce =
         static_cast<double>(spec.shuffle_bytes) /
         static_cast<double>(spec.reduces);
-    reduce_s = to_seconds(options_.reduce_setup + spec.reduce_cpu) +
+    reduce_s = to_seconds(kTaskSetup + spec.reduce_cpu) +
                shuffle_per_reduce / mb_per_sec(options_.profile.bandwidth.mean);
     reduce_waves =
         std::ceil(static_cast<double>(spec.reduces) / reduce_slots);
@@ -2162,7 +2074,8 @@ void Cluster::scarlett_epoch() {
           if (data_nodes_[cand]->insert_dynamic(meta)) {
             // Proactive replication costs real network traffic — the core
             // difference from DARE's piggybacked replicas.
-            scarlett_bytes_moved_ += static_cast<std::uint64_t>(meta.size);
+            result_.proactive_replication_bytes +=
+                static_cast<std::uint64_t>(meta.size);
             break;
           }
         }
@@ -2209,13 +2122,13 @@ void Cluster::validate() const {
   if (!repairs_.consistent()) {
     fail("repair scheduler membership index diverges from its queue");
   }
-  if (repairs_enqueued_ !=
-      repairs_landed_ + repairs_abandoned_ + repairs_.size() +
+  if (result_.repairs_enqueued !=
+      result_.repairs_landed + result_.repairs_abandoned + repairs_.size() +
           repairs_inflight_) {
     fail("repair ledger out of balance: enqueued " +
-         std::to_string(repairs_enqueued_) + " != landed " +
-         std::to_string(repairs_landed_) + " + abandoned " +
-         std::to_string(repairs_abandoned_) + " + queued " +
+         std::to_string(result_.repairs_enqueued) + " != landed " +
+         std::to_string(result_.repairs_landed) + " + abandoned " +
+         std::to_string(result_.repairs_abandoned) + " + queued " +
          std::to_string(repairs_.size()) + " + inflight " +
          std::to_string(repairs_inflight_));
   }
@@ -2338,7 +2251,7 @@ void Cluster::validate() const {
   // dare-lint: allow(unordered-iteration) -- commutative count.
   for (const auto& [key, state] : running_maps_) {
     for (const auto& att : state.attempts) {
-      if (att.clone) ++clone_attempts;
+      if (att.kind == AttemptKind::kClone) ++clone_attempts;
     }
   }
   if (clone_attempts != running_clones_) {
@@ -2417,10 +2330,10 @@ void Cluster::on_job_retired(const sched::JobRuntime& rt) {
   jm.failed = rt.failed;
   // arrival_seq is dense (admission order), so indexing by it reproduces
   // the all_jobs() iteration order of the old end-of-run collection loop.
-  if (job_metrics_.size() <= rt.arrival_seq) {
-    job_metrics_.resize(rt.arrival_seq + 1);
+  if (result_.jobs.size() <= rt.arrival_seq) {
+    result_.jobs.resize(rt.arrival_seq + 1);
   }
-  job_metrics_[rt.arrival_seq] = jm;
+  result_.jobs[rt.arrival_seq] = jm;
 
   // The job's per-task side tables die with it.
   job_map_stats_.erase(rt.spec.id);
@@ -2431,8 +2344,6 @@ void Cluster::on_job_retired(const sched::JobRuntime& rt) {
 }
 
 metrics::RunResult Cluster::collect_results() {
-  metrics::RunResult result;
-
   // Close out the repair ledger: entries still queued at teardown (e.g.
   // waiting out a backoff for a heal that never came) are terminally
   // abandoned, in priority order so the drain itself is deterministic.
@@ -2440,94 +2351,53 @@ metrics::RunResult Cluster::collect_results() {
 
   // Per-job metrics: snapshotted by on_job_retired as each job finished
   // (the only copy — runtimes are released at retirement).
-  if (job_metrics_.size() != total_jobs_) {
+  if (result_.jobs.size() != total_jobs_) {
     throw std::logic_error("Cluster: job metrics incomplete at run end");
   }
-  result.jobs = std::move(job_metrics_);
 
   // Replication activity.
   for (const auto& policy : policies_) {
-    result.dynamic_replicas_created += policy->replicas_created();
+    result_.dynamic_replicas_created += policy->replicas_created();
   }
   for (const auto& dn : data_nodes_) {
-    result.dynamic_replica_disk_writes += dn->dynamic_insertions();
+    result_.dynamic_replica_disk_writes += dn->dynamic_insertions();
   }
-  result.proactive_replication_bytes = scarlett_bytes_moved_;
-  result.task_reexecutions = task_reexecutions_;
-  result.rereplicated_blocks = rereplicated_blocks_;
-  result.blocks_lost = name_node_->lost_block_count();
-  result.speculative_launched = speculative_launched_;
-  result.speculative_wins = speculative_wins_;
-  result.speculative_killed = speculative_killed_;
-  result.degraded_onsets = degraded_onsets_;
-  result.degraded_recoveries = degraded_recoveries_;
-  result.tail_inflations = tail_inflations_;
-  result.stragglers_detected = stragglers_detected_;
-  result.straggler_readmissions = straggler_readmissions_;
-  result.clones_launched = clones_launched_;
-  result.clone_wins = clone_wins_;
-  result.clones_killed = clones_killed_;
-  result.clone_wasted_work_s = to_seconds(clone_wasted_work_);
-  result.node_failures = node_failures_;
-  result.transient_failures = transient_failures_;
-  result.permanent_failures = permanent_failures_;
-  result.failures_detected = failures_detected_;
-  result.detection_latency_total_s = to_seconds(detection_latency_total_);
-  result.node_rejoins = node_rejoins_;
-  result.overreplication_prunes = overreplication_prunes_;
-  result.task_attempt_failures = task_attempt_failures_;
-  result.failed_jobs = failed_jobs_;
-  result.blacklisted_nodes = blacklisted_total_;
+  result_.blocks_lost = name_node_->lost_block_count();
+  result_.clone_wasted_work_s = to_seconds(clone_wasted_work_);
+  result_.detection_latency_total_s = to_seconds(detection_latency_total_);
+  result_.repair_latency_total_s = to_seconds(repair_latency_total_);
 
-  // Data-integrity accounting. Windows still open at run end close at the
-  // makespan so unavailability_total_s never undercounts.
-  result.corrupt_reads = corrupt_reads_;
-  result.corrupt_replicas = corrupt_replicas_injected_;
-  result.replicas_quarantined = replicas_quarantined_;
-  result.data_loss_events = data_loss_events_;
-  result.repair_latency_total_s = to_seconds(repair_latency_total_);
+  // Windows still open at run end close at the makespan, so neither
+  // unavailability nor one-replica exposure ever undercounts.
   // dare-lint: allow(unordered-iteration) -- commutative summation; the
   // result is independent of iteration order.
   for (const auto& [block, opened] : unavail_open_) {
-    ++unavailability_windows_;
+    ++result_.unavailability_windows;
     unavailability_total_ += sim_.now() - opened;
   }
   unavail_open_.clear();
-  result.unavailability_windows = unavailability_windows_;
-  result.unavailability_total_s = to_seconds(unavailability_total_);
-
-  // Network-fault and repair-ledger accounting. Exposure windows still open
-  // at run end close at the makespan, mirroring the unavailability rule.
+  result_.unavailability_total_s = to_seconds(unavailability_total_);
   // dare-lint: allow(unordered-iteration) -- commutative summation; the
   // result is independent of iteration order.
   for (const auto& [block, opened] : one_replica_open_) {
-    ++one_replica_windows_;
+    ++result_.one_replica_windows;
     one_replica_total_ += sim_.now() - opened;
   }
   one_replica_open_.clear();
-  result.partition_episodes = partition_episodes_;
-  result.partitions_healed = partitions_healed_;
-  result.link_degrade_episodes = link_degrade_episodes_;
-  result.unreachable_reads = unreachable_reads_;
-  result.repairs_enqueued = repairs_enqueued_;
-  result.repairs_landed = repairs_landed_;
-  result.repairs_abandoned = repairs_abandoned_;
-  result.repair_retries = repair_retries_;
-  result.repair_timeouts = repair_timeouts_;
-  result.repair_preemptions = repair_preemptions_;
-  result.one_replica_windows = one_replica_windows_;
-  result.one_replica_total_s = to_seconds(one_replica_total_);
+  result_.one_replica_total_s = to_seconds(one_replica_total_);
 
   // Popularity indices (Fig. 11). Block popularity = number of jobs that
   // accessed its file in this workload (snapshot taken at load time).
   // "Before" uses the static placement; "after" reflects the final
   // placement on live nodes.
-  result.cv_before = coefficient_of_variation(cv_before_samples_);
-  result.cv_after = coefficient_of_variation(live_node_popularity());
+  result_.cv_before = coefficient_of_variation(cv_before_samples_);
+  result_.cv_after = coefficient_of_variation(live_node_popularity());
 
-  result.makespan = sim_.now();
-  metrics::finalize(result, map_time_stats_);
-  return result;
+  result_.makespan = sim_.now();
+  metrics::finalize(result_, map_time_stats_);
+  // The move hands over the per-job records; the scalar counters are
+  // copied, so validate() can still read the repair ledger after run().
+  return std::move(result_);
 }
 
 namespace {
@@ -2570,7 +2440,7 @@ metrics::RunResult Cluster::run_with(
   ran_ = true;
   total_jobs_ = total_jobs;
   arrivals_ = std::move(stream);
-  job_metrics_.reserve(total_jobs_);
+  result_.jobs.reserve(total_jobs_);
 
   load_files(catalog, catalog_spec, access_counts);
   // Exposure tracking arms only now: the load itself registers replicas one

@@ -175,9 +175,68 @@ class Cluster {
            rack_partitioned_[static_cast<std::size_t>(node_rack_[worker])];
   }
 
+  /// --- map attempts: one launcher and one kill path for all three kinds ---
+  /// Original attempts come from the scheduler, speculative backups from
+  /// speculation_tick, and budgeted clones from maybe_clone.
+  enum class AttemptKind : std::uint8_t { kOriginal, kSpeculative, kClone };
+  struct MapAttempt {
+    NodeId node = kInvalidNode;
+    SimTime started = 0;
+    sim::EventHandle completion;
+    AttemptKind kind = AttemptKind::kOriginal;
+    /// Remote-read flow held by this attempt (released on completion or on
+    /// kill — a cancelled completion event can no longer release it).
+    bool holds_flow = false;
+    NodeId flow_src = kInvalidNode;
+  };
+  struct MapTaskState {
+    BlockId block = kInvalidBlock;
+    sched::Locality original_locality = sched::Locality::kOffRack;
+    std::vector<MapAttempt> attempts;
+  };
+  /// running_maps_ key of a map task: (job << 20) | map_index.
+  static std::uint64_t task_key(JobId job, std::size_t map_index) {
+    DARE_INVARIANT(job >= 0 && map_index < (1u << 20),
+                   "Cluster: task_key would collide (map index >= 2^20 or "
+                   "negative job id)");
+    return (static_cast<std::uint64_t>(job) << 20) |
+           static_cast<std::uint64_t>(map_index);
+  }
+  static JobId task_job(std::uint64_t key) {
+    return static_cast<JobId>(key >> 20);
+  }
+  static std::size_t task_map(std::uint64_t key) {
+    return static_cast<std::size_t>(key & 0xFFFFF);
+  }
+  /// Start one attempt of `map_index` on `worker`: record the task's block
+  /// in `state`, take the slot, trace the launch, plan the read, apply
+  /// straggler and slowdown physics, offer the block to the DARE policy,
+  /// and schedule the completion. Returns the attempt's duration. The order
+  /// of these steps fixes the RNG draws.
+  SimDuration start_map_attempt(NodeId worker, JobId job,
+                                std::size_t map_index, MapTaskState& state,
+                                sched::Locality locality, AttemptKind kind);
+  /// Locality tier of a read of `block` on `node`, as the name node sees it.
+  sched::Locality locality_of(NodeId node, BlockId block) const;
+  /// Backup target for speculation and cloning: the first open node other
+  /// than `original` with a free map slot, preferring one local to `block`.
+  /// A detected-slow node is never a target — hedging on a suspect defeats
+  /// its purpose. kInvalidNode when no slot is free.
+  NodeId pick_backup_node(NodeId original, BlockId block) const;
+  /// Kill `attempt` (a loser of the race or an attempt of a failed job):
+  /// cancel its completion, retire it if it is a clone (else trace the
+  /// kill), and release its flow and slot. Returns whether the completion
+  /// was still pending. A zombie (completion fired on a dead or partitioned
+  /// node) released its flow when it fired; its slot comes back with the
+  /// node's ledger reset.
+  bool kill_map_attempt(JobId job, std::size_t map_index, MapAttempt& attempt);
+  /// Clone-ledger update for a clone removed without finishing: shared by
+  /// kill_map_attempt and cleanup_node_attempts.
+  void retire_killed_clone(JobId job, std::size_t map_index,
+                           const MapAttempt& attempt);
+
   /// Speculative execution.
   void speculation_tick();
-  void launch_speculative(NodeId worker, JobId job, std::size_t map_index);
   void on_map_attempt_finished(JobId job, std::size_t map_index,
                                NodeId worker, bool remote_flow, NodeId src,
                                double duration_s);
@@ -217,11 +276,12 @@ class Cluster {
   /// --- proactive task cloning ---------------------------------------------
   /// Launch a budgeted clone of the map just launched on `original`, if the
   /// budget, job filter, and a free slot on another open node allow it.
-  void maybe_clone(JobId job, std::size_t map_index, NodeId original);
-  void launch_clone(NodeId worker, JobId job, std::size_t map_index);
+  void maybe_clone(JobId job, std::size_t map_index, MapTaskState& state,
+                   NodeId original);
   /// Exactly-once clone retirement: decrements the cluster-wide and per-job
   /// running-clone counts. Called from every path that removes a clone
-  /// attempt (self-finish, winner kill, node-loss sweep, job failure).
+  /// attempt: its own completion, and retire_killed_clone (winner kill,
+  /// job failure, node-loss sweep).
   void retire_clone(JobId job);
 
   /// Pick the replica source for a remote read: same rack first, then
@@ -334,16 +394,10 @@ class Cluster {
   /// see cluster/repair_scheduler.h). Replaced the PR 5 FIFO deque.
   RepairScheduler repairs_;
   bool repair_tick_scheduled_ = false;
-  /// Repair ledger + retry accounting. Every first-time enqueue terminally
-  /// lands or is abandoned; validate() checks
+  /// Repair transfers in flight. Every first-time enqueue terminally lands
+  /// or is abandoned; validate() checks the result_ ledger:
   /// enqueued == landed + abandoned + queued + in-flight at all times.
-  std::uint64_t repairs_enqueued_ = 0;
-  std::uint64_t repairs_landed_ = 0;
-  std::uint64_t repairs_abandoned_ = 0;
   std::uint64_t repairs_inflight_ = 0;
-  std::uint64_t repair_retries_ = 0;
-  std::uint64_t repair_timeouts_ = 0;
-  std::uint64_t repair_preemptions_ = 0;
   /// Concurrent repair transfers crossing each rack's uplink (bandwidth-
   /// aware admission; bounded by options_.max_repairs_per_uplink).
   std::vector<std::size_t> repair_uplink_inflight_;
@@ -355,36 +409,19 @@ class Cluster {
   bool verify_reads_ = false;
   bool track_unavailability_ = false;
   sim::EventHandle latent_event_;
-  std::uint64_t corrupt_reads_ = 0;
-  std::uint64_t corrupt_replicas_injected_ = 0;
-  std::uint64_t replicas_quarantined_ = 0;
-  std::uint64_t data_loss_events_ = 0;
   std::unordered_set<BlockId> data_loss_blocks_;
   /// Queue-to-landing repair latency (each entry carries its first-enqueue
   /// time through retries; see RepairScheduler::Entry::enqueued).
   SimDuration repair_latency_total_ = 0;
   std::unordered_map<BlockId, SimTime> unavail_open_;
-  std::uint64_t unavailability_windows_ = 0;
   SimDuration unavailability_total_ = 0;
   /// One-replica exposure windows (tail risk: the next loss is data loss).
   /// Armed only after the initial catalog placement so the 0->1->2 build-up
   /// of load_files never counts as exposure.
   std::unordered_map<BlockId, SimTime> one_replica_open_;
-  std::uint64_t one_replica_windows_ = 0;
   SimDuration one_replica_total_ = 0;
   bool exposure_armed_ = false;
-  std::uint64_t task_reexecutions_ = 0;
-  std::uint64_t rereplicated_blocks_ = 0;
-  std::uint64_t node_failures_ = 0;
-  std::uint64_t transient_failures_ = 0;
-  std::uint64_t permanent_failures_ = 0;
-  std::uint64_t failures_detected_ = 0;
   SimDuration detection_latency_total_ = 0;
-  std::uint64_t node_rejoins_ = 0;
-  std::uint64_t overreplication_prunes_ = 0;
-  std::uint64_t task_attempt_failures_ = 0;
-  std::uint64_t failed_jobs_ = 0;
-  std::uint64_t blacklisted_total_ = 0;
   /// Failed (not killed) attempts per map task / per job's reduces — the
   /// Hadoop retry budget (mapreduce.map.maxattempts).
   std::unordered_map<std::uint64_t, std::size_t> map_attempt_failures_;
@@ -402,9 +439,6 @@ class Cluster {
   /// Pending onset *or* recovery event of each node's degrade chain (one in
   /// flight per node); cancelled wholesale once the run finishes.
   std::vector<sim::EventHandle> degrade_event_;
-  std::uint64_t degraded_onsets_ = 0;
-  std::uint64_t degraded_recoveries_ = 0;
-  std::uint64_t tail_inflations_ = 0;
 
   /// Network-fault subsystem. `netfault_active_` gates every reaction path
   /// (reachability filters, heartbeat loss, the declare-partitioned
@@ -422,10 +456,6 @@ class Cluster {
   /// (one in flight per rack per chain); cancelled once the run finishes.
   std::vector<sim::EventHandle> partition_event_;
   std::vector<sim::EventHandle> link_event_;
-  std::uint64_t partition_episodes_ = 0;
-  std::uint64_t partitions_healed_ = 0;
-  std::uint64_t link_degrade_episodes_ = 0;
-  std::uint64_t unreachable_reads_ = 0;
 
   /// Straggler-detection state (see note_attempt_progress /
   /// straggler_decision).
@@ -434,45 +464,14 @@ class Cluster {
   std::vector<bool> detected_slow_;
   std::vector<SimTime> slow_until_;
   std::vector<std::size_t> slow_strikes_;
-  std::uint64_t stragglers_detected_ = 0;
-  std::uint64_t straggler_readmissions_ = 0;
 
   /// Cloning state. The budget caps how many clone attempts run at once
   /// cluster-wide; per-job counts live in JobRuntime::running_clones.
   std::size_t clone_budget_slots_ = 0;
   std::size_t running_clones_ = 0;
-  std::uint64_t clones_launched_ = 0;
-  std::uint64_t clone_wins_ = 0;
-  std::uint64_t clones_killed_ = 0;
   SimDuration clone_wasted_work_ = 0;
 
-  /// Speculative-execution state: one entry per map task with >= 1 running
-  /// attempt. Key = (job << 20) | map_index.
-  struct MapAttempt {
-    NodeId node = kInvalidNode;
-    SimTime started = 0;
-    sim::EventHandle completion;
-    bool speculative = false;
-    /// Proactive clone (budgeted duplicate launched with the original);
-    /// mutually exclusive with `speculative`.
-    bool clone = false;
-    /// Remote-read flow held by this attempt (released on completion or on
-    /// kill — a cancelled completion event can no longer release it).
-    bool holds_flow = false;
-    NodeId flow_src = kInvalidNode;
-  };
-  struct MapTaskState {
-    BlockId block = kInvalidBlock;
-    sched::Locality original_locality = sched::Locality::kOffRack;
-    std::vector<MapAttempt> attempts;
-  };
-  static std::uint64_t task_key(JobId job, std::size_t map_index) {
-    DARE_INVARIANT(job >= 0 && map_index < (1u << 20),
-                   "Cluster: task_key would collide (map index >= 2^20 or "
-                   "negative job id)");
-    return (static_cast<std::uint64_t>(job) << 20) |
-           static_cast<std::uint64_t>(map_index);
-  }
+  /// One entry per map task with >= 1 running attempt, keyed by task_key.
   /// Slab-backed: attempt records churn at task rate (one insert/erase per
   /// map launched anywhere in the run), so recycling their nodes through an
   /// arena removes the highest-frequency heap traffic in the simulator.
@@ -505,9 +504,6 @@ class Cluster {
           std::pair<const JobId, std::pair<double, std::size_t>>>>
       job_map_stats_;
   std::pair<double, std::size_t> global_map_stats_{0.0, 0};
-  std::uint64_t speculative_launched_ = 0;
-  std::uint64_t speculative_wins_ = 0;
-  std::uint64_t speculative_killed_ = 0;
 
   /// Map-task durations, accumulated in launch order (Welford). An
   /// accumulator instead of one double per task: O(1) memory at any scale,
@@ -529,16 +525,18 @@ class Cluster {
   Bytes scarlett_budget_total_ = 0;
   Bytes scarlett_bytes_spent_ = 0;
   std::unordered_map<FileId, int> scarlett_extra_replicas_;
-  std::uint64_t scarlett_bytes_moved_ = 0;
 
   /// Pull-based arrival state: the open job stream (null until run_with
   /// starts, and again once exhausted) and the total number of jobs it will
   /// deliver (the run-completion denominator).
   std::unique_ptr<workload::JobStream> arrivals_;
   std::size_t total_jobs_ = 0;
-  /// Per-job results, filled by on_job_retired at each job's arrival_seq —
-  /// the only copy of a job's metrics once its runtime is released.
-  std::vector<metrics::JobMetrics> job_metrics_;
+  /// The run's counters, incremented in place, and the per-job records
+  /// (filled by on_job_retired). collect_results() adds the end-of-run
+  /// fields and hands it over; the counters stay readable afterwards. The
+  /// SimDuration totals above stay integers until collect_results():
+  /// summing seconds as doubles would round differently.
+  metrics::RunResult result_;
 };
 
 }  // namespace dare::cluster

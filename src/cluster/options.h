@@ -41,10 +41,6 @@ struct ClusterOptions {
   SimDuration heartbeat_interval = from_seconds(3.0);
   SimDuration scheduler_retry = from_seconds(1.0);
 
-  /// Fixed per-task overhead (JVM launch, task setup).
-  SimDuration map_setup = from_millis(500);
-  SimDuration reduce_setup = from_millis(500);
-
   SchedulerKind scheduler = SchedulerKind::kFifo;
   /// Fair scheduler delay-scheduling window: how long a job waits for a
   /// local slot before accepting a non-local launch. Calibrated to the
@@ -211,11 +207,10 @@ struct ClusterOptions {
 
   /// --- speculative execution ----------------------------------------------
   /// Hadoop-style backup tasks: once a job has no pending maps, a running
-  /// map whose age exceeds `speculation_threshold` times the job's mean
-  /// completed-map duration gets a duplicate attempt on a free slot; the
-  /// first attempt to finish wins and the other is killed.
+  /// map whose age exceeds 1.7 times the job's mean completed-map duration
+  /// gets a duplicate attempt on a free slot; the first attempt to finish
+  /// wins and the other is killed.
   bool enable_speculation = false;
-  double speculation_threshold = 1.7;
   SimDuration speculation_check = from_seconds(1.0);
 
   /// --- observability ------------------------------------------------------

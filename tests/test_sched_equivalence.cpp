@@ -9,7 +9,8 @@
 // paper defaults and under chaos-level node churn (death sweeps, rejoin
 // reconciliation and replica evictions the index must absorb without
 // drifting from the name node), plus speculative execution, which consults
-// the name node's locations on its own path.
+// the name node's locations on its own path, and the attempt kill paths
+// (speculation x cloning x job failure).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -121,6 +122,52 @@ TEST(SchedFingerprintSpeculation, SpeculationMatchesRecorded) {
   EXPECT_EQ(fingerprint_of(opts, standard_wl1(10, 40, 3)),
             0x015c63a92d5beaadULL);
 }
+
+// Every way a map attempt can end without winning: a winner kills its
+// speculative or cloned siblings, node loss sweeps the attempts on a dead
+// tracker, and a task that exhausts max_task_attempts kills its whole job.
+// Speculation, budgeted cloning and job failure run together here, so the
+// pins cover the shared launcher and kill path with all three attempt
+// kinds in flight.
+struct KillPathCase {
+  SchedulerKind scheduler;
+  std::uint64_t fingerprint;
+};
+
+class SchedFingerprintKillPaths
+    : public ::testing::TestWithParam<KillPathCase> {};
+
+TEST_P(SchedFingerprintKillPaths, MatchesRecorded) {
+  ThrowOnInvariant guard;
+  auto opts = paper_defaults(net::ec2_profile(24), GetParam().scheduler,
+                             PolicyKind::kElephantTrap, 1);
+  opts.enable_speculation = true;
+  opts.enable_task_cloning = true;
+  opts.clone_budget_fraction = 0.2;
+  opts.faults.enabled = true;
+  opts.faults.mtbf_s = 90.0;
+  opts.faults.mttr_s = 20.0;
+  opts.faults.permanent_fraction = 0.2;
+  opts.faults.task_failure_prob = 0.08;
+  opts.faults.min_live_workers = 4;
+  opts.max_task_attempts = 2;
+  const auto result = run_once(opts, standard_wl1(24, 120, 1));
+  // The pin only guards the kill paths while the run still reaches them.
+  EXPECT_GT(result.failed_jobs, 0u);
+  EXPECT_GT(result.speculative_killed, 0u);
+  EXPECT_GT(result.clones_killed, 0u);
+  EXPECT_EQ(metrics::fingerprint(result), GetParam().fingerprint);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, SchedFingerprintKillPaths,
+    ::testing::Values(
+        KillPathCase{SchedulerKind::kFifo, 0xbe86c385e74876a7ULL},
+        KillPathCase{SchedulerKind::kFair, 0x61a8340133910bf5ULL}),
+    [](const ::testing::TestParamInfo<KillPathCase>& info) {
+      return std::string(scheduler_name(info.param.scheduler)) +
+             "_elephant_trap";
+    });
 
 }  // namespace
 }  // namespace dare::cluster

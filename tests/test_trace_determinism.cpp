@@ -9,10 +9,17 @@
 //  2. Traced runs are themselves deterministic: two same-seed runs export
 //     byte-identical Chrome-trace JSON and events CSV (timestamps are
 //     sim-time only; dare_lint bans wall clocks in src/obs).
+//
+//  3. Every map attempt's timeline slice closes: the attempt that wins, the
+//     losers it kills, attempts swept off a lost node (zombies whose
+//     completion already fired included) and the attempts of a failed job.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "cluster/experiment.h"
 #include "metrics/run_metrics.h"
@@ -136,6 +143,63 @@ TEST(TraceDeterminism, SameSeedExportsAreByteIdentical) {
       << "same seed, different time-series CSV";
   EXPECT_FALSE(first.json.empty());
   EXPECT_NE(first.events_csv.find('\n'), std::string::npos);
+}
+
+/// Map slices write_chrome_trace would leave open: launches (original,
+/// speculative, clone) paired with the events that end an attempt, keyed by
+/// (node, job, map index) the way the exporter keys them.
+std::size_t open_map_slices(const obs::TraceCollector& tracer) {
+  using obs::EventKind;
+  std::map<std::tuple<NodeId, JobId, std::int64_t>, std::size_t> open;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    const auto key = std::make_tuple(e.node, e.job, e.task);
+    switch (e.kind) {
+      case EventKind::kMapLaunched:
+      case EventKind::kMapSpeculated:
+      case EventKind::kCloneLaunched:
+        ++open[key];
+        break;
+      case EventKind::kMapFinished:
+      case EventKind::kMapKilled:
+      case EventKind::kCloneKilled:
+      case EventKind::kTaskAttemptFault: {
+        const auto it = open.find(key);
+        if (it != open.end() && it->second > 0) --it->second;
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  std::size_t total = 0;
+  for (const auto& [key, count] : open) total += count;
+  return total;
+}
+
+TEST(TraceDeterminism, KilledMapAttemptsCloseTheirSlices) {
+  // Speculation, cloning, node churn and job failure together reach every
+  // way a map attempt is killed.
+  for (const auto scheduler : {SchedulerKind::kFifo, SchedulerKind::kFair}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      auto options = paper_defaults(net::ec2_profile(24), scheduler,
+                                    PolicyKind::kElephantTrap, seed);
+      options.enable_speculation = true;
+      options.enable_task_cloning = true;
+      options.clone_budget_fraction = 0.2;
+      options.faults.enabled = true;
+      options.faults.mtbf_s = 90.0;
+      options.faults.mttr_s = 20.0;
+      options.faults.permanent_fraction = 0.2;
+      options.faults.task_failure_prob = 0.08;
+      options.faults.min_live_workers = 4;
+      options.max_task_attempts = 2;
+      obs::TraceCollector tracer;
+      options.tracer = &tracer;
+      run_once(options, standard_wl1(24, 120, 1));
+      EXPECT_EQ(open_map_slices(tracer), 0u)
+          << scheduler_name(scheduler) << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace
