@@ -19,9 +19,10 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventQueue queue;
     for (std::size_t i = 0; i < batch; ++i) {
-      queue.schedule(static_cast<SimTime>((i * 7919) % 100000), [] {});
+      queue.schedule(static_cast<SimTime>((i * 7919) % 100000),
+                     sim::Event{0, 0, i});
     }
-    while (!queue.empty()) queue.pop_and_run();
+    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));

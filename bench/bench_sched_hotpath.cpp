@@ -6,8 +6,7 @@
 //   * LocalityIndex watch + unwatch of one map as its block's replica count
 //     R grows (the per-map index maintenance cost, linear in R);
 //   * EventQueue: schedule + fire throughput of the slab/freelist design
-//     (callbacks sized like simulation callbacks, i.e. beyond
-//     std::function's small-object buffer).
+//     with 16-byte event records.
 //
 // Run with --benchmark_filter=... to narrow; plain invocation runs all.
 #include <benchmark/benchmark.h>
@@ -146,22 +145,19 @@ void BM_WatchUnwatch(benchmark::State& state) {
 void BM_EventQueue_ScheduleFire(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   sim::EventQueue queue;
-  // Capture payload comparable to the cluster's completion callbacks
-  // (this + ids + flags ~ 40-56 bytes): beyond std::function's inline
-  // buffer, within InlineFunction's.
-  struct Payload {
-    std::uint64_t a = 1, b = 2, c = 3;
-    std::uint32_t d = 4, e = 5;
-  };
+  // A record shaped like the cluster's map completions (kind, worker, task
+  // key), fired into a trivial dispatch.
   std::uint64_t sink = 0;
   SimTime t = 0;
   for (auto _ : state) {
     for (std::size_t i = 0; i < batch; ++i) {
-      Payload p;
-      p.a = i;
-      queue.schedule(++t, [p, &sink] { sink += p.a + p.d; });
+      queue.schedule(++t, sim::Event{3, static_cast<std::int32_t>(i & 63),
+                                     (std::uint64_t{1} << 20) | i});
     }
-    while (!queue.empty()) queue.pop_and_run();
+    while (!queue.empty()) {
+      const sim::Event event = queue.pop();
+      sink += event.id + static_cast<std::uint64_t>(event.node);
+    }
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(

@@ -24,6 +24,13 @@ constexpr SimDuration kTaskSetup = from_millis(500);
 /// multiple of the job's (or the cluster's) mean completed-map duration
 /// gets a speculative backup.
 constexpr double kSpeculationThreshold = 1.7;
+/// Idle-slot retry period: how soon slots are re-offered while work is
+/// pending (what lets delay scheduling wait without deadlocking).
+constexpr SimDuration kSchedulerRetry = from_seconds(1.0);
+/// Period of the speculation scan (when speculation is enabled).
+constexpr SimDuration kSpeculationCheck = from_seconds(1.0);
+/// EWMA smoothing factor of the straggler detector's progress ratio.
+constexpr double kStragglerEwmaAlpha = 0.3;
 
 }  // namespace
 
@@ -100,9 +107,6 @@ Cluster::Cluster(const ClusterOptions& options)
           "reduce_slots_per_node must be positive");
   require(options_.heartbeat_interval > 0,
           "heartbeat_interval must be at least 1 us");
-  require(options_.scheduler_retry > 0, "scheduler_retry must be positive");
-  require(!options_.enable_speculation || options_.speculation_check > 0,
-          "speculation_check must be positive with speculation enabled");
   require(unit(options_.trap.p), "trap.p must be in [0, 1]");
   require(unit(options_.budget_fraction), "budget_fraction must be in [0, 1]");
   require(options_.repair_retry_backoff > 0,
@@ -111,11 +115,14 @@ Cluster::Cluster(const ClusterOptions& options)
           "clone_budget_fraction must be in [0, 1]");
   require(options_.straggler_detect_ratio >= 1.0,
           "straggler_detect_ratio must be at least 1");
-  require(options_.straggler_detect_ewma_alpha > 0.0 &&
-              options_.straggler_detect_ewma_alpha <= 1.0,
-          "straggler_detect_ewma_alpha must be in (0, 1]");
   require(options_.straggler_backoff > 0,
           "straggler_backoff must be positive");
+  // Scarlett places its copies outside any DARE policy's budget accounting,
+  // so a node could overrun its audited budget. Scarlett is the paper's
+  // alternative to DARE, and it runs on vanilla HDFS only.
+  require(!options_.enable_scarlett || options_.policy == PolicyKind::kVanilla,
+          "enable_scarlett requires policy vanilla (Scarlett is DARE's "
+          "comparator, not a layer on top of it)");
 
   net::TopologyOptions topo = options_.profile.topology;
   topo.nodes = workers;
@@ -270,6 +277,82 @@ Cluster::Cluster(const ClusterOptions& options)
 
 Cluster::~Cluster() = default;
 
+void Cluster::dispatch(const sim::Event& event) {
+  switch (static_cast<EventKind>(event.kind)) {
+    case EventKind::kJobArrival:
+      admit_job(next_arrival_);
+      schedule_next_arrival();
+      return try_assign_all();
+    case EventKind::kHeartbeat:
+      return heartbeat(event.node);
+    case EventKind::kSchedulerRetry:
+      tick_scheduled_ = false;
+      if (!jobs_.all_done()) try_assign_all();
+      return;
+    case EventKind::kMapAttemptFinished:
+      return on_map_attempt_finished(event.id, event.node);
+    case EventKind::kReduceAttemptFinished:
+      return on_reduce_attempt_finished(event.id);
+    case EventKind::kSpeculationTick:
+      return speculation_tick();
+    case EventKind::kDetectionTick:
+      return detection_tick();
+    case EventKind::kFailureOnset:
+      return on_failure_onset(event.node, event.id);
+    case EventKind::kNodeRecovered:
+      return recover_node(event.node, event.id);
+    case EventKind::kDegradeOnset:
+      return on_degrade_onset(event.node);
+    case EventKind::kDegradeEnd:
+      return end_degrade(event.node);
+    case EventKind::kPartitionOnset:
+      if (run_finished()) return;
+      return begin_partition(event.node,
+                             netfault_process_->sample_partition_duration());
+    case EventKind::kPartitionEnd:
+      return end_partition(event.node);
+    case EventKind::kLinkDegradeOnset:
+      if (run_finished()) return;
+      return begin_link_degrade(event.node,
+                                netfault_process_->sample_link_duration());
+    case EventKind::kLinkDegradeEnd:
+      return end_link_degrade(event.node);
+    case EventKind::kRereplicationTick:
+      return rereplication_tick();
+    case EventKind::kRepairLanded:
+      return on_repair_landed(static_cast<std::uint32_t>(event.id));
+    case EventKind::kLatentCorruption:
+      return latent_corruption_strike();
+    case EventKind::kSampleTick:
+      return sample_tick();
+    case EventKind::kScarlettEpoch:
+      return scarlett_epoch();
+    case EventKind::kScriptedFailure: {
+      const auto& failure = options_.failures[event.id];
+      return fail_node(failure.worker, failure.kind, failure.downtime);
+    }
+    case EventKind::kScriptedCorruption: {
+      const auto& ev = options_.corruption_events[event.id];
+      if (ev.node != kInvalidNode) {
+        return mark_replica_corrupt(ev.node, ev.block);
+      }
+      // Forced last-good-replica scenario: strike every currently visible
+      // copy at once. (Corruption is silent — no location mutates here, so
+      // iterating the list directly is safe.)
+      for (NodeId holder : name_node_->locations(ev.block)) {
+        mark_replica_corrupt(holder, ev.block);
+      }
+      return;
+    }
+    case EventKind::kScriptedPartition: {
+      const auto& partition = options_.partition_events[event.id];
+      return begin_partition(partition.rack, partition.duration);
+    }
+  }
+  throw std::logic_error("Cluster: event of unknown kind " +
+                         std::to_string(event.kind));
+}
+
 void Cluster::load_files(const std::vector<workload::FileSpec>& catalog,
                          const workload::CatalogSpec& catalog_spec,
                          const std::vector<std::size_t>& access_counts) {
@@ -381,11 +464,8 @@ void Cluster::schedule_next_arrival() {
   // Pull one job ahead: each arrival event admits its job, then schedules
   // the next one. At any instant at most one un-admitted template is
   // buffered, regardless of the workload's total size.
-  sim_.at(tmpl->arrival, [this, tmpl = *tmpl] {
-    admit_job(tmpl);
-    schedule_next_arrival();
-    try_assign_all();
-  });
+  next_arrival_ = *tmpl;
+  sim_.at(next_arrival_.arrival, make_event(EventKind::kJobArrival));
 }
 
 void Cluster::start_heartbeats() {
@@ -395,37 +475,36 @@ void Cluster::start_heartbeats() {
     const SimDuration phase =
         options_.heartbeat_interval * static_cast<SimDuration>(w + 1) /
         static_cast<SimDuration>(workers);
-    heartbeat_event_[w] = sim_.after(phase, [this, w] { heartbeat(w); });
+    heartbeat_event_[w] = sim_.after(
+        phase, make_event(EventKind::kHeartbeat, static_cast<NodeId>(w)));
   }
 }
 
-void Cluster::heartbeat(std::size_t worker) {
-  if (dead_[worker]) return;  // a dead node heartbeats no more
-  if (node_partitioned(worker)) {
+void Cluster::heartbeat(NodeId worker) {
+  const auto w = static_cast<std::size_t>(worker);
+  if (dead_[w]) return;  // a dead node heartbeats no more
+  if (node_partitioned(w)) {
     // Lost at the partitioned boundary: the tracker keeps beating but the
     // master never hears it, so the missed-beat detector will declare the
     // node dead. Only the periodic chain is re-armed; pending block reports
     // stay queued until the heal reconciles (or the next delivered beat
     // drains them, for a blip shorter than the detection timeout).
     if (!run_finished()) {
-      heartbeat_event_[worker] =
-          sim_.after(options_.heartbeat_interval, [this, worker] {
-            heartbeat(worker);
-          });
+      heartbeat_event_[w] =
+          sim_.after(options_.heartbeat_interval,
+                     make_event(EventKind::kHeartbeat, worker));
     }
     return;
   }
   obs::PhaseScope prof(profiler_, obs::Phase::kHeartbeat);
-  name_node_->heartbeat_received(static_cast<NodeId>(worker), sim_.now());
-  auto& dn = *data_nodes_[worker];
+  name_node_->heartbeat_received(worker, sim_.now());
+  auto& dn = *data_nodes_[w];
   const auto report = dn.drain_report();
   if (!report.added.empty()) {
-    name_node_->report_dynamic_added(static_cast<NodeId>(worker),
-                                     report.added);
+    name_node_->report_dynamic_added(worker, report.added);
   }
   if (!report.removed.empty()) {
-    name_node_->report_dynamic_removed(static_cast<NodeId>(worker),
-                                       report.removed);
+    name_node_->report_dynamic_removed(worker, report.removed);
   }
 #if DARE_INVARIANTS_ENABLED
   // Cross-component audit: after the heartbeat is applied, the name node's
@@ -436,8 +515,7 @@ void Cluster::heartbeat(std::size_t worker) {
     DARE_INVARIANT(dn.has_dynamic_block(b),
                    "heartbeat: reported-added block " + std::to_string(b) +
                        " is not on data node " + std::to_string(worker));
-    DARE_INVARIANT(std::find(locs.begin(), locs.end(),
-                             static_cast<NodeId>(worker)) != locs.end(),
+    DARE_INVARIANT(std::find(locs.begin(), locs.end(), worker) != locs.end(),
                    "heartbeat: name node missing location for added block " +
                        std::to_string(b));
   }
@@ -447,8 +525,8 @@ void Cluster::heartbeat(std::size_t worker) {
                    "heartbeat: reported-removed block " + std::to_string(b) +
                        " is still live on data node " + std::to_string(worker));
     DARE_INVARIANT(dn.has_static_block(b) ||
-                       std::find(locs.begin(), locs.end(),
-                                 static_cast<NodeId>(worker)) == locs.end(),
+                       std::find(locs.begin(), locs.end(), worker) ==
+                           locs.end(),
                    "heartbeat: name node kept stale location for removed "
                    "block " + std::to_string(b));
   }
@@ -459,24 +537,19 @@ void Cluster::heartbeat(std::size_t worker) {
   // Straggler verdicts ride the heartbeat, mirroring how a real JobTracker
   // folds slow-node bookkeeping into tracker reports.
   if (options_.enable_straggler_detection) {
-    straggler_decision(static_cast<NodeId>(worker));
+    straggler_decision(worker);
   }
 
   if (!run_finished()) {
-    heartbeat_event_[worker] =
-        sim_.after(options_.heartbeat_interval, [this, worker] {
-          heartbeat(worker);
-        });
+    heartbeat_event_[w] = sim_.after(options_.heartbeat_interval,
+                                     make_event(EventKind::kHeartbeat, worker));
   }
 }
 
 void Cluster::maybe_schedule_tick() {
   if (tick_scheduled_) return;
   tick_scheduled_ = true;
-  sim_.after(options_.scheduler_retry, [this] {
-    tick_scheduled_ = false;
-    if (!jobs_.all_done()) try_assign_all();
-  });
+  sim_.after(kSchedulerRetry, make_event(EventKind::kSchedulerRetry));
 }
 
 void Cluster::try_assign_all() {
@@ -760,12 +833,9 @@ SimDuration Cluster::start_map_attempt(NodeId worker, JobId job,
   attempt.kind = kind;
   attempt.holds_flow = plan.remote_flow;
   attempt.flow_src = plan.src;
-  attempt.completion = sim_.after(
-      duration, [this, job, map_index, worker, remote_flow = plan.remote_flow,
-                 src = plan.src, duration_s = to_seconds(duration)] {
-        on_map_attempt_finished(job, map_index, worker, remote_flow, src,
-                                duration_s);
-      });
+  attempt.completion =
+      sim_.after(duration, make_event(EventKind::kMapAttemptFinished, worker,
+                                      task_key(job, map_index)));
   state.attempts.push_back(std::move(attempt));
   return duration;
 }
@@ -808,7 +878,7 @@ void Cluster::note_attempt_progress(NodeId worker, double duration_s) {
   if (!(mean_s > 0.0)) return;
   const auto w = static_cast<std::size_t>(worker);
   const double ratio = duration_s / mean_s;
-  const double alpha = options_.straggler_detect_ewma_alpha;
+  const double alpha = kStragglerEwmaAlpha;
   progress_ewma_[w] = progress_samples_[w] == 0
                           ? ratio
                           : alpha * ratio + (1.0 - alpha) * progress_ewma_[w];
@@ -902,12 +972,10 @@ bool Cluster::kill_map_attempt(JobId job, std::size_t map_index,
   return pending;
 }
 
-void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
-                                      NodeId worker, bool remote_flow,
-                                      NodeId src, double duration_s) {
-  if (remote_flow) network_->flow_finished(src, worker);
+void Cluster::on_map_attempt_finished(std::uint64_t key, NodeId worker) {
+  const JobId job = task_job(key);
+  const std::size_t map_index = task_map(key);
   const auto wi = static_cast<std::size_t>(worker);
-  const auto key = task_key(job, map_index);
   const auto state_it = running_maps_.find(key);
   if (state_it == running_maps_.end()) {
     throw std::logic_error("Cluster: attempt completion for unknown task");
@@ -921,6 +989,8 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
   if (att_it == state.attempts.end()) {
     throw std::logic_error("Cluster: attempt not registered");
   }
+  if (att_it->holds_flow) network_->flow_finished(att_it->flow_src, worker);
+  const double duration_s = to_seconds(sim_.now() - att_it->started);
 
   if (dead_[wi] || node_partitioned(wi)) {
     // The node died (or its rack fell behind a partition) mid-attempt: its
@@ -1057,7 +1127,7 @@ void Cluster::speculation_tick() {
     }
   }
   if (!run_finished()) {
-    sim_.after(options_.speculation_check, [this] { speculation_tick(); });
+    sim_.after(kSpeculationCheck, make_event(EventKind::kSpeculationTick));
   }
 }
 
@@ -1101,63 +1171,70 @@ void Cluster::launch_reduce(NodeId worker, JobId job) {
     tracer_->reduce_launched(worker, job,
                              static_cast<std::int64_t>(attempt_id));
   }
-  const double duration_s = to_seconds(duration);
   ReduceAttempt attempt;
   attempt.job = job;
   attempt.node = worker;
+  attempt.started = sim_.now();
   attempt.holds_flow = flows;
   attempt.flow_src = src;
   attempt.completion = sim_.after(
-      duration, [this, attempt_id, job, worker, src, flows, duration_s] {
-        if (flows) network_->flow_finished(src, worker);
-        const auto it = running_reduces_.find(attempt_id);
-        if (it == running_reduces_.end()) {
-          throw std::logic_error("Cluster: unknown reduce attempt completed");
-        }
-        const auto wi = static_cast<std::size_t>(worker);
-        if (dead_[wi] || node_partitioned(wi)) {
-          // Zombie completion on a dead or partitioned tracker: nobody
-          // hears about it. The attempt stays registered until heartbeat
-          // detection (or a blip heal) sweeps the node; only its flow
-          // (already released) is gone.
-          it->second.holds_flow = false;
-          return;
-        }
-        running_reduces_.erase(it);
-        slots_.give_reduce(wi);
-        if (fault_process_ && fault_process_->sample_task_failure()) {
-          ++result_.task_attempt_failures;
-          if (tracer_ != nullptr) {
-            tracer_->task_attempt_fault(
-                worker, job, static_cast<std::int64_t>(attempt_id));
-          }
-          note_node_task_failure(worker);
-          const auto failures = ++reduce_attempt_failures_[job];
-          if (failures >= options_.max_task_attempts) {
-            fail_job(job);
-            return;
-          }
-          if (tracer_ != nullptr) {
-            tracer_->reduce_requeued(worker, job,
-                                     static_cast<std::int64_t>(attempt_id));
-          }
-          jobs_.requeue_running_reduce(job);
-          ++result_.task_reexecutions;
-          try_assign_all();
-          return;
-        }
-        if (tracer_ != nullptr) {
-          tracer_->reduce_finished(
-              worker, job, static_cast<std::int64_t>(attempt_id), duration_s);
-        }
-        const auto done = jobs_.complete_reduce(job, sim_.now());
-        if (tracer_ != nullptr && done.job_done) {
-          tracer_->job_finished(job, to_seconds(sim_.now() - done.arrival));
-        }
-        if (run_finished()) cancel_pending_churn();
-        try_assign_node(worker);
-      });
+      duration,
+      make_event(EventKind::kReduceAttemptFinished, kInvalidNode, attempt_id));
   running_reduces_.emplace(attempt_id, std::move(attempt));
+}
+
+void Cluster::on_reduce_attempt_finished(std::uint64_t attempt_id) {
+  const auto it = running_reduces_.find(attempt_id);
+  if (it == running_reduces_.end()) {
+    throw std::logic_error("Cluster: unknown reduce attempt completed");
+  }
+  const JobId job = it->second.job;
+  const NodeId worker = it->second.node;
+  if (it->second.holds_flow) {
+    network_->flow_finished(it->second.flow_src, worker);
+  }
+  const double duration_s = to_seconds(sim_.now() - it->second.started);
+  const auto wi = static_cast<std::size_t>(worker);
+  if (dead_[wi] || node_partitioned(wi)) {
+    // Zombie completion on a dead or partitioned tracker: nobody hears
+    // about it. The attempt stays registered until heartbeat detection (or
+    // a blip heal) sweeps the node; only its flow (released above) is gone.
+    it->second.holds_flow = false;
+    return;
+  }
+  running_reduces_.erase(it);
+  slots_.give_reduce(wi);
+  if (fault_process_ && fault_process_->sample_task_failure()) {
+    ++result_.task_attempt_failures;
+    if (tracer_ != nullptr) {
+      tracer_->task_attempt_fault(worker, job,
+                                  static_cast<std::int64_t>(attempt_id));
+    }
+    note_node_task_failure(worker);
+    const auto failures = ++reduce_attempt_failures_[job];
+    if (failures >= options_.max_task_attempts) {
+      fail_job(job);
+      return;
+    }
+    if (tracer_ != nullptr) {
+      tracer_->reduce_requeued(worker, job,
+                               static_cast<std::int64_t>(attempt_id));
+    }
+    jobs_.requeue_running_reduce(job);
+    ++result_.task_reexecutions;
+    try_assign_all();
+    return;
+  }
+  if (tracer_ != nullptr) {
+    tracer_->reduce_finished(worker, job, static_cast<std::int64_t>(attempt_id),
+                             duration_s);
+  }
+  const auto done = jobs_.complete_reduce(job, sim_.now());
+  if (tracer_ != nullptr && done.job_done) {
+    tracer_->job_finished(job, to_seconds(sim_.now() - done.arrival));
+  }
+  if (run_finished()) cancel_pending_churn();
+  try_assign_node(worker);
 }
 
 void Cluster::fail_node(NodeId worker, faults::FaultKind kind,
@@ -1190,10 +1267,10 @@ void Cluster::fail_node(NodeId worker, faults::FaultKind kind,
     data_nodes_[w]->wipe_disk();
   } else {
     ++result_.transient_failures;
-    const std::uint64_t epoch = fault_epoch_[w];
     recover_event_[w] =
         sim_.after(std::max<SimDuration>(downtime, from_millis(1)),
-                   [this, worker, epoch] { recover_node(worker, epoch); });
+                   make_event(EventKind::kNodeRecovered, worker,
+                              fault_epoch_[w]));
   }
   // Crucially, the name node is NOT told: it finds out on its own when the
   // node misses detection_missed_heartbeats consecutive heartbeats (see
@@ -1209,8 +1286,8 @@ void Cluster::detection_tick() {
   for (NodeId overdue : name_node_->overdue_nodes(sim_.now(), timeout)) {
     declare_node_dead(overdue);
   }
-  monitor_event_ =
-      sim_.after(options_.heartbeat_interval, [this] { detection_tick(); });
+  monitor_event_ = sim_.after(options_.heartbeat_interval,
+                              make_event(EventKind::kDetectionTick));
 }
 
 void Cluster::declare_node_dead(NodeId worker) {
@@ -1311,7 +1388,7 @@ void Cluster::recover_node(NodeId worker, std::uint64_t epoch) {
     // cannot see it, so reconciliation waits for the heal (end_partition
     // finds the node declared and re-registers it then). Only the local
     // heartbeat chain restarts — its beats are lost at the boundary.
-    heartbeat(w);
+    heartbeat(worker);
     if (fault_process_) schedule_stochastic_failure(worker, fault_epoch_[w]);
     return;
   }
@@ -1330,7 +1407,7 @@ void Cluster::recover_node(NodeId worker, std::uint64_t epoch) {
     cleanup_node_attempts(worker);
     slots_.restore_node(w);
   }
-  heartbeat(w);  // re-registration heartbeat, restarts the periodic chain
+  heartbeat(worker);  // re-registration heartbeat, restarts the periodic chain
   if (fault_process_) schedule_stochastic_failure(worker, fault_epoch_[w]);
   try_assign_all();
 }
@@ -1386,61 +1463,64 @@ void Cluster::schedule_stochastic_failure(NodeId worker, std::uint64_t epoch) {
   if (!fault_process_) return;
   const SimDuration uptime = fault_process_->sample_uptime();
   next_failure_[static_cast<std::size_t>(worker)] =
-      sim_.after(uptime, [this, worker, epoch] {
-        const auto wi = static_cast<std::size_t>(worker);
-        if (fault_epoch_[wi] != epoch || dead_[wi]) return;  // stale
-        if (run_finished()) return;
-        const auto sample = fault_process_->sample_failure();
-        std::vector<NodeId> victims{worker};
-        if (sample.rack_correlated && topology_->rack_count() > 1) {
-          // Correlated blast radius: a switch/PDU event takes the whole
-          // rack down with the primary victim.
-          for (std::size_t v = 0; v < data_nodes_.size(); ++v) {
-            if (v == wi || dead_[v]) continue;
-            if (topology_->same_rack(worker, static_cast<NodeId>(v))) {
-              victims.push_back(static_cast<NodeId>(v));
-            }
-          }
-        }
-        const std::size_t floor = std::max<std::size_t>(
-            fault_process_->params().min_live_workers, 2);
-        for (NodeId victim : victims) {
-          std::size_t live = 0;
-          for (std::size_t i = 0; i < dead_.size(); ++i) {
-            if (!dead_[i]) ++live;
-          }
-          if (live <= floor) break;  // keep the cluster schedulable
-          if (dead_[static_cast<std::size_t>(victim)]) continue;
-          fail_node(victim, sample.kind, sample.downtime);
-        }
-        // If the floor guard spared the primary victim, re-arm its clock;
-        // otherwise recovery (transient deaths) re-arms it.
-        if (!dead_[wi]) schedule_stochastic_failure(worker, epoch);
-      });
+      sim_.after(uptime, make_event(EventKind::kFailureOnset, worker, epoch));
+}
+
+void Cluster::on_failure_onset(NodeId worker, std::uint64_t epoch) {
+  const auto wi = static_cast<std::size_t>(worker);
+  if (fault_epoch_[wi] != epoch || dead_[wi]) return;  // stale
+  if (run_finished()) return;
+  const auto sample = fault_process_->sample_failure();
+  std::vector<NodeId> victims{worker};
+  if (sample.rack_correlated && topology_->rack_count() > 1) {
+    // Correlated blast radius: a switch/PDU event takes the whole rack down
+    // with the primary victim.
+    for (std::size_t v = 0; v < data_nodes_.size(); ++v) {
+      if (v == wi || dead_[v]) continue;
+      if (topology_->same_rack(worker, static_cast<NodeId>(v))) {
+        victims.push_back(static_cast<NodeId>(v));
+      }
+    }
+  }
+  const std::size_t floor =
+      std::max<std::size_t>(fault_process_->params().min_live_workers, 2);
+  for (NodeId victim : victims) {
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < dead_.size(); ++i) {
+      if (!dead_[i]) ++live;
+    }
+    if (live <= floor) break;  // keep the cluster schedulable
+    if (dead_[static_cast<std::size_t>(victim)]) continue;
+    fail_node(victim, sample.kind, sample.downtime);
+  }
+  // If the floor guard spared the primary victim, re-arm its clock;
+  // otherwise recovery (transient deaths) re-arms it.
+  if (!dead_[wi]) schedule_stochastic_failure(worker, epoch);
 }
 
 void Cluster::schedule_degrade_onset(NodeId worker) {
-  const auto w = static_cast<std::size_t>(worker);
-  degrade_event_[w] =
-      sim_.after(straggler_process_->sample_degrade_uptime(), [this, worker] {
-        if (run_finished()) return;
-        // Fixed draws per onset regardless of node state, so the straggler
-        // stream position never depends on who is currently dead or
-        // degraded.
-        const auto sample = straggler_process_->sample_degrade();
-        begin_degrade(worker, sample.duration, sample.rack_correlated);
-        if (sample.rack_correlated && topology_->rack_count() > 1) {
-          // The shared cause (overloaded switch, hot aisle) co-degrades the
-          // whole rack and supersedes each peer's own pending onset.
-          for (std::size_t v = 0; v < data_nodes_.size(); ++v) {
-            const auto peer = static_cast<NodeId>(v);
-            if (peer == worker || degraded_[v]) continue;
-            if (!topology_->same_rack(worker, peer)) continue;
-            degrade_event_[v].cancel();
-            begin_degrade(peer, sample.duration, true);
-          }
-        }
-      });
+  degrade_event_[static_cast<std::size_t>(worker)] =
+      sim_.after(straggler_process_->sample_degrade_uptime(),
+                 make_event(EventKind::kDegradeOnset, worker));
+}
+
+void Cluster::on_degrade_onset(NodeId worker) {
+  if (run_finished()) return;
+  // Fixed draws per onset regardless of node state, so the straggler stream
+  // position never depends on who is currently dead or degraded.
+  const auto sample = straggler_process_->sample_degrade();
+  begin_degrade(worker, sample.duration, sample.rack_correlated);
+  if (sample.rack_correlated && topology_->rack_count() > 1) {
+    // The shared cause (overloaded switch, hot aisle) co-degrades the whole
+    // rack and supersedes each peer's own pending onset.
+    for (std::size_t v = 0; v < data_nodes_.size(); ++v) {
+      const auto peer = static_cast<NodeId>(v);
+      if (peer == worker || degraded_[v]) continue;
+      if (!topology_->same_rack(worker, peer)) continue;
+      degrade_event_[v].cancel();
+      begin_degrade(peer, sample.duration, true);
+    }
+  }
 }
 
 void Cluster::begin_degrade(NodeId worker, SimDuration duration,
@@ -1454,7 +1534,7 @@ void Cluster::begin_degrade(NodeId worker, SimDuration duration,
                            options_.stragglers.compute_slowdown);
   }
   degrade_event_[w] =
-      sim_.after(duration, [this, worker] { end_degrade(worker); });
+      sim_.after(duration, make_event(EventKind::kDegradeEnd, worker));
 }
 
 void Cluster::end_degrade(NodeId worker) {
@@ -1467,12 +1547,9 @@ void Cluster::end_degrade(NodeId worker) {
 }
 
 void Cluster::schedule_partition_onset(RackId rack) {
-  const auto r = static_cast<std::size_t>(rack);
-  partition_event_[r] =
-      sim_.after(netfault_process_->sample_partition_uptime(), [this, rack] {
-        if (run_finished()) return;
-        begin_partition(rack, netfault_process_->sample_partition_duration());
-      });
+  partition_event_[static_cast<std::size_t>(rack)] =
+      sim_.after(netfault_process_->sample_partition_uptime(),
+                 make_event(EventKind::kPartitionOnset, rack));
 }
 
 void Cluster::begin_partition(RackId rack, SimDuration duration) {
@@ -1500,7 +1577,7 @@ void Cluster::begin_partition(RackId rack, SimDuration duration) {
     tracer_->partition_started(rack, to_seconds(duration));
   }
   partition_event_[r] =
-      sim_.after(duration, [this, rack] { end_partition(rack); });
+      sim_.after(duration, make_event(EventKind::kPartitionEnd, rack));
 }
 
 void Cluster::end_partition(RackId rack) {
@@ -1542,12 +1619,9 @@ void Cluster::end_partition(RackId rack) {
 }
 
 void Cluster::schedule_link_onset(RackId rack) {
-  const auto r = static_cast<std::size_t>(rack);
-  link_event_[r] =
-      sim_.after(netfault_process_->sample_link_uptime(), [this, rack] {
-        if (run_finished()) return;
-        begin_link_degrade(rack, netfault_process_->sample_link_duration());
-      });
+  link_event_[static_cast<std::size_t>(rack)] =
+      sim_.after(netfault_process_->sample_link_uptime(),
+                 make_event(EventKind::kLinkDegradeOnset, rack));
 }
 
 void Cluster::begin_link_degrade(RackId rack, SimDuration duration) {
@@ -1559,7 +1633,7 @@ void Cluster::begin_link_degrade(RackId rack, SimDuration duration) {
     tracer_->link_degraded(rack, to_seconds(duration));
   }
   link_event_[r] =
-      sim_.after(duration, [this, rack] { end_link_degrade(rack); });
+      sim_.after(duration, make_event(EventKind::kLinkDegradeEnd, rack));
 }
 
 void Cluster::end_link_degrade(RackId rack) {
@@ -1665,7 +1739,7 @@ void Cluster::queue_repair(BlockId block) {
   if (!repair_tick_scheduled_) {
     repair_tick_scheduled_ = true;
     sim_.after(options_.rereplication_interval,
-               [this] { rereplication_tick(); });
+               make_event(EventKind::kRereplicationTick));
   }
 }
 
@@ -1709,36 +1783,39 @@ void Cluster::on_replica_delta(BlockId block, NodeId node, bool added) {
 }
 
 void Cluster::schedule_latent_corruption() {
-  latent_event_ = sim_.after(corruption_->sample_latent_interval(), [this] {
-    if (run_finished()) return;
-    // Fixed two draws per strike (node pick, replica pick) regardless of
-    // the outcome, so the corruption stream stays aligned no matter how
-    // the cluster state evolves.
-    const double node_u = corruption_->pick_fraction();
-    const double replica_u = corruption_->pick_fraction();
-    const std::size_t w = std::min(
-        data_nodes_.size() - 1,
-        static_cast<std::size_t>(node_u *
-                                 static_cast<double>(data_nodes_.size())));
-    if (!dead_[w]) {
-      const auto& dn = *data_nodes_[w];
-      // Deterministic victim order: statics in placement order, then
-      // dynamics sorted by id.
-      std::vector<BlockId> victims;
-      for (const auto& meta : dn.static_blocks()) victims.push_back(meta.id);
-      std::vector<BlockId> dynamics = dn.dynamic_blocks();
-      std::sort(dynamics.begin(), dynamics.end());
-      victims.insert(victims.end(), dynamics.begin(), dynamics.end());
-      if (!victims.empty()) {
-        const std::size_t pick = std::min(
-            victims.size() - 1,
-            static_cast<std::size_t>(
-                replica_u * static_cast<double>(victims.size())));
-        mark_replica_corrupt(static_cast<NodeId>(w), victims[pick]);
-      }
+  latent_event_ = sim_.after(corruption_->sample_latent_interval(),
+                             make_event(EventKind::kLatentCorruption));
+}
+
+void Cluster::latent_corruption_strike() {
+  if (run_finished()) return;
+  // Fixed two draws per strike (node pick, replica pick) regardless of the
+  // outcome, so the corruption stream stays aligned no matter how the
+  // cluster state evolves.
+  const double node_u = corruption_->pick_fraction();
+  const double replica_u = corruption_->pick_fraction();
+  const std::size_t w = std::min(
+      data_nodes_.size() - 1,
+      static_cast<std::size_t>(node_u *
+                               static_cast<double>(data_nodes_.size())));
+  if (!dead_[w]) {
+    const auto& dn = *data_nodes_[w];
+    // Deterministic victim order: statics in placement order, then dynamics
+    // sorted by id.
+    std::vector<BlockId> victims;
+    for (const auto& meta : dn.static_blocks()) victims.push_back(meta.id);
+    std::vector<BlockId> dynamics = dn.dynamic_blocks();
+    std::sort(dynamics.begin(), dynamics.end());
+    victims.insert(victims.end(), dynamics.begin(), dynamics.end());
+    if (!victims.empty()) {
+      const std::size_t pick = std::min(
+          victims.size() - 1,
+          static_cast<std::size_t>(replica_u *
+                                   static_cast<double>(victims.size())));
+      mark_replica_corrupt(static_cast<NodeId>(w), victims[pick]);
     }
-    schedule_latent_corruption();
-  });
+  }
+  schedule_latent_corruption();
 }
 
 void Cluster::retry_repair(RepairScheduler::Entry entry) {
@@ -1770,7 +1847,7 @@ void Cluster::retry_repair(RepairScheduler::Entry entry) {
   if (!repair_tick_scheduled_) {
     repair_tick_scheduled_ = true;
     sim_.after(options_.rereplication_interval,
-               [this] { rereplication_tick(); });
+               make_event(EventKind::kRereplicationTick));
   }
 }
 
@@ -1915,49 +1992,63 @@ void Cluster::rereplication_tick() {
       ++repair_uplink_inflight_[dst_rack];
     }
     ++started;
-    ++repairs_inflight_;
-    sim_.after(transfer, [this, e, src, dst, meta, cross_rack, src_rack,
-                          dst_rack] {
-      network_->flow_finished(src, dst);
-      if (cross_rack) {
-        --repair_uplink_inflight_[src_rack];
-        --repair_uplink_inflight_[dst_rack];
-      }
-      --repairs_inflight_;
-      const auto d = static_cast<std::size_t>(dst);
-      if (netfault_active_ && !network_->reachable(src, dst)) {
-        // A partition severed the transfer mid-flight; the bytes never
-        // landed. Retry from a reachable replica after backoff.
-        ++result_.repair_timeouts;
-        retry_repair(e);
-        return;
-      }
-      if (dead_[d] || declared_dead_[d] || node_partitioned(d)) {
-        // Destination died (or was declared dead / cut off) mid-copy; the
-        // copy is void. Retry elsewhere.
-        retry_repair(e);
-        return;
-      }
-      if (!name_node_->is_under_replicated(e.block)) {
-        // A rejoin beat the transfer: the in-flight copy is surplus and is
-        // discarded on arrival.
-        ++result_.overreplication_prunes;
-        abandon_repair(e);
-        return;
-      }
-      if (name_node_->add_repair_replica(e.block, dst)) {
-        data_nodes_[d]->add_static_block(meta);
-        land_repair(e);
-      } else {
-        abandon_repair(e);
-      }
-    });
+    if (free_repair_flights_.empty()) {
+      free_repair_flights_.push_back(
+          static_cast<std::uint32_t>(repair_flights_.size()));
+      repair_flights_.emplace_back();
+    }
+    const std::uint32_t flight = free_repair_flights_.back();
+    free_repair_flights_.pop_back();
+    repair_flights_[flight] = RepairFlight{e, src, dst};
+    sim_.after(transfer,
+               make_event(EventKind::kRepairLanded, kInvalidNode, flight));
   }
   for (const auto& e : deferred) repairs_.reinsert(e);
   if (!repairs_.empty()) {
     repair_tick_scheduled_ = true;
     sim_.after(options_.rereplication_interval,
-               [this] { rereplication_tick(); });
+               make_event(EventKind::kRereplicationTick));
+  }
+}
+
+void Cluster::on_repair_landed(std::uint32_t flight) {
+  const auto [e, src, dst] = repair_flights_[flight];
+  free_repair_flights_.push_back(flight);
+  network_->flow_finished(src, dst);
+  const auto src_rack = static_cast<std::size_t>(
+      node_rack_[static_cast<std::size_t>(src)]);
+  const auto dst_rack = static_cast<std::size_t>(
+      node_rack_[static_cast<std::size_t>(dst)]);
+  if (src_rack != dst_rack) {
+    --repair_uplink_inflight_[src_rack];
+    --repair_uplink_inflight_[dst_rack];
+  }
+  const auto d = static_cast<std::size_t>(dst);
+  if (netfault_active_ && !network_->reachable(src, dst)) {
+    // A partition severed the transfer mid-flight; the bytes never landed.
+    // Retry from a reachable replica after backoff.
+    ++result_.repair_timeouts;
+    retry_repair(e);
+    return;
+  }
+  if (dead_[d] || declared_dead_[d] || node_partitioned(d)) {
+    // Destination died (or was declared dead / cut off) mid-copy; the copy
+    // is void. Retry elsewhere.
+    retry_repair(e);
+    return;
+  }
+  if (!name_node_->is_under_replicated(e.block)) {
+    // A rejoin beat the transfer: the in-flight copy is surplus and is
+    // discarded on arrival.
+    ++result_.overreplication_prunes;
+    abandon_repair(e);
+    return;
+  }
+  if (name_node_->add_repair_replica(e.block, dst)) {
+    data_nodes_[d]->add_static_block(name_node_->block(e.block));
+    land_repair(e);
+  } else {
+    abandon_repair(e);
   }
 }
 
@@ -2013,7 +2104,7 @@ void Cluster::sample_tick() {
   tracer_->series().add(s);
   if (!run_finished()) {
     sampler_event_ = sim_.after(options_.trace_sample_interval,
-                                [this] { sample_tick(); });
+                                make_event(EventKind::kSampleTick));
   }
 }
 
@@ -2086,7 +2177,7 @@ void Cluster::scarlett_epoch() {
   }
 
   if (!run_finished()) {
-    sim_.after(options_.scarlett.epoch, [this] { scarlett_epoch(); });
+    sim_.after(options_.scarlett.epoch, make_event(EventKind::kScarlettEpoch));
   }
 }
 
@@ -2122,15 +2213,15 @@ void Cluster::validate() const {
   if (!repairs_.consistent()) {
     fail("repair scheduler membership index diverges from its queue");
   }
-  if (result_.repairs_enqueued !=
-      result_.repairs_landed + result_.repairs_abandoned + repairs_.size() +
-          repairs_inflight_) {
+  if (result_.repairs_enqueued != result_.repairs_landed +
+                                      result_.repairs_abandoned +
+                                      repairs_.size() + repairs_inflight()) {
     fail("repair ledger out of balance: enqueued " +
          std::to_string(result_.repairs_enqueued) + " != landed " +
          std::to_string(result_.repairs_landed) + " + abandoned " +
          std::to_string(result_.repairs_abandoned) + " + queued " +
          std::to_string(repairs_.size()) + " + inflight " +
-         std::to_string(repairs_inflight_));
+         std::to_string(repairs_inflight()));
   }
 
   // Name-node <-> data-node agreement, block by block.
@@ -2450,42 +2541,33 @@ metrics::RunResult Cluster::run_with(
   schedule_next_arrival();
   start_heartbeats();
   if (scarlett_) {
-    sim_.after(options_.scarlett.epoch, [this] { scarlett_epoch(); });
+    sim_.after(options_.scarlett.epoch, make_event(EventKind::kScarlettEpoch));
   }
-  for (const auto& failure : options_.failures) {
+  for (std::size_t i = 0; i < options_.failures.size(); ++i) {
+    const auto& failure = options_.failures[i];
     if (failure.worker < 0 ||
         static_cast<std::size_t>(failure.worker) >= data_nodes_.size()) {
       throw std::invalid_argument("Cluster: failure for unknown worker");
     }
-    sim_.at(failure.at, [this, failure] {
-      fail_node(failure.worker, failure.kind, failure.downtime);
-    });
+    sim_.at(failure.at,
+            make_event(EventKind::kScriptedFailure, kInvalidNode, i));
   }
-  for (const auto& ev : options_.corruption_events) {
+  for (std::size_t i = 0; i < options_.corruption_events.size(); ++i) {
+    const auto& ev = options_.corruption_events[i];
     if (ev.node != kInvalidNode &&
         (ev.node < 0 ||
          static_cast<std::size_t>(ev.node) >= data_nodes_.size())) {
       throw std::invalid_argument(
           "Cluster: corruption event for unknown worker");
     }
-    sim_.at(ev.at, [this, ev] {
-      if (ev.node == kInvalidNode) {
-        // Forced last-good-replica scenario: strike every currently
-        // visible copy at once. (Corruption is silent — no location
-        // mutates here, so iterating the list directly is safe.)
-        for (NodeId holder : name_node_->locations(ev.block)) {
-          mark_replica_corrupt(holder, ev.block);
-        }
-      } else {
-        mark_replica_corrupt(ev.node, ev.block);
-      }
-    });
+    sim_.at(ev.at, make_event(EventKind::kScriptedCorruption, kInvalidNode, i));
   }
   if (corruption_ != nullptr && options_.corruption.sector_mtbf_s > 0.0) {
     schedule_latent_corruption();
   }
-  for (const auto& ev : options_.partition_events) {
-    sim_.at(ev.at, [this, ev] { begin_partition(ev.rack, ev.duration); });
+  for (std::size_t i = 0; i < options_.partition_events.size(); ++i) {
+    sim_.at(options_.partition_events[i].at,
+            make_event(EventKind::kScriptedPartition, kInvalidNode, i));
   }
   if (!options_.failures.empty() || options_.faults.enabled ||
       netfault_active_) {
@@ -2493,8 +2575,8 @@ metrics::RunResult Cluster::run_with(
     // deaths — and of partitions, whose lost beats look identical. Without
     // it a partitioned node's tasks would never requeue and the run would
     // hang. Runs every heartbeat interval until the workload finishes.
-    monitor_event_ =
-        sim_.after(options_.heartbeat_interval, [this] { detection_tick(); });
+    monitor_event_ = sim_.after(options_.heartbeat_interval,
+                                make_event(EventKind::kDetectionTick));
   }
   if (options_.faults.enabled) {
     for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
@@ -2515,16 +2597,16 @@ metrics::RunResult Cluster::run_with(
     }
   }
   if (options_.enable_speculation) {
-    sim_.after(options_.speculation_check, [this] { speculation_tick(); });
+    sim_.after(kSpeculationCheck, make_event(EventKind::kSpeculationTick));
   }
   if (tracer_ != nullptr && options_.trace_sample_interval > 0) {
     sampler_event_ = sim_.after(options_.trace_sample_interval,
-                                [this] { sample_tick(); });
+                                make_event(EventKind::kSampleTick));
   }
 
   {
     obs::PhaseScope prof(profiler_, obs::Phase::kEventLoop);
-    sim_.run();
+    sim_.run([this](const sim::Event& event) { dispatch(event); });
   }
 
   if (!jobs_.all_done() || jobs_.all_jobs().size() != total_jobs_) {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -78,6 +77,46 @@ class Cluster {
   const sched::JobTable& job_table() const { return jobs_; }
 
  private:
+  /// --- events -------------------------------------------------------------
+  /// Every event the cluster schedules is a sim::Event of one of these
+  /// kinds, and dispatch() routes each popped record to its handler. The
+  /// record carries only ids (noted per kind: `node` is a worker or rack,
+  /// `id` one further operand); anything else a handler needs is state that
+  /// cannot change while the event is pending.
+  enum class EventKind : std::uint32_t {
+    kJobArrival,             ///< admits next_arrival_
+    kHeartbeat,              ///< node: worker
+    kSchedulerRetry,
+    kMapAttemptFinished,     ///< node: worker; id: task_key
+    kReduceAttemptFinished,  ///< id: reduce attempt id
+    kSpeculationTick,
+    kDetectionTick,
+    kFailureOnset,           ///< node: worker; id: fault epoch
+    kNodeRecovered,          ///< node: worker; id: fault epoch
+    kDegradeOnset,           ///< node: worker
+    kDegradeEnd,             ///< node: worker
+    kPartitionOnset,         ///< node: rack
+    kPartitionEnd,           ///< node: rack
+    kLinkDegradeOnset,       ///< node: rack
+    kLinkDegradeEnd,         ///< node: rack
+    kRereplicationTick,
+    kRepairLanded,           ///< id: repair_flights_ index
+    kLatentCorruption,
+    kSampleTick,
+    kScarlettEpoch,
+    kScriptedFailure,        ///< id: index into options_.failures
+    kScriptedCorruption,     ///< id: index into options_.corruption_events
+    kScriptedPartition,      ///< id: index into options_.partition_events
+  };
+  static sim::Event make_event(EventKind kind,
+                               std::int32_t node = kInvalidNode,
+                               std::uint64_t id = 0) {
+    return sim::Event{static_cast<std::uint32_t>(kind), node, id};
+  }
+  /// The one switch over EventKind (no default: -Wswitch flags a kind
+  /// without a handler).
+  void dispatch(const sim::Event& event);
+
   /// What a Hadoop scheduler sees: replica locations as of the last
   /// heartbeat (the name node's metadata), not physical disk contents.
   /// Speculation and clone targeting use these, and validate() checks the
@@ -101,13 +140,13 @@ class Cluster {
   /// Pull-based admission: materialize the template into a JobSpec and
   /// register it with the job table (at its arrival event).
   void admit_job(const workload::JobTemplate& tmpl);
-  /// Schedule the arrival event for the next job in arrivals_, if any.
+  /// Pull the next job into next_arrival_ and schedule its arrival event.
   void schedule_next_arrival();
   /// Retire observer (jobs_): copy the finished job's metrics out before
   /// its runtime is released, and drop its per-job side tables.
   void on_job_retired(const sched::JobRuntime& rt);
   void start_heartbeats();
-  void heartbeat(std::size_t worker);
+  void heartbeat(NodeId worker);
 
   void try_assign_all();
   void try_assign_node(NodeId worker);
@@ -124,6 +163,8 @@ class Cluster {
   void detection_tick();
   void recover_node(NodeId worker, std::uint64_t epoch);
   void schedule_stochastic_failure(NodeId worker, std::uint64_t epoch);
+  /// Stochastic failure of `worker` (and its rack, if correlated).
+  void on_failure_onset(NodeId worker, std::uint64_t epoch);
   /// Cancel + requeue every attempt running on `worker` (its tracker died
   /// or rebooted; either way it will not report those tasks back).
   void cleanup_node_attempts(NodeId worker);
@@ -142,6 +183,8 @@ class Cluster {
   /// Terminal repair outcomes (the enqueue/land/abandon ledger).
   void abandon_repair(const RepairScheduler::Entry& entry);
   void land_repair(const RepairScheduler::Entry& entry);
+  /// The copy repair_flights_[flight] arrives: land, retry or abandon it.
+  void on_repair_landed(std::uint32_t flight);
   /// Urgency of repairing `block` now: critical when at most one live
   /// reachable replica remains, bulk otherwise.
   RepairClass classify_repair(BlockId block) const;
@@ -237,9 +280,12 @@ class Cluster {
 
   /// Speculative execution.
   void speculation_tick();
-  void on_map_attempt_finished(JobId job, std::size_t map_index,
-                               NodeId worker, bool remote_flow, NodeId src,
-                               double duration_s);
+  /// The attempt of task `key` on `worker` reports back. Its flow and
+  /// duration come from its MapAttempt: `holds_flow` is cleared only here or
+  /// after a successful cancel, and the event fires at `started` + duration.
+  void on_map_attempt_finished(std::uint64_t key, NodeId worker);
+  /// The same for a reduce attempt, from its ReduceAttempt record.
+  void on_reduce_attempt_finished(std::uint64_t attempt_id);
   bool run_finished() const;
 
   /// --- stragglers: injection (physical truth) -----------------------------
@@ -249,6 +295,8 @@ class Cluster {
   /// only changes task physics (compute + disk multipliers); no mitigation
   /// decision ever reads `degraded_` directly.
   void schedule_degrade_onset(NodeId worker);
+  /// Degrade onset of `worker` (and its rack, if correlated).
+  void on_degrade_onset(NodeId worker);
   void begin_degrade(NodeId worker, SimDuration duration,
                      bool rack_correlated);
   void end_degrade(NodeId worker);
@@ -324,6 +372,7 @@ class Cluster {
   /// Background sector-loss process: periodically corrupt one replica on
   /// one live node (silently — a later read discovers it).
   void schedule_latent_corruption();
+  void latent_corruption_strike();
   /// Single replica-delta observer: feeds the locality index (when built)
   /// and tracks block unavailability windows (when faults or corruption are
   /// configured).
@@ -394,13 +443,23 @@ class Cluster {
   /// see cluster/repair_scheduler.h). Replaced the PR 5 FIFO deque.
   RepairScheduler repairs_;
   bool repair_tick_scheduled_ = false;
-  /// Repair transfers in flight. Every first-time enqueue terminally lands
-  /// or is abandoned; validate() checks the result_ ledger:
-  /// enqueued == landed + abandoned + queued + in-flight at all times.
-  std::uint64_t repairs_inflight_ = 0;
   /// Concurrent repair transfers crossing each rack's uplink (bandwidth-
   /// aware admission; bounded by options_.max_repairs_per_uplink).
   std::vector<std::size_t> repair_uplink_inflight_;
+  /// Repair copies in transfer, indexed by their landing event's id; a
+  /// landed flight's slot is recycled through free_repair_flights_. Every
+  /// first-time enqueue terminally lands or is abandoned; validate() checks
+  /// the result_ ledger: enqueued == landed + abandoned + queued + in-flight.
+  struct RepairFlight {
+    RepairScheduler::Entry entry;
+    NodeId src = kInvalidNode;
+    NodeId dst = kInvalidNode;
+  };
+  std::vector<RepairFlight> repair_flights_;
+  std::vector<std::uint32_t> free_repair_flights_;
+  std::size_t repairs_inflight() const {
+    return repair_flights_.size() - free_repair_flights_.size();
+  }
   /// Data-integrity state. `corruption_` is forked only when the stochastic
   /// process is enabled (zero draws otherwise); `verify_reads_` also covers
   /// scripted corruption events. Unavailability windows are tracked from
@@ -486,6 +545,7 @@ class Cluster {
   struct ReduceAttempt {
     JobId job = kInvalidJob;
     NodeId node = kInvalidNode;
+    SimTime started = 0;
     bool holds_flow = false;
     NodeId flow_src = kInvalidNode;
     sim::EventHandle completion;
@@ -530,6 +590,8 @@ class Cluster {
   /// starts, and again once exhausted) and the total number of jobs it will
   /// deliver (the run-completion denominator).
   std::unique_ptr<workload::JobStream> arrivals_;
+  /// The one job pulled ahead of its (pending) arrival event.
+  workload::JobTemplate next_arrival_;
   std::size_t total_jobs_ = 0;
   /// The run's counters, incremented in place, and the per-job records
   /// (filled by on_job_retired). collect_results() adds the end-of-run

@@ -37,9 +37,8 @@ struct ClusterOptions {
   std::size_t reduce_slots_per_node = 1;
 
   /// Data-node heartbeat period (dynamic replicas become schedulable at the
-  /// next heartbeat) and the idle-slot scheduler retry period.
+  /// next heartbeat). The idle-slot retry period is a fixed 1 s.
   SimDuration heartbeat_interval = from_seconds(3.0);
-  SimDuration scheduler_retry = from_seconds(1.0);
 
   SchedulerKind scheduler = SchedulerKind::kFifo;
   /// Fair scheduler delay-scheduling window: how long a job waits for a
@@ -53,7 +52,10 @@ struct ClusterOptions {
   double budget_fraction = 0.2;
   core::ElephantTrapParams trap{};
 
-  /// Optional Scarlett-style proactive epoch replication (ablation).
+  /// Optional Scarlett-style proactive epoch replication (ablation). The
+  /// paper's comparator, an alternative to DARE: Cluster rejects it with
+  /// any policy but kVanilla, since its copies bypass a DARE policy's
+  /// budget accounting.
   bool enable_scarlett = false;
   core::ScarlettParams scarlett{};
 
@@ -182,12 +184,11 @@ struct ClusterOptions {
   /// `straggler_detect_ratio` after at least `straggler_detect_min_samples`
   /// observations is *detected-slow*: excluded from new task launches and
   /// deprioritized as a read/repair source until a backoff (doubling per
-  /// repeat offence) expires and the node is re-admitted on probation.
+  /// repeat offence) expires and the node is re-admitted on probation. The
+  /// EWMA smoothing factor is a fixed 0.3.
   bool enable_straggler_detection = false;
   double straggler_detect_ratio = 1.8;
   std::size_t straggler_detect_min_samples = 3;
-  /// EWMA smoothing factor in (0, 1]; 1 = latest sample only.
-  double straggler_detect_ewma_alpha = 0.3;
   /// Base re-admission backoff; doubles per consecutive detection (capped).
   SimDuration straggler_backoff = from_seconds(30.0);
 
@@ -209,9 +210,8 @@ struct ClusterOptions {
   /// Hadoop-style backup tasks: once a job has no pending maps, a running
   /// map whose age exceeds 1.7 times the job's mean completed-map duration
   /// gets a duplicate attempt on a free slot; the first attempt to finish
-  /// wins and the other is killed.
+  /// wins and the other is killed. The scan runs every 1 s.
   bool enable_speculation = false;
-  SimDuration speculation_check = from_seconds(1.0);
 
   /// --- observability ------------------------------------------------------
   /// Structured event tracer (src/obs). Borrowed pointer, must outlive the

@@ -20,19 +20,17 @@ std::uint32_t EventQueue::acquire_slot() {
 
 void EventQueue::release_slot(std::uint32_t slot) const {
   Record& record = slab_[slot];
-  record.cb = nullptr;
   record.live = false;
   record.next_free = free_head_;
   free_head_ = slot;
 }
 
-EventHandle EventQueue::schedule(SimTime when, Callback cb) {
+EventHandle EventQueue::schedule(SimTime when, Event event) {
   if (when < 0) throw std::invalid_argument("EventQueue: negative time");
-  if (!cb) throw std::invalid_argument("EventQueue: null callback");
   const std::uint32_t slot = acquire_slot();
   const std::uint64_t seq = next_seq_++;
   Record& record = slab_[slot];
-  record.cb = std::move(cb);
+  record.event = event;
   record.generation = seq;
   record.live = true;
   heap_.push_back(HeapEntry{when, seq, slot});
@@ -61,7 +59,7 @@ SimTime EventQueue::next_time() const {
   return heap_.empty() ? kTimeNever : heap_.front().when;
 }
 
-SimTime EventQueue::pop_and_run() {
+Event EventQueue::pop() {
   skim();
   if (heap_.empty()) throw std::logic_error("EventQueue: pop on empty queue");
   const HeapEntry top = heap_.front();
@@ -69,18 +67,14 @@ SimTime EventQueue::pop_and_run() {
   heap_.pop_back();
   DARE_INVARIANT(live_ > 0,
                  "EventQueue: live count is zero with a live entry queued");
-  // Move the callback out and free the slot BEFORE invoking: the callback
-  // may schedule new events (slab growth/reuse) or clear() the queue, and
-  // the record reference would not survive either.
-  Callback cb = std::move(slab_[top.slot].cb);
+  const Event event = slab_[top.slot].event;
   release_slot(top.slot);
   --live_;
-  // The live count can never exceed the heap entries still queued plus the
-  // one being fired; a mismatch means a cancel/clear path lost track.
+  // The live count can never exceed the heap entries still queued; a
+  // mismatch means a cancel/clear path lost track.
   DARE_INVARIANT(live_ <= heap_.size(),
                  "EventQueue: live count exceeds queued entries");
-  cb();
-  return top.when;
+  return event;
 }
 
 void EventQueue::clear() {

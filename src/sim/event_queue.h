@@ -1,4 +1,4 @@
-// Stable priority queue of timed callbacks for the discrete-event engine.
+// Stable priority queue of timed event records for the discrete-event engine.
 //
 // Events at the same timestamp fire in insertion order (a strict sequence
 // number breaks ties), which keeps heartbeat/scheduling interleavings
@@ -6,15 +6,12 @@
 // tombstoned and its heap entry skipped and reclaimed at pop time).
 //
 // Storage layout (the event-engine inner loop of every simulation):
-//  * a slab of event records recycled through an intrusive freelist — the
-//    callback plus a generation counter live here, and a record is reused
-//    as soon as its heap entry has been drained;
+//  * a slab of 32-byte records recycled through an intrusive freelist — the
+//    event plus a generation counter live here, and a record is reused as
+//    soon as its heap entry has been drained;
 //  * a binary heap of 24-byte POD entries {when, seq, slot} ordered by
 //    (when, seq).
-// Scheduling therefore performs zero heap allocations in steady state
-// (callbacks small enough for InlineFunction's buffer — all of this
-// codebase's — never allocate either). The previous design paid two
-// shared_ptr control blocks plus a std::function allocation per event.
+// Scheduling therefore performs zero heap allocations in steady state.
 //
 // Handles are {queue, slot, generation} triples: the generation (the
 // event's global sequence number) distinguishes the handle's event from any
@@ -27,9 +24,20 @@
 
 #include "common/invariant.h"
 #include "common/types.h"
-#include "sim/inline_function.h"
 
 namespace dare::sim {
+
+/// A scheduled event is data, not code: what happens (`kind`, a value of the
+/// scheduling component's own event enum) and to what (`node`, a worker or
+/// rack id; `id`, one further operand such as a task key, an epoch or a
+/// table index). The queue never interprets it; Simulation::run hands each
+/// popped record to its owner.
+struct Event {
+  std::uint32_t kind = 0;
+  std::int32_t node = 0;
+  std::uint64_t id = 0;
+};
+static_assert(sizeof(Event) == 16, "sim::Event must stay a 16-byte record");
 
 class EventQueue;
 
@@ -56,15 +64,13 @@ class EventHandle {
 
 class EventQueue {
  public:
-  using Callback = InlineFunction;
-
   EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedule `cb` at absolute time `when`. Requires when >= 0.
-  EventHandle schedule(SimTime when, Callback cb);
+  /// Schedule `event` at absolute time `when`. Requires when >= 0.
+  EventHandle schedule(SimTime when, Event event);
 
   /// True when no live (uncancelled) events remain.
   bool empty() const { return live_ == 0; }
@@ -75,9 +81,9 @@ class EventQueue {
   /// Timestamp of the earliest live event; kTimeNever when empty.
   SimTime next_time() const;
 
-  /// Pop and run the earliest live event; returns its timestamp.
+  /// Remove and return the earliest live event (the one at next_time()).
   /// Requires !empty().
-  SimTime pop_and_run();
+  Event pop();
 
   /// Drop everything (used when a simulation ends early). Outstanding
   /// handles become non-pending; the slab and heap release their memory.
@@ -95,7 +101,7 @@ class EventQueue {
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   struct Record {
-    Callback cb;
+    Event event;
     /// Sequence number of the occupying event; a mismatch against a handle
     /// or heap entry means the slot was recycled since.
     std::uint64_t generation = 0;
@@ -105,6 +111,7 @@ class EventQueue {
     /// the freelist) when the entry reaches the top of the heap.
     bool live = false;
   };
+  static_assert(sizeof(Record) <= 32, "EventQueue record grew past 32 bytes");
 
   struct HeapEntry {
     SimTime when = 0;
@@ -125,8 +132,8 @@ class EventQueue {
   /// reclaim their tombstoned records.
   void skim() const;
 
-  // skim() is logically const (it only reclaims dead storage), mirroring
-  // the previous lazily-skimming design, so the containers are mutable.
+  // skim() is logically const (it only reclaims dead storage), so the
+  // containers are mutable.
   mutable std::vector<Record> slab_;
   mutable std::vector<HeapEntry> heap_;
   mutable std::uint32_t free_head_ = kNoSlot;
@@ -142,9 +149,7 @@ inline bool EventHandle::pending() const {
 
 inline bool EventHandle::cancel() {
   if (!pending()) return false;
-  EventQueue::Record& record = queue_->slab_[slot_];
-  record.live = false;
-  record.cb = nullptr;  // release captured resources immediately
+  queue_->slab_[slot_].live = false;
   DARE_INVARIANT(queue_->live_ > 0,
                  "EventHandle: cancel would underflow the live count");
   --queue_->live_;

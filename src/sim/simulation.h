@@ -1,15 +1,19 @@
 // The discrete-event simulation driver: a clock plus an event queue.
 //
 // Components hold a reference to the Simulation and use `at`/`after` to
-// schedule work; `run()` drains events in timestamp order, advancing the
-// clock. One Simulation instance == one independent, single-threaded,
-// fully deterministic experiment.
+// schedule `Event` records; `run(handler)` drains them in timestamp order,
+// advancing the clock, and passes each popped record to `handler` — the
+// owning component's dispatch. The handler is a template parameter, so
+// nothing is type-erased, and the class is header-only. One Simulation
+// instance == one independent, single-threaded, fully deterministic
+// experiment.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
+#include <stdexcept>
+#include <string>
 
+#include "common/invariant.h"
 #include "common/types.h"
 #include "sim/event_queue.h"
 
@@ -26,20 +30,48 @@ class Simulation {
   SimTime now() const { return now_; }
 
   /// Schedule at an absolute time (must be >= now()).
-  EventHandle at(SimTime when, EventQueue::Callback cb);
+  EventHandle at(SimTime when, Event event) {
+    if (when < now_) {
+      throw std::invalid_argument("Simulation: scheduling in the past");
+    }
+    return queue_.schedule(when, event);
+  }
 
   /// Schedule after a relative delay (clamped to >= 0).
-  EventHandle after(SimDuration delay, EventQueue::Callback cb);
+  EventHandle after(SimDuration delay, Event event) {
+    return queue_.schedule(now_ + (delay < 0 ? 0 : delay), event);
+  }
 
   /// Run until the queue is empty or `until` is reached (events at exactly
-  /// `until` still run). Returns the number of events executed.
-  std::uint64_t run(SimTime until = std::numeric_limits<SimTime>::max());
+  /// `until` still run), calling `handler(const Event&)` for each event
+  /// with now() at the event's timestamp. Returns the number of events
+  /// executed.
+  template <typename Handler>
+  std::uint64_t run(Handler&& handler, SimTime until = kTimeNever) {
+    std::uint64_t ran = 0;
+    while (advance(until)) {
+      handler(queue_.pop());
+      ++ran;
+      ++executed_;
+    }
+    // Advance the clock to `until` only if we exhausted events before it;
+    // this lets callers resume with a later horizon without time going
+    // backwards.
+    if (queue_.empty() && until != kTimeNever && until > now_) now_ = until;
+    return ran;
+  }
 
   /// Execute exactly one event if present; returns false when idle.
-  bool step();
+  template <typename Handler>
+  bool step(Handler&& handler) {
+    if (!advance(kTimeNever)) return false;
+    handler(queue_.pop());
+    ++executed_;
+    return true;
+  }
 
   /// Abort: drop all pending events. `run` then returns.
-  void stop();
+  void stop() { queue_.clear(); }
 
   /// Live events still queued.
   std::size_t pending_events() const { return queue_.size(); }
@@ -48,6 +80,23 @@ class Simulation {
   std::uint64_t executed_events() const { return executed_; }
 
  private:
+  /// Move the clock to the earliest live event if it is due at or before
+  /// `until`; false (clock untouched) when there is none.
+  bool advance(SimTime until) {
+    if (queue_.empty()) return false;
+    const SimTime next = queue_.next_time();
+    if (next > until) return false;
+    // `at` rejects scheduling in the past, so the next event can never be
+    // earlier than the clock; a violation means the queue or clock is
+    // corrupt. Handlers observe now() == their own timestamp.
+    DARE_INVARIANT(next >= now_,
+                   "Simulation: clock would move backwards (event at " +
+                       std::to_string(next) + ", now " +
+                       std::to_string(now_) + ")");
+    now_ = next;
+    return true;
+  }
+
   EventQueue queue_;
   SimTime now_ = 0;
   std::uint64_t executed_ = 0;

@@ -78,18 +78,18 @@ TEST(ClusterValidation, RejectsSubMicrosecondHeartbeat) {
   }
 }
 
-TEST(ClusterValidation, RejectsNonPositiveSchedulerRetry) {
-  ClusterOptions opts = tiny_options();
-  opts.scheduler_retry = 0;
-  expect_rejects(opts, "scheduler_retry");
-}
-
-TEST(ClusterValidation, RejectsNonPositiveSpeculationCheckWhenEnabled) {
-  ClusterOptions opts = tiny_options();
-  opts.speculation_check = 0;
-  EXPECT_NO_THROW(Cluster{opts});  // never scheduled without speculation
-  opts.enable_speculation = true;
-  expect_rejects(opts, "speculation_check");
+TEST(ClusterValidation, RejectsScarlettWithDarePolicy) {
+  // Scarlett's proactive copies bypass a DARE policy's budget accounting:
+  // the two are alternatives, and Scarlett runs only on vanilla HDFS.
+  ClusterOptions opts = tiny_options(PolicyKind::kVanilla);
+  opts.enable_scarlett = true;
+  EXPECT_NO_THROW(Cluster{opts});
+  for (const auto policy : {PolicyKind::kGreedyLru, PolicyKind::kGreedyLfu,
+                            PolicyKind::kElephantTrap}) {
+    opts.policy = policy;
+    expect_rejects(opts, "enable_scarlett");
+    expect_rejects(opts, "policy");
+  }
 }
 
 TEST(ClusterValidation, RejectsTrapProbabilityOutsideUnitInterval) {

@@ -8,6 +8,16 @@
 namespace dare::sim {
 namespace {
 
+/// A record tagged by `id`, so tests can tell which event popped.
+Event tagged(std::uint64_t id) { return Event{0, 0, id}; }
+
+/// Pop every remaining event and return their ids in firing order.
+std::vector<std::uint64_t> drain(EventQueue& q) {
+  std::vector<std::uint64_t> fired;
+  while (!q.empty()) fired.push_back(q.pop().id);
+  return fired;
+}
+
 TEST(EventQueue, EmptyInitially) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
@@ -17,170 +27,147 @@ TEST(EventQueue, EmptyInitially) {
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
-  std::vector<int> fired;
-  q.schedule(30, [&] { fired.push_back(3); });
-  q.schedule(10, [&] { fired.push_back(1); });
-  q.schedule(20, [&] { fired.push_back(2); });
+  q.schedule(30, tagged(3));
+  q.schedule(10, tagged(1));
+  q.schedule(20, tagged(2));
   EXPECT_EQ(q.next_time(), 10);
-  while (!q.empty()) q.pop_and_run();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(EventQueue, SameTimestampFiresInInsertionOrder) {
   EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(5, [&fired, i] { fired.push_back(i); });
-  }
-  while (!q.empty()) q.pop_and_run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[i], i);
+  for (std::uint64_t i = 0; i < 10; ++i) q.schedule(5, tagged(i));
+  const auto fired = drain(q);
+  for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(fired[i], i);
 }
 
-TEST(EventQueue, PopReturnsTimestamp) {
+TEST(EventQueue, PopReturnsTheScheduledRecord) {
   EventQueue q;
-  q.schedule(123, [] {});
-  EXPECT_EQ(q.pop_and_run(), 123);
+  q.schedule(123, Event{7, -3, 0xDEADBEEFCAFEULL});
+  EXPECT_EQ(q.next_time(), 123);
+  const Event event = q.pop();
+  EXPECT_EQ(event.kind, 7u);
+  EXPECT_EQ(event.node, -3);
+  EXPECT_EQ(event.id, 0xDEADBEEFCAFEULL);
 }
 
 TEST(EventQueue, CancelPreventsExecution) {
   EventQueue q;
-  bool ran = false;
-  auto handle = q.schedule(10, [&] { ran = true; });
+  auto handle = q.schedule(10, tagged(1));
   EXPECT_TRUE(handle.pending());
   EXPECT_TRUE(handle.cancel());
   EXPECT_FALSE(handle.pending());
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.next_time(), kTimeNever);
-  EXPECT_FALSE(ran);
+  EXPECT_TRUE(drain(q).empty());
 }
 
 TEST(EventQueue, CancelTwiceReturnsFalse) {
   EventQueue q;
-  auto handle = q.schedule(10, [] {});
+  auto handle = q.schedule(10, tagged(1));
   EXPECT_TRUE(handle.cancel());
   EXPECT_FALSE(handle.cancel());
 }
 
 TEST(EventQueue, CancelledEventSkippedAmongLive) {
   EventQueue q;
-  std::vector<int> fired;
-  q.schedule(10, [&] { fired.push_back(1); });
-  auto handle = q.schedule(20, [&] { fired.push_back(2); });
-  q.schedule(30, [&] { fired.push_back(3); });
+  q.schedule(10, tagged(1));
+  auto handle = q.schedule(20, tagged(2));
+  q.schedule(30, tagged(3));
   handle.cancel();
   EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) q.pop_and_run();
-  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+  EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{1, 3}));
 }
 
 TEST(EventQueue, HandleNotPendingAfterFire) {
   EventQueue q;
-  auto handle = q.schedule(1, [] {});
-  q.pop_and_run();
+  auto handle = q.schedule(1, tagged(1));
+  q.pop();
   EXPECT_FALSE(handle.pending());
   EXPECT_FALSE(handle.cancel());
 }
 
-TEST(EventQueue, CallbackMaySchedule) {
+TEST(EventQueue, ScheduleBetweenPops) {
+  // The owner reacts to a popped event by scheduling more: the new record
+  // takes its place in time order.
   EventQueue q;
-  std::vector<int> fired;
-  q.schedule(10, [&] {
-    fired.push_back(1);
-    q.schedule(20, [&] { fired.push_back(2); });
-  });
-  while (!q.empty()) q.pop_and_run();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  q.schedule(10, tagged(1));
+  q.schedule(30, tagged(3));
+  EXPECT_EQ(q.pop().id, 1u);
+  q.schedule(20, tagged(2));
+  EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{2, 3}));
 }
 
 TEST(EventQueue, ClearDropsEverything) {
   EventQueue q;
-  bool ran = false;
-  q.schedule(10, [&] { ran = true; });
-  q.schedule(20, [&] { ran = true; });
+  q.schedule(10, tagged(1));
+  q.schedule(20, tagged(2));
   q.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
-  EXPECT_FALSE(ran);
+  EXPECT_EQ(q.next_time(), kTimeNever);
 }
 
 TEST(EventQueue, RejectsInvalidScheduling) {
   EventQueue q;
-  EXPECT_THROW(q.schedule(-1, [] {}), std::invalid_argument);
-  EXPECT_THROW(q.schedule(1, nullptr), std::invalid_argument);
+  EXPECT_THROW(q.schedule(-1, tagged(1)), std::invalid_argument);
 }
 
 TEST(EventQueue, PopOnEmptyThrows) {
   EventQueue q;
-  EXPECT_THROW(q.pop_and_run(), std::logic_error);
+  EXPECT_THROW(q.pop(), std::logic_error);
 }
 
 TEST(EventQueue, SizeTracksLiveEvents) {
   EventQueue q;
-  auto h1 = q.schedule(1, [] {});
-  auto h2 = q.schedule(2, [] {});
+  auto h1 = q.schedule(1, tagged(1));
+  auto h2 = q.schedule(2, tagged(2));
   EXPECT_EQ(q.size(), 2u);
   h1.cancel();
   EXPECT_EQ(q.size(), 1u);
-  q.pop_and_run();
+  q.pop();
   EXPECT_EQ(q.size(), 0u);
   (void)h2;
 }
 
 TEST(EventQueue, StaleHandleSurvivesSlotRecycling) {
   EventQueue q;
-  auto old = q.schedule(1, [] {});
-  q.pop_and_run();  // slot drained and returned to the freelist
+  auto old = q.schedule(1, tagged(1));
+  q.pop();  // slot drained and returned to the freelist
   // The next event reuses the slot; the old handle's generation no longer
   // matches and must neither report pending nor cancel the new occupant.
-  bool ran = false;
-  auto fresh = q.schedule(2, [&] { ran = true; });
+  auto fresh = q.schedule(2, tagged(2));
   EXPECT_FALSE(old.pending());
   EXPECT_FALSE(old.cancel());
   EXPECT_TRUE(fresh.pending());
-  q.pop_and_run();
-  EXPECT_TRUE(ran);
+  EXPECT_EQ(q.pop().id, 2u);
 }
 
 TEST(EventQueue, StaleHandleSafeAfterClear) {
   EventQueue q;
-  auto h1 = q.schedule(10, [] {});
-  auto h2 = q.schedule(20, [] {});
+  auto h1 = q.schedule(10, tagged(1));
+  auto h2 = q.schedule(20, tagged(2));
   h2.cancel();
   q.clear();
   EXPECT_FALSE(h1.pending());
   EXPECT_FALSE(h1.cancel());
   EXPECT_FALSE(h2.cancel());
   // The queue is reusable after clear, and old handles stay inert.
-  bool ran = false;
-  q.schedule(5, [&] { ran = true; });
+  q.schedule(5, tagged(3));
   EXPECT_FALSE(h1.pending());
-  q.pop_and_run();
-  EXPECT_TRUE(ran);
-}
-
-TEST(EventQueue, CallbackMayClearQueue) {
-  // Simulation::stop() clears the queue from inside a running callback; the
-  // fired slot must already be released when the callback runs.
-  EventQueue q;
-  bool later_ran = false;
-  q.schedule(10, [&] { q.clear(); });
-  q.schedule(20, [&] { later_ran = true; });
-  q.pop_and_run();
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(later_ran);
-  EXPECT_EQ(q.next_time(), kTimeNever);
+  EXPECT_EQ(q.pop().id, 3u);
 }
 
 TEST(EventQueue, CancelledTombstoneReclaimedBySkim) {
   EventQueue q;
-  auto doomed = q.schedule(5, [] {});
-  q.schedule(10, [] {});
+  auto doomed = q.schedule(5, tagged(1));
+  q.schedule(10, tagged(2));
   doomed.cancel();
   // next_time() skims the cancelled top entry, recycling its record; the
   // next schedule must reuse that slot instead of growing the slab.
   EXPECT_EQ(q.next_time(), 10);
   const std::size_t slab_before = q.slab_size();
-  q.schedule(15, [] {});
+  q.schedule(15, tagged(3));
   EXPECT_EQ(q.slab_size(), slab_before);
 }
 
@@ -198,11 +185,14 @@ TEST(EventQueue, MillionEventChurnKeepsSlabBounded) {
     std::vector<EventHandle> handles;
     handles.reserve(kPerWave);
     for (std::size_t i = 0; i < kPerWave; ++i) {
-      handles.push_back(q.schedule(++t, [&] { ++fired; }));
+      handles.push_back(q.schedule(++t, tagged(i)));
     }
     // Cancel every other event, fire the rest.
     for (std::size_t i = 0; i < kPerWave; i += 2) handles[i].cancel();
-    while (!q.empty()) q.pop_and_run();
+    while (!q.empty()) {
+      q.pop();
+      ++fired;
+    }
     slab_peak = std::max(slab_peak, q.slab_size());
   }
   EXPECT_EQ(fired, kWaves * kPerWave / 2);

@@ -164,12 +164,17 @@ TEST(FuzzLfu, InvariantsUnderRandomOps) {
 TEST(FuzzEventQueue, MatchesExactPendingSetModel) {
   // Reference model: the set of pending (when, tag) pairs, ordered by
   // (when, tag) — tags are assigned in scheduling order, so this is exactly
-  // the queue's documented (time, insertion) order. Each pop must fire the
-  // model's minimum; cancels remove arbitrary pending entries.
+  // the queue's documented (time, insertion) order. Each pop must return
+  // the model's minimum; cancels remove arbitrary pending entries. The
+  // record carries its (when, tag) so a pop can be checked against both.
   Rng ops(707);
   sim::EventQueue queue;
   std::map<std::pair<SimTime, int>, sim::EventHandle> pending;
   std::vector<std::pair<SimTime, int>> fired;
+  const auto pop = [&] {
+    const sim::Event event = queue.pop();
+    fired.emplace_back(static_cast<SimTime>(event.id), event.node);
+  };
   int next_tag = 0;
 
   for (int step = 0; step < 8000; ++step) {
@@ -179,7 +184,7 @@ TEST(FuzzEventQueue, MatchesExactPendingSetModel) {
           static_cast<SimTime>(ops.uniform_int(std::uint64_t{1000}));
       const int tag = next_tag++;
       auto handle = queue.schedule(
-          when, [&fired, when, tag] { fired.emplace_back(when, tag); });
+          when, sim::Event{0, tag, static_cast<std::uint64_t>(when)});
       pending.emplace(std::make_pair(when, tag), std::move(handle));
     } else if (dice < 0.7 && !pending.empty()) {
       // Cancel a pseudo-random pending entry.
@@ -191,7 +196,7 @@ TEST(FuzzEventQueue, MatchesExactPendingSetModel) {
     } else if (!queue.empty()) {
       const auto expected = pending.begin()->first;
       const std::size_t fired_before = fired.size();
-      queue.pop_and_run();
+      pop();
       ASSERT_EQ(fired.size(), fired_before + 1) << "step " << step;
       ASSERT_EQ(fired.back(), expected) << "step " << step;
       pending.erase(pending.begin());
@@ -205,7 +210,7 @@ TEST(FuzzEventQueue, MatchesExactPendingSetModel) {
   }
   while (!queue.empty()) {
     const auto expected = pending.begin()->first;
-    queue.pop_and_run();
+    pop();
     ASSERT_EQ(fired.back(), expected);
     pending.erase(pending.begin());
   }

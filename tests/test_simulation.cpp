@@ -7,124 +7,160 @@
 namespace dare::sim {
 namespace {
 
+/// A record tagged by `id`, so a handler can tell which event fired.
+Event tagged(std::uint64_t id) { return Event{0, 0, id}; }
+
+/// Handler that records the clock at every event it receives.
+struct ClockLog {
+  const Simulation* sim;
+  std::vector<SimTime>* seen;
+  void operator()(const Event&) const { seen->push_back(sim->now()); }
+};
+
 TEST(Simulation, ClockAdvancesWithEvents) {
   Simulation sim;
   std::vector<SimTime> seen;
-  sim.at(100, [&] { seen.push_back(sim.now()); });
-  sim.at(200, [&] { seen.push_back(sim.now()); });
-  sim.run();
+  sim.at(100, tagged(0));
+  sim.at(200, tagged(0));
+  sim.run(ClockLog{&sim, &seen});
   EXPECT_EQ(seen, (std::vector<SimTime>{100, 200}));
   EXPECT_EQ(sim.now(), 200);
+}
+
+TEST(Simulation, HandlerReceivesTheScheduledRecord) {
+  Simulation sim;
+  sim.at(5, Event{3, 17, 42});
+  Event got;
+  sim.run([&](const Event& event) { got = event; });
+  EXPECT_EQ(got.kind, 3u);
+  EXPECT_EQ(got.node, 17);
+  EXPECT_EQ(got.id, 42u);
 }
 
 TEST(Simulation, AfterSchedulesRelative) {
   Simulation sim;
   SimTime fired = -1;
-  sim.at(50, [&] {
-    sim.after(25, [&] { fired = sim.now(); });
+  sim.at(50, tagged(1));
+  sim.run([&](const Event& event) {
+    if (event.id == 1) {
+      sim.after(25, tagged(2));
+    } else {
+      fired = sim.now();
+    }
   });
-  sim.run();
   EXPECT_EQ(fired, 75);
 }
 
 TEST(Simulation, NegativeDelayClampsToNow) {
   Simulation sim;
   SimTime fired = -1;
-  sim.at(10, [&] {
-    sim.after(-5, [&] { fired = sim.now(); });
+  sim.at(10, tagged(1));
+  sim.run([&](const Event& event) {
+    if (event.id == 1) {
+      sim.after(-5, tagged(2));
+    } else {
+      fired = sim.now();
+    }
   });
-  sim.run();
   EXPECT_EQ(fired, 10);
 }
 
 TEST(Simulation, SchedulingInPastThrows) {
   Simulation sim;
-  sim.at(100, [] {});
-  sim.run();
-  EXPECT_THROW(sim.at(50, [] {}), std::invalid_argument);
+  sim.at(100, tagged(0));
+  sim.run([](const Event&) {});
+  EXPECT_THROW(sim.at(50, tagged(0)), std::invalid_argument);
 }
 
 TEST(Simulation, RunUntilHorizonStopsAndResumes) {
   Simulation sim;
   std::vector<SimTime> seen;
-  sim.at(10, [&] { seen.push_back(10); });
-  sim.at(20, [&] { seen.push_back(20); });
-  sim.at(30, [&] { seen.push_back(30); });
-  EXPECT_EQ(sim.run(20), 2u);  // events at exactly the horizon still run
+  sim.at(10, tagged(0));
+  sim.at(20, tagged(0));
+  sim.at(30, tagged(0));
+  // Events at exactly the horizon still run.
+  EXPECT_EQ(sim.run(ClockLog{&sim, &seen}, 20), 2u);
   EXPECT_EQ(seen, (std::vector<SimTime>{10, 20}));
-  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.run(ClockLog{&sim, &seen}), 1u);
   EXPECT_EQ(seen.back(), 30);
 }
 
 TEST(Simulation, RunAdvancesClockToHorizonWhenDrained) {
   Simulation sim;
-  sim.at(5, [] {});
-  sim.run(100);
+  sim.at(5, tagged(0));
+  sim.run([](const Event&) {}, 100);
   EXPECT_EQ(sim.now(), 100);
 }
 
 TEST(Simulation, StepExecutesOneEvent) {
   Simulation sim;
   int count = 0;
-  sim.at(1, [&] { ++count; });
-  sim.at(2, [&] { ++count; });
-  EXPECT_TRUE(sim.step());
+  const auto count_it = [&](const Event&) { ++count; };
+  sim.at(1, tagged(0));
+  sim.at(2, tagged(0));
+  EXPECT_TRUE(sim.step(count_it));
   EXPECT_EQ(count, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
+  EXPECT_TRUE(sim.step(count_it));
+  EXPECT_FALSE(sim.step(count_it));
   EXPECT_EQ(count, 2);
 }
 
 TEST(Simulation, StopDropsPendingEvents) {
   Simulation sim;
   int count = 0;
-  sim.at(10, [&] {
+  sim.at(10, tagged(0));
+  sim.at(20, tagged(0));
+  sim.run([&](const Event&) {
     ++count;
     sim.stop();
   });
-  sim.at(20, [&] { ++count; });
-  sim.run();
   EXPECT_EQ(count, 1);
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(Simulation, ExecutedEventsCounter) {
   Simulation sim;
-  for (int i = 1; i <= 5; ++i) sim.at(i, [] {});
-  sim.run();
+  for (int i = 1; i <= 5; ++i) sim.at(i, tagged(0));
+  sim.run([](const Event&) {});
   EXPECT_EQ(sim.executed_events(), 5u);
 }
 
-TEST(Simulation, CallbackObservesItsOwnTimestamp) {
+TEST(Simulation, HandlerObservesItsOwnTimestamp) {
   Simulation sim;
   std::vector<SimTime> observed;
-  sim.at(7, [&] { observed.push_back(sim.now()); });
-  sim.at(7, [&] { observed.push_back(sim.now()); });
-  sim.at(9, [&] { observed.push_back(sim.now()); });
-  sim.run();
+  sim.at(7, tagged(0));
+  sim.at(7, tagged(0));
+  sim.at(9, tagged(0));
+  sim.run(ClockLog{&sim, &observed});
   EXPECT_EQ(observed, (std::vector<SimTime>{7, 7, 9}));
 }
 
-TEST(Simulation, CancelFromWithinCallback) {
+TEST(Simulation, CancelFromWithinHandler) {
   Simulation sim;
   bool second_ran = false;
-  EventHandle second;
-  sim.at(5, [&] { second.cancel(); });
-  second = sim.at(10, [&] { second_ran = true; });
-  sim.run();
+  sim.at(5, tagged(1));
+  EventHandle second = sim.at(10, tagged(2));
+  sim.run([&](const Event& event) {
+    if (event.id == 1) {
+      second.cancel();
+    } else {
+      second_ran = true;
+    }
+  });
   EXPECT_FALSE(second_ran);
   EXPECT_EQ(sim.now(), 5);
 }
 
-TEST(Simulation, SchedulingAtNowFromCallbackRunsSameTime) {
+TEST(Simulation, SchedulingAtNowFromHandlerRunsSameTime) {
   Simulation sim;
-  std::vector<int> order;
-  sim.at(5, [&] {
-    order.push_back(1);
-    sim.at(5, [&] { order.push_back(2); });  // same timestamp, runs after
+  std::vector<std::uint64_t> order;
+  sim.at(5, tagged(1));
+  sim.run([&](const Event& event) {
+    order.push_back(event.id);
+    // Same timestamp: runs after the current event.
+    if (event.id == 1) sim.at(5, tagged(2));
   });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2}));
   EXPECT_EQ(sim.now(), 5);
 }
 
@@ -132,11 +168,10 @@ TEST(Simulation, RepeatingEventChainTerminates) {
   Simulation sim;
   int fires = 0;
   // Self-rescheduling heartbeat with a termination condition.
-  std::function<void()> beat = [&] {
-    if (++fires < 10) sim.after(3, beat);
-  };
-  sim.after(3, beat);
-  sim.run();
+  sim.after(3, tagged(0));
+  sim.run([&](const Event&) {
+    if (++fires < 10) sim.after(3, tagged(0));
+  });
   EXPECT_EQ(fires, 10);
   EXPECT_EQ(sim.now(), 30);
 }

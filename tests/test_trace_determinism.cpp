@@ -13,9 +13,14 @@
 //  3. Every map attempt's timeline slice closes: the attempt that wins, the
 //     losers it kills, attempts swept off a lost node (zombies whose
 //     completion already fired included) and the attempts of a failed job.
+//
+//  4. A run that fires every kind of simulator event keeps its pinned
+//     fingerprint and export digests, so a refactor of the event engine
+//     that reorders any two kinds shows up here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ios>
 #include <map>
 #include <sstream>
 #include <string>
@@ -201,6 +206,130 @@ TEST(TraceDeterminism, KilledMapAttemptsCloseTheirSlices) {
     }
   }
 }
+
+/// 64-bit FNV-1a over a whole export.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+std::string hex(std::uint64_t value) {
+  std::ostringstream out;
+  out << std::hex << value;
+  return out.str();
+}
+
+struct AllKindsCase {
+  const char* name;
+  SchedulerKind scheduler;
+  PolicyKind policy;
+  bool scarlett;
+  std::uint64_t fingerprint;
+  std::uint64_t events_csv;
+  std::uint64_t chrome_trace;
+};
+
+/// Every fault layer, both hedging mechanisms, the sampler and all three
+/// kinds of scripted event on a small multi-rack EC2 cluster.
+ClusterOptions all_kinds_options(const AllKindsCase& c) {
+  auto options =
+      paper_defaults(net::ec2_profile(24), c.scheduler, c.policy, /*seed=*/1);
+  options.faults.enabled = true;
+  options.faults.mtbf_s = 90.0;
+  options.faults.mttr_s = 20.0;
+  options.faults.permanent_fraction = 0.2;
+  options.faults.rack_correlation = 0.2;
+  options.faults.task_failure_prob = 0.05;
+  options.faults.min_live_workers = 4;
+  options.max_task_attempts = 3;
+  options.corruption.enabled = true;
+  options.corruption.bitrot_per_gb = 0.05;
+  options.corruption.sector_mtbf_s = 30.0;
+  options.stragglers.enabled = true;
+  options.stragglers.degrade_mtbf_s = 120.0;
+  options.stragglers.degrade_duration_s = 30.0;
+  options.stragglers.rack_correlation = 0.3;
+  options.stragglers.tail_prob = 0.1;
+  options.enable_straggler_detection = true;
+  options.straggler_detect_min_samples = 2;
+  options.netfault.enabled = true;
+  options.netfault.partition_mtbf_s = 150.0;
+  options.netfault.partition_duration_s = 15.0;
+  options.netfault.link_degrade_mtbf_s = 90.0;
+  options.netfault.link_degrade_duration_s = 30.0;
+  options.enable_speculation = true;
+  options.enable_task_cloning = true;
+  options.clone_budget_fraction = 0.15;
+  options.rereplication_interval = from_seconds(1.0);
+  options.rereplication_batch = 16;
+  options.failures = {
+      {from_seconds(12.0), 3, faults::FaultKind::kTransient,
+       from_seconds(25.0)},
+      {from_seconds(30.0), 7, faults::FaultKind::kPermanent, 0},
+  };
+  options.corruption_events = {
+      {from_seconds(8.0), 5, kInvalidNode},
+      {from_seconds(9.0), 11, 2},
+  };
+  options.partition_events = {{from_seconds(15.0), 1, from_seconds(12.0)}};
+  options.enable_scarlett = c.scarlett;
+  options.scarlett.epoch = from_seconds(20.0);
+  return options;
+}
+
+class AllEventKinds : public ::testing::TestWithParam<AllKindsCase> {};
+
+TEST_P(AllEventKinds, PinnedFingerprintAndExportDigests) {
+  const AllKindsCase& c = GetParam();
+  obs::TraceCollector tracer;
+  auto options = all_kinds_options(c);
+  options.tracer = &tracer;
+  const auto result = run_once(options, standard_wl1(24, 60, 1));
+
+  // Coverage: the run must keep reaching every event kind, or the pin
+  // below stops guarding it.
+  EXPECT_GT(result.speculative_launched, 0u);
+  EXPECT_GT(result.clones_launched, 0u);
+  EXPECT_GT(result.partition_episodes, 0u);
+  EXPECT_GT(result.link_degrade_episodes, 0u);
+  EXPECT_GT(result.degraded_onsets, 0u);
+  EXPECT_GT(result.node_failures, 0u);
+  EXPECT_GT(result.node_rejoins, 0u);
+  EXPECT_GT(result.corrupt_reads, 0u);
+  EXPECT_GT(result.rereplicated_blocks, 0u);
+  EXPECT_GT(result.stragglers_detected, 0u);
+  EXPECT_GT(tracer.series().size(), 0u);
+  if (c.scarlett) {
+    EXPECT_GT(result.proactive_replication_bytes, 0u);
+  }
+
+  std::ostringstream csv;
+  obs::write_events_csv(tracer, csv);
+  std::ostringstream json;
+  obs::write_chrome_trace(tracer, json);
+  EXPECT_EQ(hex(metrics::fingerprint(result)), hex(c.fingerprint));
+  EXPECT_EQ(hex(fnv1a(csv.str())), hex(c.events_csv)) << "events.csv digest";
+  EXPECT_EQ(hex(fnv1a(json.str())), hex(c.chrome_trace))
+      << "trace.json digest";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TraceDeterminism, AllEventKinds,
+    ::testing::Values(
+        // Scarlett's epochs make this the one case that fires every kind.
+        AllKindsCase{"FifoVanillaScarlett", SchedulerKind::kFifo,
+                     PolicyKind::kVanilla, true, 0x670345f85e20b40eULL,
+                     0x59e7592a435180f3ULL, 0x796f7a573013dbeaULL},
+        AllKindsCase{"FairElephantTrap", SchedulerKind::kFair,
+                     PolicyKind::kElephantTrap, false, 0xb9bedbf353b1cfddULL,
+                     0xdec5e19ac1f8e6f6ULL, 0x0d0ba46d528b2fedULL}),
+    [](const ::testing::TestParamInfo<AllKindsCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace dare::cluster
