@@ -8,7 +8,7 @@
 //  3. Heartbeat-interval ablation — how stale metadata delays the benefit
 //     of freshly created replicas.
 //
-// Overrides: jobs=<n> nodes=<n> seed=<n>
+// Overrides: jobs=<n> nodes=<n> seed=<n> progress=1
 #include "bench_common.h"
 #include "cluster/experiment.h"
 
@@ -19,9 +19,9 @@ using cluster::PolicyKind;
 using cluster::SchedulerKind;
 
 int run(const Config& cfg) {
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 400));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 400);
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
 
   bench::banner("Ablations — eviction policy, reactive vs proactive, "
                 "heartbeat staleness",
@@ -40,37 +40,31 @@ int run(const Config& cfg) {
       {"greedy-lfu", PolicyKind::kGreedyLfu},
       {"elephant-trap p=0.3", PolicyKind::kElephantTrap}};
 
-  std::vector<std::function<metrics::RunResult()>> runs;
+  std::vector<cluster::ClusterOptions> cells;
   for (const auto& row : policy_rows) {
-    runs.push_back([&, row] {
-      return cluster::run_once(
-          cluster::paper_defaults(net::cct_profile(nodes),
-                                  SchedulerKind::kFifo, row.policy, seed),
-          wl);
-    });
+    cells.push_back(cluster::paper_defaults(
+        net::cct_profile(nodes), SchedulerKind::kFifo, row.policy, seed));
   }
   // --- 2. Scarlett-style proactive baseline -------------------------------
-  runs.push_back([&] {
+  {
     auto options = cluster::paper_defaults(net::cct_profile(nodes),
                                            SchedulerKind::kFifo,
                                            PolicyKind::kVanilla, seed);
     options.enable_scarlett = true;
     options.scarlett.epoch = from_seconds(30.0);
     options.scarlett.budget_fraction = 0.2;
-    return cluster::run_once(options, wl);
-  });
+    cells.push_back(options);
+  }
   // --- 3. heartbeat sweep (ElephantTrap) ----------------------------------
   const std::vector<double> heartbeats_s = {1.0, 3.0, 10.0, 30.0};
   for (const double hb : heartbeats_s) {
-    runs.push_back([&, hb] {
-      auto options = cluster::paper_defaults(net::cct_profile(nodes),
-                                             SchedulerKind::kFifo,
-                                             PolicyKind::kElephantTrap, seed);
-      options.heartbeat_interval = from_seconds(hb);
-      return cluster::run_once(options, wl);
-    });
+    auto options = cluster::paper_defaults(net::cct_profile(nodes),
+                                           SchedulerKind::kFifo,
+                                           PolicyKind::kElephantTrap, seed);
+    options.heartbeat_interval = from_seconds(hb);
+    cells.push_back(options);
   }
-  const auto results = cluster::run_parallel(runs);
+  const auto results = bench::run_cells(cfg, cells, wl);
 
   AsciiTable ptable({"configuration", "locality %", "norm. GMTT",
                      "disk writes", "net bytes (MiB)"});
@@ -122,5 +116,6 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"jobs"}));
+  return dare::run_driver(
+      argc, argv, {{"jobs", "nodes", "progress", "seed"}}, dare::run);
 }

@@ -21,9 +21,9 @@ using cluster::PolicyKind;
 using cluster::SchedulerKind;
 
 int run(const Config& cfg) {
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 300));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 300);
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
 
   bench::banner("Node churn — stochastic failures, heartbeat detection, "
                 "rejoin reconciliation",
@@ -45,30 +45,26 @@ int run(const Config& cfg) {
       {"fair / dare-et", SchedulerKind::kFair, PolicyKind::kElephantTrap},
   };
 
-  std::vector<std::function<metrics::RunResult()>> runs;
+  std::vector<cluster::ClusterOptions> cells;
   for (const auto& variant : variants) {
-    runs.push_back([&, variant] {
-      // ec2 profile: multi-rack, so rack-correlated failures have teeth.
-      auto options = cluster::paper_defaults(net::ec2_profile(nodes),
-                                             variant.scheduler,
-                                             variant.policy, seed);
-      options.faults.enabled = true;
-      options.faults.mtbf_s = cfg.get_double("mtbf_s", 120.0);
-      options.faults.mttr_s = cfg.get_double("mttr_s", 30.0);
-      options.faults.permanent_fraction =
-          cfg.get_double("permanent_fraction", 0.2);
-      options.faults.rack_correlation =
-          cfg.get_double("rack_correlation", 0.2);
-      options.faults.task_failure_prob =
-          cfg.get_double("task_failure_prob", 0.005);
-      options.faults.min_live_workers = 4;
-      options.rereplication_interval = from_seconds(2.0);
-      options.rereplication_batch = 32;
-      return cluster::run_once(options, wl);
-    });
+    // ec2 profile: multi-rack, so rack-correlated failures have teeth.
+    auto options = cluster::paper_defaults(net::ec2_profile(nodes),
+                                           variant.scheduler, variant.policy,
+                                           seed);
+    options.faults.enabled = true;
+    options.faults.mtbf_s = cfg.get_double("mtbf_s", 120.0);
+    options.faults.mttr_s = cfg.get_double("mttr_s", 30.0);
+    options.faults.permanent_fraction =
+        cfg.get_double("permanent_fraction", 0.2);
+    options.faults.rack_correlation = cfg.get_double("rack_correlation", 0.2);
+    options.faults.task_failure_prob =
+        cfg.get_double("task_failure_prob", 0.005);
+    options.faults.min_live_workers = 4;
+    options.rereplication_interval = from_seconds(2.0);
+    options.rereplication_batch = 32;
+    cells.push_back(options);
   }
-  const auto results =
-      cluster::run_parallel(runs, 0, bench::progress_meter(cfg));
+  const auto results = bench::run_cells(cfg, cells, wl);
 
   AsciiTable table({"configuration", "locality %", "GMTT (s)", "failures",
                     "detected", "mean detect (s)", "rejoins", "repaired",
@@ -99,5 +95,9 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"jobs"}));
+  return dare::run_driver(argc, argv,
+                          {{"jobs", "mtbf_s", "mttr_s", "nodes",
+                            "permanent_fraction", "progress",
+                            "rack_correlation", "seed", "task_failure_prob"}},
+                          dare::run);
 }

@@ -39,9 +39,9 @@ double p95_turnaround(const metrics::RunResult& r) {
 }
 
 int run(const Config& cfg) {
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 250));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 250);
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
   const double tail_prob = cfg.get_double("tail_prob", 0.15);
   const double tail_cap = cfg.get_double("tail_cap", 12.0);
   const double clone_budget = cfg.get_double("clone_budget", 0.15);
@@ -75,43 +75,39 @@ int run(const Config& cfg) {
       {"stragglers+churn", true, true},
   };
 
-  std::vector<std::function<metrics::RunResult()>> runs;
+  std::vector<cluster::ClusterOptions> cells;
   for (const auto& env : environments) {
     for (const auto& mit : mitigations) {
-      runs.push_back([&, env, mit] {
-        auto options = cluster::paper_defaults(net::ec2_profile(nodes),
-                                               SchedulerKind::kFair,
-                                               PolicyKind::kElephantTrap,
-                                               seed);
-        if (env.stragglers) {
-          options.stragglers.enabled = true;
-          options.stragglers.degrade_mtbf_s = 180.0;
-          options.stragglers.degrade_duration_s = 45.0;
-          options.stragglers.compute_slowdown = 4.0;
-          options.stragglers.disk_slowdown = 2.5;
-          options.stragglers.rack_correlation = 0.2;
-          options.stragglers.tail_prob = tail_prob;
-          options.stragglers.tail_alpha = 1.1;
-          options.stragglers.tail_cap = tail_cap;
-        }
-        if (env.churn) {
-          options.faults.enabled = true;
-          options.faults.mtbf_s = 120.0;
-          options.faults.mttr_s = 30.0;
-          options.faults.permanent_fraction = 0.2;
-          options.faults.min_live_workers = 4;
-          options.rereplication_interval = from_seconds(2.0);
-        }
-        options.enable_speculation = mit.speculation;
-        options.enable_task_cloning = mit.cloning;
-        options.clone_budget_fraction = clone_budget;
-        options.enable_straggler_detection = mit.detection;
-        return cluster::run_once(options, wl);
-      });
+      auto options = cluster::paper_defaults(net::ec2_profile(nodes),
+                                             SchedulerKind::kFair,
+                                             PolicyKind::kElephantTrap, seed);
+      if (env.stragglers) {
+        options.stragglers.enabled = true;
+        options.stragglers.degrade_mtbf_s = 180.0;
+        options.stragglers.degrade_duration_s = 45.0;
+        options.stragglers.compute_slowdown = 4.0;
+        options.stragglers.disk_slowdown = 2.5;
+        options.stragglers.rack_correlation = 0.2;
+        options.stragglers.tail_prob = tail_prob;
+        options.stragglers.tail_alpha = 1.1;
+        options.stragglers.tail_cap = tail_cap;
+      }
+      if (env.churn) {
+        options.faults.enabled = true;
+        options.faults.mtbf_s = 120.0;
+        options.faults.mttr_s = 30.0;
+        options.faults.permanent_fraction = 0.2;
+        options.faults.min_live_workers = 4;
+        options.rereplication_interval = from_seconds(2.0);
+      }
+      options.enable_speculation = mit.speculation;
+      options.enable_task_cloning = mit.cloning;
+      options.clone_budget_fraction = clone_budget;
+      options.enable_straggler_detection = mit.detection;
+      cells.push_back(options);
     }
   }
-  const auto results =
-      cluster::run_parallel(runs, 0, bench::progress_meter(cfg));
+  const auto results = bench::run_cells(cfg, cells, wl);
 
   AsciiTable table({"environment", "mitigation", "GMTT (s)", "p95 (s)",
                     "locality %", "clones", "clone wins", "wasted (s)",
@@ -154,5 +150,8 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"jobs"}));
+  return dare::run_driver(argc, argv,
+                          {{"clone_budget", "csv", "jobs", "nodes",
+                            "progress", "seed", "tail_cap", "tail_prob"}},
+                          dare::run);
 }

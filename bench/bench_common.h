@@ -1,17 +1,17 @@
-// Shared helpers for the bench binaries: argument parsing (key=value
-// overrides), standard headers, and formatting shortcuts. Each bench prints
-// the rows/series of exactly one table or figure of the DARE paper.
+// Shared helpers for the bench binaries: standard headers, the sweep
+// helper and its progress meter, and CSV output. Each bench prints the
+// rows/series of exactly one table or figure of the DARE paper; its main()
+// is one call into dare::run_driver (common/config.h).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <iostream>
 #include <fstream>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "cluster/experiment.h"
+#include "cluster/farm.h"
 #include "common/config.h"
 #include "common/table.h"
 #include "obs/phase_profiler.h"
@@ -41,61 +41,6 @@ inline MemoryStats read_memory_stats() {
   return stats;
 }
 
-/// Keys every bench binary accepts in addition to its own:
-/// `csv=<prefix>` (maybe_write_csv) and `progress=1` (progress_meter).
-inline const std::vector<std::string>& common_bench_keys() {
-  static const std::vector<std::string> keys = {"csv", "progress"};
-  return keys;
-}
-
-/// Arguments not recognized by this binary: positional tokens plus every
-/// config key outside cluster::override_keys(), common_bench_keys(), and
-/// the binary's own `extra_keys`. Pure — parse_args uses it to reject, the
-/// tests exercise it directly.
-inline std::vector<std::string> unknown_args(
-    const Config& cfg, const std::vector<std::string>& positional,
-    const std::vector<std::string>& extra_keys) {
-  std::vector<std::string> unknown = positional;
-  const auto contains = [](const std::vector<std::string>& keys,
-                           const std::string& key) {
-    return std::find(keys.begin(), keys.end(), key) != keys.end();
-  };
-  for (const auto& key : cfg.keys()) {
-    if (contains(cluster::override_keys(), key) ||
-        contains(common_bench_keys(), key) || contains(extra_keys, key)) {
-      continue;
-    }
-    unknown.push_back(key + "=...");
-  }
-  return unknown;
-}
-
-/// Parse `key=value` CLI overrides into a Config, validating every key
-/// against cluster::override_keys() + common_bench_keys() + `extra_keys`.
-/// A typo'd knob or stray positional exits 1 with a usage line instead of
-/// silently running the default configuration (same contract the examples
-/// enforce since PR5/PR7).
-inline Config parse_args(int argc, char** argv,
-                         const std::vector<std::string>& extra_keys = {}) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  std::vector<std::string> positional;
-  const Config cfg = Config::from_args(args, &positional);
-  const auto unknown = unknown_args(cfg, positional, extra_keys);
-  if (!unknown.empty()) {
-    std::cerr << "error: unrecognized argument(s):";
-    for (const auto& u : unknown) std::cerr << ' ' << u;
-    std::cerr << "\nusage: " << (argc > 0 ? argv[0] : "bench")
-              << " [key=value ...]\n  binary-specific keys:";
-    for (const auto& key : extra_keys) std::cerr << ' ' << key;
-    std::cerr << "\n  common keys: csv=<prefix> progress=1"
-              << "\n  cluster override keys:";
-    for (const auto& key : cluster::override_keys()) std::cerr << ' ' << key;
-    std::cerr << '\n';
-    std::exit(1);
-  }
-  return cfg;
-}
-
 /// Standard banner so bench outputs are self-describing in logs.
 inline void banner(const std::string& experiment,
                    const std::string& paper_reference) {
@@ -105,16 +50,31 @@ inline void banner(const std::string& experiment,
             << "==============================================================\n";
 }
 
-/// `progress=1`: live completed/total meter on stderr for run_parallel /
-/// farm sweeps (stderr so redirected table output stays clean). The
-/// callback may run concurrently on worker threads (cluster::SweepProgress
-/// contract); a bare stream write never data-races, at worst interleaves.
+/// `progress=1`: live completed/total meter on stderr for a sweep (stderr
+/// so redirected table output stays clean). The callback may run
+/// concurrently on worker threads (cluster::SweepProgress contract); a bare
+/// stream write never data-races, at worst interleaves.
 inline cluster::SweepProgress progress_meter(const Config& cfg) {
   if (!cfg.get_bool("progress", false)) return {};
   return [](std::size_t done, std::size_t total) {
     std::cerr << "\r[sweep " << done << '/' << total << ']'
               << (done == total ? "\n" : "") << std::flush;
   };
+}
+
+/// Run one simulation of `wl` per cell on the sweep engine (one worker per
+/// hardware thread) and return the results in cell order. `progress=1` in
+/// `cfg` shows the meter, so every bench that sweeps through here must
+/// accept the `progress` key.
+inline std::vector<metrics::RunResult> run_cells(
+    const Config& cfg, const std::vector<cluster::ClusterOptions>& cells,
+    const workload::Workload& wl) {
+  std::vector<metrics::RunResult> results(cells.size());
+  cluster::run_sweep(
+      cells.size(), 0,
+      [&](std::size_t i) { results[i] = cluster::run_once(cells[i], wl); },
+      progress_meter(cfg));
+  return results;
 }
 
 /// If the run was given `csv=<dir-or-prefix>`, also write `table` as

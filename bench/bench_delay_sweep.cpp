@@ -4,7 +4,7 @@
 // delay suffices for the same locality — DARE effectively buys back the
 // latency that delay scheduling spends.
 //
-// Overrides: jobs=<n> nodes=<n> seed=<n>
+// Overrides: jobs=<n> nodes=<n> seed=<n> progress=1
 #include "bench_common.h"
 #include "cluster/experiment.h"
 
@@ -15,9 +15,9 @@ using cluster::PolicyKind;
 using cluster::SchedulerKind;
 
 int run(const Config& cfg) {
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 400));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 400);
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
 
   bench::banner("Delay-scheduling sweep — waiting vs locality, with and "
                 "without DARE",
@@ -26,20 +26,17 @@ int run(const Config& cfg) {
   const auto wl = cluster::standard_wl1(nodes, jobs, seed);
   const std::vector<double> delays_ms = {0, 100, 250, 500, 1000, 2000, 4000};
 
-  std::vector<std::function<metrics::RunResult()>> runs;
+  std::vector<cluster::ClusterOptions> cells;
   for (const auto policy :
        {PolicyKind::kVanilla, PolicyKind::kElephantTrap}) {
     for (const double delay : delays_ms) {
-      runs.push_back([&, policy, delay] {
-        auto options = cluster::paper_defaults(net::cct_profile(nodes),
-                                               SchedulerKind::kFair, policy,
-                                               seed);
-        options.fair_delay = from_millis(delay);
-        return cluster::run_once(options, wl);
-      });
+      auto options = cluster::paper_defaults(
+          net::cct_profile(nodes), SchedulerKind::kFair, policy, seed);
+      options.fair_delay = from_millis(delay);
+      cells.push_back(options);
     }
   }
-  const auto results = cluster::run_parallel(runs);
+  const auto results = bench::run_cells(cfg, cells, wl);
 
   AsciiTable table({"delay (ms)", "vanilla locality %", "vanilla GMTT (s)",
                     "DARE locality %", "DARE GMTT (s)"});
@@ -64,5 +61,6 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"jobs"}));
+  return dare::run_driver(
+      argc, argv, {{"jobs", "nodes", "progress", "seed"}}, dare::run);
 }

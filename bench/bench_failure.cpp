@@ -2,11 +2,14 @@
 // created by DARE are first-order replicas and as such they also contribute
 // to increasing availability of the data in the presence of failures").
 //
-// Kills two workers mid-run and reports, for vanilla vs DARE: task
-// re-executions, repair traffic, surviving replica counts, and the locality
-// resilience during the repair window.
+// Kills two workers mid-run (at 1/6 and 3/5 of the worker range) and
+// reports, for vanilla vs DARE: task re-executions, repair traffic,
+// surviving replica counts, and the locality resilience during the repair
+// window.
 //
-// Overrides: jobs=<n> nodes=<n> seed=<n>
+// Overrides: jobs=<n> nodes=<n> (>= 4) seed=<n> progress=1
+#include <stdexcept>
+
 #include "bench_common.h"
 #include "cluster/experiment.h"
 #include "metrics/availability.h"
@@ -30,9 +33,19 @@ std::vector<std::size_t> replica_counts(const cluster::Cluster& cluster) {
 }
 
 int run(const Config& cfg) {
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 400));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 400);
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
+  // Two scripted failures at fixed fractions of the worker range (workers 3
+  // and 11 of the default 19); a third worker must survive them.
+  const std::size_t workers = nodes > 0 ? nodes - 1 : 0;
+  if (workers < 3) {
+    throw std::invalid_argument(
+        "two scripted failures need at least 3 workers (nodes >= 4), got "
+        "nodes=" + std::to_string(nodes));
+  }
+  const auto first_victim = static_cast<NodeId>(workers / 6);
+  const auto second_victim = static_cast<NodeId>(3 * workers / 5);
 
   bench::banner("Fault tolerance — node failures under vanilla vs DARE",
                 "extension of DARE (CLUSTER'11) Section IV-B");
@@ -51,20 +64,17 @@ int run(const Config& cfg) {
       {"dare-et, no repair", PolicyKind::kElephantTrap, false},
   };
 
-  std::vector<std::function<metrics::RunResult()>> runs;
+  std::vector<cluster::ClusterOptions> cells;
   for (const auto& variant : variants) {
-    runs.push_back([&, variant] {
-      auto options = cluster::paper_defaults(net::cct_profile(nodes),
-                                             SchedulerKind::kFifo,
-                                             variant.policy, seed);
-      options.enable_rereplication = variant.rereplication;
-      // Two failures one third and two thirds into the expected run.
-      options.failures.push_back({from_seconds(15.0), NodeId{3}});
-      options.failures.push_back({from_seconds(30.0), NodeId{11}});
-      return cluster::run_once(options, wl);
-    });
+    auto options = cluster::paper_defaults(
+        net::cct_profile(nodes), SchedulerKind::kFifo, variant.policy, seed);
+    options.enable_rereplication = variant.rereplication;
+    // Two failures one third and two thirds into the expected run.
+    options.failures.push_back({from_seconds(15.0), first_victim});
+    options.failures.push_back({from_seconds(30.0), second_victim});
+    cells.push_back(options);
   }
-  const auto results = cluster::run_parallel(runs);
+  const auto results = bench::run_cells(cfg, cells, wl);
 
   AsciiTable table({"configuration", "locality %", "GMTT (s)",
                     "task re-executions", "repaired blocks", "blocks lost"});
@@ -100,8 +110,8 @@ int run(const Config& cfg) {
   AsciiTable avail({"simultaneous failures k",
                     "E[lost blocks] vanilla", "E[lost blocks] with DARE",
                     "P(any loss) vanilla", "P(any loss) with DARE"});
-  const std::size_t workers = nodes - 1;
   for (std::size_t k : {3u, 4u, 5u, 6u}) {
+    if (k > workers) break;  // a small cluster cannot lose k nodes
     const auto v =
         metrics::availability_under_failures(workers, vanilla_counts, k);
     const auto d =
@@ -124,5 +134,6 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"jobs"}));
+  return dare::run_driver(
+      argc, argv, {{"jobs", "nodes", "progress", "seed"}}, dare::run);
 }

@@ -5,7 +5,7 @@
 // slowdown ratio, and how DARE shifts both (better locality shortens the
 // large jobs' occupancy, which helps everyone).
 //
-// Overrides: jobs=<n> nodes=<n> seed=<n>
+// Overrides: jobs=<n> nodes=<n> seed=<n> progress=1
 #include "bench_common.h"
 #include "cluster/experiment.h"
 #include "metrics/fairness.h"
@@ -17,31 +17,27 @@ using cluster::PolicyKind;
 using cluster::SchedulerKind;
 
 int run(const Config& cfg) {
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 400));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 400);
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
 
   bench::banner("Scheduler fairness on wl2 (small jobs after large jobs)",
                 "context for DARE (CLUSTER'11) Section V-A workload choice");
 
   const auto wl = cluster::standard_wl2(nodes, jobs, seed);
 
-  std::vector<std::function<metrics::RunResult()>> runs;
+  std::vector<cluster::ClusterOptions> cells;
   std::vector<std::string> labels;
   for (const auto sched : {SchedulerKind::kFifo, SchedulerKind::kFair}) {
     for (const auto policy :
          {PolicyKind::kVanilla, PolicyKind::kElephantTrap}) {
       labels.push_back(std::string(cluster::scheduler_name(sched)) + " / " +
                        cluster::policy_name(policy));
-      runs.push_back([&, sched, policy] {
-        return cluster::run_once(
-            cluster::paper_defaults(net::cct_profile(nodes), sched, policy,
-                                    seed),
-            wl);
-      });
+      cells.push_back(cluster::paper_defaults(net::cct_profile(nodes), sched,
+                                              policy, seed));
     }
   }
-  const auto results = cluster::run_parallel(runs);
+  const auto results = bench::run_cells(cfg, cells, wl);
 
   AsciiTable table({"scheduler / policy", "Jain fairness", "mean slowdown",
                     "worst/median slowdown", "GMTT (s)"});
@@ -66,5 +62,6 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"jobs"}));
+  return dare::run_driver(
+      argc, argv, {{"jobs", "nodes", "progress", "seed"}}, dare::run);
 }

@@ -11,7 +11,7 @@
 // interruption (completed cells replay from the journal bit-identically).
 //
 // Overrides: jobs=<n> nodes=<n> seed=<n> seeds=<n> journal=<path>
-//            threads=<n> progress=1
+//            threads=<n> progress=1 csv=<prefix>
 #include "bench_common.h"
 #include "cluster/farm.h"
 
@@ -22,10 +22,10 @@ using cluster::PolicyKind;
 using cluster::SchedulerKind;
 
 int run(const Config& cfg) {
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 500));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 100));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
-  const auto replications = static_cast<std::size_t>(cfg.get_int("seeds", 3));
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 500);
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 100);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
+  const auto replications = cfg.get_count<std::size_t>("seeds", 3);
 
   bench::banner("Fig. 10 — job performance in a 100-node EC2 cluster (wl1)",
                 "DARE (CLUSTER'11) Fig. 10a/10b/10c");
@@ -60,7 +60,7 @@ int run(const Config& cfg) {
     }
   }
   cluster::ExperimentFarm::Options farm_options;
-  farm_options.threads = static_cast<std::size_t>(cfg.get_int("threads", 0));
+  farm_options.threads = cfg.get_count<std::size_t>("threads", 0);
   farm_options.journal_path = cfg.get_string("journal", "");
   farm_options.progress = bench::progress_meter(cfg);
   cluster::ExperimentFarm farm(std::move(items), farm_options);
@@ -130,5 +130,8 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"jobs", "journal", "seeds", "threads"}));
+  return dare::run_driver(argc, argv,
+                          {{"csv", "jobs", "journal", "nodes", "progress",
+                            "seed", "seeds", "threads"}},
+                          dare::run);
 }

@@ -3,7 +3,7 @@
 // full wl1 run with DARE enabled, as a function of the ElephantTrap
 // probability p (FIFO scheduler, budget=0.2, threshold=1).
 //
-// Overrides: jobs=<n> nodes=<n> seed=<n>
+// Overrides: jobs=<n> nodes=<n> seed=<n> progress=1
 #include "bench_common.h"
 #include "cluster/experiment.h"
 
@@ -11,9 +11,9 @@ namespace dare {
 namespace {
 
 int run(const Config& cfg) {
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 500));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 500);
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
 
   bench::banner("Fig. 11 — uniformity of the replica placement",
                 "DARE (CLUSTER'11) Fig. 11");
@@ -22,19 +22,17 @@ int run(const Config& cfg) {
   const std::vector<double> ps = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
                                   0.6, 0.7, 0.8, 0.9, 1.0};
 
-  std::vector<std::function<metrics::RunResult()>> runs;
+  std::vector<cluster::ClusterOptions> cells;
   for (const double p : ps) {
-    runs.push_back([&, p] {
-      auto options = cluster::paper_defaults(
-          net::cct_profile(nodes), cluster::SchedulerKind::kFifo,
-          cluster::PolicyKind::kElephantTrap, seed);
-      options.trap.p = p;
-      options.trap.threshold = 1;
-      options.budget_fraction = 0.2;
-      return cluster::run_once(options, wl);
-    });
+    auto options = cluster::paper_defaults(
+        net::cct_profile(nodes), cluster::SchedulerKind::kFifo,
+        cluster::PolicyKind::kElephantTrap, seed);
+    options.trap.p = p;
+    options.trap.threshold = 1;
+    options.budget_fraction = 0.2;
+    cells.push_back(options);
   }
-  const auto results = cluster::run_parallel(runs);
+  const auto results = bench::run_cells(cfg, cells, wl);
 
   AsciiTable table({"p", "cv before DARE", "cv after DARE"});
   for (std::size_t i = 0; i < ps.size(); ++i) {
@@ -53,5 +51,6 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"jobs"}));
+  return dare::run_driver(
+      argc, argv, {{"jobs", "nodes", "progress", "seed"}}, dare::run);
 }

@@ -9,10 +9,9 @@ namespace dare {
 namespace {
 
 int run(const Config& cfg) {
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto placements =
-      static_cast<std::size_t>(cfg.get_int("placements", 50));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 3));
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto placements = cfg.get_count<std::size_t>("placements", 50);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 3);
 
   bench::banner(
       "Fig. 1 — hop-count distribution between nodes of an EC2 cluster",
@@ -46,5 +45,6 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"placements"}));
+  return dare::run_driver(
+      argc, argv, {{"nodes", "placements", "seed"}}, dare::run);
 }

@@ -11,10 +11,9 @@ namespace {
 
 int run(const Config& cfg) {
   workload::YahooTraceOptions opts;
-  opts.files = static_cast<std::size_t>(cfg.get_int("files", 2000));
-  opts.total_accesses =
-      static_cast<std::size_t>(cfg.get_int("accesses", 200000));
-  opts.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  opts.files = cfg.get_count<std::size_t>("files", 2000);
+  opts.total_accesses = cfg.get_count<std::size_t>("accesses", 200000);
+  opts.seed = cfg.get_count<std::uint64_t>("seed", 7);
 
   bench::banner("Fig. 3 — CDF of file age at time of access",
                 "DARE (CLUSTER'11) Fig. 3");
@@ -47,5 +46,6 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"accesses", "files"}));
+  return dare::run_driver(
+      argc, argv, {{"accesses", "files", "seed"}}, dare::run);
 }

@@ -11,11 +11,10 @@ namespace {
 
 int run(const Config& cfg) {
   workload::YahooTraceOptions opts;
-  opts.files = static_cast<std::size_t>(cfg.get_int("files", 2000));
-  opts.total_accesses =
-      static_cast<std::size_t>(cfg.get_int("accesses", 200000));
-  opts.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
-  const auto day = static_cast<std::int64_t>(cfg.get_int("day", 2));
+  opts.files = cfg.get_count<std::size_t>("files", 2000);
+  opts.total_accesses = cfg.get_count<std::size_t>("accesses", 200000);
+  opts.seed = cfg.get_count<std::uint64_t>("seed", 7);
+  const auto day = cfg.get_count<std::int64_t>("day", 2);
 
   bench::banner(
       "Fig. 5 — 80% windows within a single day (day " +
@@ -56,5 +55,6 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"accesses", "day", "files"}));
+  return dare::run_driver(
+      argc, argv, {{"accesses", "day", "files", "seed"}}, dare::run);
 }

@@ -35,5 +35,5 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"zipf"}));
+  return dare::run_driver(argc, argv, {{"zipf"}}, dare::run);
 }

@@ -14,9 +14,9 @@ using cluster::PolicyKind;
 using cluster::SchedulerKind;
 
 int run(const Config& cfg) {
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 500));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 500);
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
 
   bench::banner("Fig. 8 — sensitivity to p and threshold (wl2)",
                 "DARE (CLUSTER'11) Fig. 8a/8b");
@@ -26,18 +26,15 @@ int run(const Config& cfg) {
   // --- (a) sweep p; threshold = 1, budget = 0.2 -------------------------
   const std::vector<double> ps = {0.0, 0.1, 0.2, 0.3, 0.4,
                                   0.5, 0.6, 0.7, 0.8, 0.9};
-  std::vector<std::function<metrics::RunResult()>> runs;
+  std::vector<cluster::ClusterOptions> cells;
   for (const auto sched : {SchedulerKind::kFifo, SchedulerKind::kFair}) {
     for (const double p : ps) {
-      runs.push_back([&, sched, p] {
-        auto options = cluster::paper_defaults(net::cct_profile(nodes), sched,
-                                               PolicyKind::kElephantTrap,
-                                               seed);
-        options.trap.p = p;
-        options.trap.threshold = 1;
-        options.budget_fraction = 0.2;
-        return cluster::run_once(options, wl);
-      });
+      auto options = cluster::paper_defaults(
+          net::cct_profile(nodes), sched, PolicyKind::kElephantTrap, seed);
+      options.trap.p = p;
+      options.trap.threshold = 1;
+      options.budget_fraction = 0.2;
+      cells.push_back(options);
     }
   }
   // --- (b) sweep threshold; p = 0.9, budget = 0.5 (paper parameters) and
@@ -48,21 +45,16 @@ int run(const Config& cfg) {
   for (const double budget : threshold_budgets) {
     for (const auto sched : {SchedulerKind::kFifo, SchedulerKind::kFair}) {
       for (const int thr : thresholds) {
-        runs.push_back([&, sched, thr, budget] {
-          auto options = cluster::paper_defaults(net::cct_profile(nodes),
-                                                 sched,
-                                                 PolicyKind::kElephantTrap,
-                                                 seed);
-          options.trap.p = 0.9;
-          options.trap.threshold = static_cast<std::uint32_t>(thr);
-          options.budget_fraction = budget;
-          return cluster::run_once(options, wl);
-        });
+        auto options = cluster::paper_defaults(
+            net::cct_profile(nodes), sched, PolicyKind::kElephantTrap, seed);
+        options.trap.p = 0.9;
+        options.trap.threshold = static_cast<std::uint32_t>(thr);
+        options.budget_fraction = budget;
+        cells.push_back(options);
       }
     }
   }
-  const auto results =
-      cluster::run_parallel(runs, 0, bench::progress_meter(cfg));
+  const auto results = bench::run_cells(cfg, cells, wl);
 
   AsciiTable ptable({"p", "FIFO locality %", "FIFO blocks/job",
                      "Fair locality %", "Fair blocks/job"});
@@ -113,5 +105,6 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"jobs"}));
+  return dare::run_driver(
+      argc, argv, {{"jobs", "nodes", "progress", "seed"}}, dare::run);
 }

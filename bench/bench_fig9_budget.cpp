@@ -2,7 +2,7 @@
 // blocks created per job, for (a) greedy LRU eviction and (b) ElephantTrap
 // eviction (threshold=1; p = 0.9 and p = 0.3), on workload wl2.
 //
-// Overrides: jobs=<n> nodes=<n> seed=<n>
+// Overrides: jobs=<n> nodes=<n> seed=<n> progress=1
 #include "bench_common.h"
 #include "cluster/experiment.h"
 
@@ -13,9 +13,9 @@ using cluster::PolicyKind;
 using cluster::SchedulerKind;
 
 int run(const Config& cfg) {
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 500));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 500);
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
 
   bench::banner("Fig. 9 — sensitivity to the replication budget (wl2)",
                 "DARE (CLUSTER'11) Fig. 9a/9b");
@@ -34,22 +34,20 @@ int run(const Config& cfg) {
       {"ET p=0.9", PolicyKind::kElephantTrap, 0.9},
       {"ET p=0.3", PolicyKind::kElephantTrap, 0.3}};
 
-  std::vector<std::function<metrics::RunResult()>> runs;
+  std::vector<cluster::ClusterOptions> cells;
   for (const auto& variant : variants) {
     for (const auto sched : {SchedulerKind::kFifo, SchedulerKind::kFair}) {
       for (const double budget : budgets) {
-        runs.push_back([&, variant, sched, budget] {
-          auto options = cluster::paper_defaults(net::cct_profile(nodes),
-                                                 sched, variant.policy, seed);
-          options.budget_fraction = budget;
-          options.trap.p = variant.p;
-          options.trap.threshold = 1;
-          return cluster::run_once(options, wl);
-        });
+        auto options = cluster::paper_defaults(net::cct_profile(nodes), sched,
+                                               variant.policy, seed);
+        options.budget_fraction = budget;
+        options.trap.p = variant.p;
+        options.trap.threshold = 1;
+        cells.push_back(options);
       }
     }
   }
-  const auto results = cluster::run_parallel(runs);
+  const auto results = bench::run_cells(cfg, cells, wl);
 
   std::size_t idx = 0;
   for (const auto& variant : variants) {
@@ -80,5 +78,6 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"jobs"}));
+  return dare::run_driver(
+      argc, argv, {{"jobs", "nodes", "progress", "seed"}}, dare::run);
 }

@@ -13,7 +13,7 @@
 // and output-bound (heavy shuffle + long reduces) classes, and DARE's
 // turnaround improvement is reported per class.
 //
-// Overrides: jobs=<n> nodes=<n> seed=<n>
+// Overrides: jobs=<n> nodes=<n> seed=<n> progress=1
 #include <unordered_map>
 
 #include "bench_common.h"
@@ -34,28 +34,24 @@ bool output_bound(const workload::Workload& wl,
 }
 
 int run(const Config& cfg) {
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 500));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 500);
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
 
   bench::banner("Map-task completion times and task classes (wl2)",
                 "DARE (CLUSTER'11) Section V-C + stated future work");
 
   const auto wl = cluster::standard_wl2(nodes, jobs, seed);
 
-  std::vector<std::function<metrics::RunResult()>> runs;
+  std::vector<cluster::ClusterOptions> cells;
   for (const auto sched : {SchedulerKind::kFifo, SchedulerKind::kFair}) {
     for (const auto policy :
          {PolicyKind::kVanilla, PolicyKind::kElephantTrap}) {
-      runs.push_back([&, sched, policy] {
-        return cluster::run_once(
-            cluster::paper_defaults(net::cct_profile(nodes), sched, policy,
-                                    seed),
-            wl);
-      });
+      cells.push_back(cluster::paper_defaults(net::cct_profile(nodes), sched,
+                                              policy, seed));
     }
   }
-  const auto results = cluster::run_parallel(runs);
+  const auto results = bench::run_cells(cfg, cells, wl);
 
   // --- mean map-task completion time (the 12% / 11% numbers) -------------
   AsciiTable map_times({"scheduler", "vanilla (s)", "DARE-ET (s)",
@@ -110,5 +106,6 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"jobs"}));
+  return dare::run_driver(
+      argc, argv, {{"jobs", "nodes", "progress", "seed"}}, dare::run);
 }

@@ -12,7 +12,9 @@
 // one reachable replica.
 //
 // Overrides: jobs=<n> nodes=<n> seed=<n> calm_mtbf_s=<s> storm_mtbf_s=<s>
-//            progress=1  (plus the cluster-level netfault knobs; see usage)
+//            progress=1, plus every cluster override key except the four
+//            the sweep varies itself (scheduler, policy, repair_policy,
+//            part_mtbf_s)
 #include "bench_common.h"
 #include "cluster/experiment.h"
 
@@ -24,9 +26,9 @@ using cluster::RepairPolicy;
 using cluster::SchedulerKind;
 
 int run(const Config& cfg) {
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 300));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 300);
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
 
   bench::banner("Network faults — rack partitions, degraded uplinks, "
                 "prioritized bandwidth-aware repair",
@@ -62,38 +64,31 @@ int run(const Config& cfg) {
     }
   }
 
-  std::vector<std::function<metrics::RunResult()>> runs;
+  std::vector<cluster::ClusterOptions> cells;
   for (const auto& variant : variants) {
-    runs.push_back([&, variant] {
-      // ec2 profile: multi-rack, so partitions actually cut something.
-      auto options = cluster::paper_defaults(net::ec2_profile(nodes),
-                                             variant.scheduler,
-                                             variant.policy, seed);
-      options.faults.enabled = true;
-      options.faults.mtbf_s = 180.0;
-      options.faults.mttr_s = 30.0;
-      options.faults.permanent_fraction = 0.15;
-      options.faults.min_live_workers = 4;
-      options.netfault.enabled = true;
-      options.netfault.partition_mtbf_s = variant.partition_mtbf_s;
-      options.netfault.partition_duration_s = 20.0;
-      options.netfault.link_degrade_mtbf_s = 120.0;
-      options.netfault.link_degrade_duration_s = 40.0;
-      options.repair_policy = variant.repair;
-      options.rereplication_interval = from_seconds(1.0);
-      options.rereplication_batch = 32;
-      // Cluster-level knobs (bandwidth_cut, repairs_per_uplink, ...) remain
-      // overridable from the command line for ad-hoc sweeps.
-      options = cluster::apply_overrides(options, cfg);
-      options.scheduler = variant.scheduler;
-      options.policy = variant.policy;
-      options.repair_policy = variant.repair;
-      options.netfault.partition_mtbf_s = variant.partition_mtbf_s;
-      return cluster::run_once(options, wl);
-    });
+    // ec2 profile: multi-rack, so partitions actually cut something.
+    auto options = cluster::paper_defaults(net::ec2_profile(nodes),
+                                           variant.scheduler, variant.policy,
+                                           seed);
+    options.faults.enabled = true;
+    options.faults.mtbf_s = 180.0;
+    options.faults.mttr_s = 30.0;
+    options.faults.permanent_fraction = 0.15;
+    options.faults.min_live_workers = 4;
+    options.netfault.enabled = true;
+    options.netfault.partition_mtbf_s = variant.partition_mtbf_s;
+    options.netfault.partition_duration_s = 20.0;
+    options.netfault.link_degrade_mtbf_s = 120.0;
+    options.netfault.link_degrade_duration_s = 40.0;
+    options.repair_policy = variant.repair;
+    options.rereplication_interval = from_seconds(1.0);
+    options.rereplication_batch = 32;
+    // Cluster-level knobs (bandwidth_cut, repairs_per_uplink, ...) remain
+    // overridable from the command line for ad-hoc sweeps; main() does not
+    // accept the four knobs the sweep varies itself.
+    cells.push_back(cluster::apply_overrides(options, cfg));
   }
-  const auto results =
-      cluster::run_parallel(runs, 0, bench::progress_meter(cfg));
+  const auto results = bench::run_cells(cfg, cells, wl);
 
   AsciiTable table({"configuration", "locality %", "GMTT (s)", "partitions",
                     "healed", "unreach reads", "retries", "preempt",
@@ -129,6 +124,10 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(
-      argc, argv, {"jobs", "calm_mtbf_s", "storm_mtbf_s"}));
+  return dare::run_driver(
+      argc, argv,
+      {dare::cluster::override_keys_for(
+          {"calm_mtbf_s", "jobs", "progress", "storm_mtbf_s"},
+          {"part_mtbf_s", "policy", "repair_policy", "scheduler"})},
+      dare::run);
 }

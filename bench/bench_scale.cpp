@@ -169,19 +169,13 @@ bool run_in_child(std::size_t nodes, std::size_t jobs,
          WEXITSTATUS(status) == 0;
 }
 
-}  // namespace
-}  // namespace dare
-
-int main(int argc, char** argv) {
-  using namespace dare;
-  const auto cfg = bench::parse_args(argc, argv, {"json", "max_scale", "mode", "profile", "repeats"});
+int run(const Config& cfg) {
   bench::banner("Hyperscale scale curve (PR8 perf baseline)",
                 "infrastructure (no paper figure); ROADMAP hyperscale tier");
 
   const bool smoke = cfg.get_string("mode", "full") == "smoke";
-  const int repeats = static_cast<int>(cfg.get_int("repeats", 1));
-  const auto max_scale = static_cast<std::size_t>(
-      cfg.get_int("max_scale", 1u << 20));
+  const int repeats = cfg.get_count<int>("repeats", 1);
+  const auto max_scale = cfg.get_count<std::size_t>("max_scale", 1u << 20);
   const std::string json_path = cfg.get_string("json", "BENCH_PR8.json");
 
   std::vector<ScalePoint> points;
@@ -285,4 +279,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+}  // namespace dare
+
+int main(int argc, char** argv) {
+  return dare::run_driver(
+      argc, argv, {{"json", "max_scale", "mode", "profile", "repeats"}},
+      dare::run);
 }

@@ -93,26 +93,20 @@ workload::Workload heavy_workload(std::size_t jobs) {
   return workload::make_wl2(wopts);
 }
 
-}  // namespace
-}  // namespace dare
-
-int main(int argc, char** argv) {
-  using namespace dare;
-  const auto cfg = bench::parse_args(argc, argv, {"jobs_cct", "jobs_ec2", "json", "mode", "nodes_cct", "nodes_ec2", "profile", "repeats"});
+int run(const Config& cfg) {
   bench::banner("Scheduler hot-path end-to-end (BENCH_PR3.json baseline)",
                 "infrastructure (no paper figure); DARE Secs. 5-6 configs");
 
   const bool smoke = cfg.get_string("mode", "full") == "smoke";
-  const int repeats =
-      static_cast<int>(cfg.get_int("repeats", smoke ? 1 : 3));
-  const auto nodes_cct = static_cast<std::size_t>(
-      cfg.get_int("nodes_cct", smoke ? 10 : 20));
-  const auto nodes_ec2 = static_cast<std::size_t>(
-      cfg.get_int("nodes_ec2", smoke ? 20 : 100));
+  const int repeats = cfg.get_count<int>("repeats", smoke ? 1 : 3);
+  const auto nodes_cct =
+      cfg.get_count<std::size_t>("nodes_cct", smoke ? 10 : 20);
+  const auto nodes_ec2 =
+      cfg.get_count<std::size_t>("nodes_ec2", smoke ? 20 : 100);
   const auto jobs_cct =
-      static_cast<std::size_t>(cfg.get_int("jobs_cct", smoke ? 60 : 600));
+      cfg.get_count<std::size_t>("jobs_cct", smoke ? 60 : 600);
   const auto jobs_ec2 =
-      static_cast<std::size_t>(cfg.get_int("jobs_ec2", smoke ? 100 : 2000));
+      cfg.get_count<std::size_t>("jobs_ec2", smoke ? 100 : 2000);
   const std::string json_path = cfg.get_string("json", "BENCH_PR3.json");
 
   struct ProfileCase {
@@ -206,4 +200,14 @@ int main(int argc, char** argv) {
     std::printf("[json written: %s]\n", json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+}  // namespace dare
+
+int main(int argc, char** argv) {
+  return dare::run_driver(argc, argv,
+                          {{"jobs_cct", "jobs_ec2", "json", "mode",
+                            "nodes_cct", "nodes_ec2", "profile", "repeats"}},
+                          dare::run);
 }

@@ -6,6 +6,7 @@
 // cheap; locality makes speculation cheaper).
 //
 // Overrides: jobs=<n> nodes=<n> seed=<n> stragglers=<frac> slowdown=<x>
+//            progress=1
 #include "bench_common.h"
 #include "cluster/experiment.h"
 
@@ -16,9 +17,9 @@ using cluster::PolicyKind;
 using cluster::SchedulerKind;
 
 int run(const Config& cfg) {
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 250));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 250);
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
   const double stragglers = cfg.get_double("stragglers", 0.2);
   const double slowdown = cfg.get_double("slowdown", 5.0);
 
@@ -41,21 +42,18 @@ int run(const Config& cfg) {
        true},
   };
 
-  std::vector<std::function<metrics::RunResult()>> runs;
+  std::vector<cluster::ClusterOptions> cells;
   for (const auto& variant : variants) {
-    runs.push_back([&, variant] {
-      auto options = cluster::paper_defaults(net::ec2_profile(nodes),
-                                             SchedulerKind::kFifo,
-                                             variant.policy, seed);
-      if (variant.stragglers) {
-        options.profile.straggler_fraction = stragglers;
-        options.profile.straggler_slowdown = slowdown;
-      }
-      options.enable_speculation = variant.speculation;
-      return cluster::run_once(options, wl);
-    });
+    auto options = cluster::paper_defaults(
+        net::ec2_profile(nodes), SchedulerKind::kFifo, variant.policy, seed);
+    if (variant.stragglers) {
+      options.profile.straggler_fraction = stragglers;
+      options.profile.straggler_slowdown = slowdown;
+    }
+    options.enable_speculation = variant.speculation;
+    cells.push_back(options);
   }
-  const auto results = cluster::run_parallel(runs);
+  const auto results = bench::run_cells(cfg, cells, wl);
 
   AsciiTable table({"configuration", "GMTT (s)", "mean slowdown",
                     "backups launched", "backup wins", "killed"});
@@ -82,5 +80,8 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"jobs", "slowdown"}));
+  return dare::run_driver(argc, argv,
+                          {{"jobs", "nodes", "progress", "seed", "slowdown",
+                            "stragglers"}},
+                          dare::run);
 }

@@ -10,9 +10,9 @@ namespace dare {
 namespace {
 
 int run(const Config& cfg) {
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto pings = static_cast<std::size_t>(cfg.get_int("pings", 5));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto pings = cfg.get_count<std::size_t>("pings", 5);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 1);
 
   bench::banner("Table I — all-to-all ping round-trip times (ms)",
                 "DARE (CLUSTER'11) Table I");
@@ -39,5 +39,5 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"pings"}));
+  return dare::run_driver(argc, argv, {{"nodes", "pings", "seed"}}, dare::run);
 }

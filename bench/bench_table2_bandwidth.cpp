@@ -11,10 +11,10 @@ namespace dare {
 namespace {
 
 int run(const Config& cfg) {
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto samples = static_cast<std::size_t>(cfg.get_int("samples", 50));
-  const auto pairs = static_cast<std::size_t>(cfg.get_int("pairs", 2000));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 2));
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto samples = cfg.get_count<std::size_t>("samples", 50);
+  const auto pairs = cfg.get_count<std::size_t>("pairs", 2000);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 2);
 
   bench::banner("Table II — disk (read) and network bandwidth (MB/s)",
                 "DARE (CLUSTER'11) Table II");
@@ -60,5 +60,6 @@ int run(const Config& cfg) {
 }  // namespace dare
 
 int main(int argc, char** argv) {
-  return dare::run(dare::bench::parse_args(argc, argv, {"pairs", "samples"}));
+  return dare::run_driver(
+      argc, argv, {{"nodes", "pairs", "samples", "seed"}}, dare::run);
 }

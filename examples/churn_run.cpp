@@ -4,8 +4,8 @@
 // retry limits, and that every job is still terminally accounted.
 //
 // Usage: churn_run [jobs=N] [nodes=N] [mtbf_s=S] [mttr_s=S]
-//                  [plus cluster overrides: policy=, scheduler=, seed=, ...]
-#include <algorithm>
+//                  [plus every cluster override but faults=, which the demo
+//                   toggles itself: policy=, permanent_fraction=, seed=, ...]
 #include <iostream>
 
 #include "cluster/experiment.h"
@@ -14,56 +14,25 @@
 
 namespace {
 
-constexpr const char kUsage[] =
-    "usage: churn_run [jobs=N] [nodes=N] [mtbf_s=S] [mttr_s=S]\n"
-    "                 [plus cluster overrides: policy=, scheduler=, seed=,\n"
-    "                  corruption=, bitrot_per_gb=, sector_mtbf_s=, ...]\n"
-    "Arguments are key=value tokens; anything else is rejected.\n";
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const dare::Config& cfg) {
   using namespace dare;
-  std::vector<std::string> args(argv + 1, argv + argc);
-  std::vector<std::string> positional;
-  const Config cfg = Config::from_args(args, &positional);
-
-  // A typo'd knob must fail loudly, not silently run the default config.
-  const std::vector<std::string> local_keys = {"jobs", "nodes"};
-  std::vector<std::string> unknown = positional;
-  for (const auto& key : cfg.keys()) {
-    const auto& shared = cluster::override_keys();
-    if (std::find(shared.begin(), shared.end(), key) != shared.end()) continue;
-    if (std::find(local_keys.begin(), local_keys.end(), key) !=
-        local_keys.end()) {
-      continue;
-    }
-    unknown.push_back(key + "=...");
-  }
-  if (!unknown.empty()) {
-    std::cerr << "error: unrecognized argument(s):";
-    for (const auto& u : unknown) std::cerr << ' ' << u;
-    std::cerr << '\n' << kUsage;
-    return 1;
-  }
-
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 300));
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 300);
 
   const auto wl = cluster::standard_wl1(nodes, jobs);
 
-  auto base = cluster::apply_overrides(
-      cluster::paper_defaults(net::ec2_profile(nodes),
-                              cluster::SchedulerKind::kFair,
-                              cluster::PolicyKind::kElephantTrap),
-      cfg);
-  base.faults.mtbf_s = cfg.get_double("mtbf_s", 120.0);
-  base.faults.mttr_s = cfg.get_double("mttr_s", 30.0);
+  // The churn preset comes first, so every override wins over it.
+  auto base = cluster::paper_defaults(net::ec2_profile(nodes),
+                                      cluster::SchedulerKind::kFair,
+                                      cluster::PolicyKind::kElephantTrap);
+  base.faults.mtbf_s = 120.0;
+  base.faults.mttr_s = 30.0;
   base.faults.permanent_fraction = 0.2;
   base.faults.rack_correlation = 0.2;
   base.faults.task_failure_prob = 0.005;
   base.faults.min_live_workers = 4;
   base.rereplication_interval = from_seconds(2.0);
+  base = cluster::apply_overrides(base, cfg);
 
   AsciiTable table({"configuration", "locality", "GMTT (s)", "failures",
                     "detected", "mean detect (s)", "rejoins", "re-executed",
@@ -101,4 +70,12 @@ int main(int argc, char** argv) {
                "surviving disk, and interrupted tasks\nretry elsewhere (up "
                "to 4 attempts before the job fails cleanly).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dare::run_driver(
+      argc, argv, {dare::cluster::override_keys_for({"jobs"}, {"faults"})},
+      run);
 }

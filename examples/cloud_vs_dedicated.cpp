@@ -35,14 +35,10 @@ void characterize(const net::ClusterProfile& profile, std::uint64_t seed,
                  fmt_percent(net_bw.mean / disk.mean, 1)});
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  const Config cfg = Config::from_args(args);
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 400));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 11));
+int run(const Config& cfg) {
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 400);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 11);
 
   // 1. Substrate characterization (cf. Tables I-II).
   AsciiTable substrate({"cluster", "mean RTT", "disk bw", "net bw",
@@ -90,4 +86,10 @@ int main(int argc, char** argv) {
                       "bench_fig10_ec2.")
             << '\n';
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dare::run_driver(argc, argv, {{"jobs", "nodes", "seed"}}, run);
 }

@@ -47,15 +47,10 @@ class FirstKPolicy final : public core::ReplicationPolicy {
   std::uint64_t created_ = 0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  const Config cfg = Config::from_args(args);
-  const auto accesses = static_cast<std::size_t>(cfg.get_int("accesses", 20000));
-  const auto budget_blocks =
-      static_cast<Bytes>(cfg.get_int("budget_blocks", 16));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 5));
+int run(const Config& cfg) {
+  const auto accesses = cfg.get_count<std::size_t>("accesses", 20000);
+  const auto budget_blocks = cfg.get_count<Bytes>("budget_blocks", 16);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 5);
 
   const Bytes block_size = 128 * kMiB;
   const Bytes budget = budget_blocks * block_size;
@@ -135,4 +130,11 @@ int main(int argc, char** argv) {
                "deriving from core::ReplicationPolicy (see FirstKPolicy in "
                "this file).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dare::run_driver(
+      argc, argv, {{"accesses", "budget_blocks", "seed"}}, run);
 }

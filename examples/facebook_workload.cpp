@@ -8,20 +8,21 @@
 //                     [save=trace.txt] [load=trace.txt]
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "cluster/experiment.h"
 #include "common/config.h"
 #include "common/table.h"
 #include "workload/trace_io.h"
 
-int main(int argc, char** argv) {
-  using namespace dare;
-  std::vector<std::string> args(argv + 1, argv + argc);
-  const Config cfg = Config::from_args(args);
+namespace {
 
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 500));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+int run(const dare::Config& cfg) {
+  using namespace dare;
+
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 500);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
   const std::string which = cfg.get_string("wl", "wl2");
 
   // Obtain the workload: either load a previously saved trace or
@@ -30,10 +31,7 @@ int main(int argc, char** argv) {
   const std::string load = cfg.get_string("load", "");
   if (!load.empty()) {
     std::ifstream in(load);
-    if (!in) {
-      std::cerr << "cannot open trace file: " << load << '\n';
-      return 1;
-    }
+    if (!in) throw std::runtime_error("cannot open trace file: " + load);
     wl = workload::read_workload(in);
     std::cout << "Loaded " << wl.jobs.size() << " jobs from " << load << "\n";
   } else if (which == "wl1") {
@@ -41,8 +39,8 @@ int main(int argc, char** argv) {
   } else if (which == "wl2") {
     wl = cluster::standard_wl2(nodes, jobs, seed);
   } else {
-    std::cerr << "unknown workload '" << which << "' (use wl1 or wl2)\n";
-    return 1;
+    throw std::invalid_argument("unknown workload '" + which +
+                                "' (use wl1 or wl2)");
   }
 
   const std::string save = cfg.get_string("save", "");
@@ -76,4 +74,11 @@ int main(int argc, char** argv) {
   table.print(std::cout, "Facebook-style workload '" + wl.name + "' on a " +
                              std::to_string(nodes) + "-node cluster");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dare::run_driver(
+      argc, argv, {{"jobs", "load", "nodes", "save", "seed", "wl"}}, run);
 }

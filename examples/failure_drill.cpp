@@ -2,22 +2,31 @@
 // task re-execution, name-node re-replication, and the availability
 // headroom DARE's extra replicas provide (paper Section IV-B).
 //
-// Usage: failure_drill [kills=2] [jobs=N] [nodes=N]
+// Usage: failure_drill [kills=2] [jobs=N] [nodes=N (> kills + 1)]
 //                      [plus cluster overrides: policy=, scheduler=, ...]
 #include <iostream>
+#include <stdexcept>
 
 #include "cluster/experiment.h"
 #include "common/config.h"
 #include "common/table.h"
 
-int main(int argc, char** argv) {
-  using namespace dare;
-  std::vector<std::string> args(argv + 1, argv + argc);
-  const Config cfg = Config::from_args(args);
+namespace {
 
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 300));
-  const auto kills = static_cast<int>(cfg.get_int("kills", 2));
+int run(const dare::Config& cfg) {
+  using namespace dare;
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 300);
+  const auto kills = cfg.get_count<int>("kills", 2);
+  // Each kill takes down at most one more worker, and the cluster cannot
+  // fail its last live one.
+  const std::size_t workers = nodes > 0 ? nodes - 1 : 0;
+  if (kills > 0 && static_cast<std::size_t>(kills) >= workers) {
+    throw std::invalid_argument(
+        "kills=" + std::to_string(kills) + " needs at least " +
+        std::to_string(kills + 1) + " workers (nodes >= " +
+        std::to_string(kills + 2) + "), got nodes=" + std::to_string(nodes));
+  }
 
   const auto wl = cluster::standard_wl1(nodes, jobs);
 
@@ -30,7 +39,7 @@ int main(int argc, char** argv) {
   for (int k = 0; k < kills; ++k) {
     base.failures.push_back(
         {from_seconds(10.0 * (k + 1)),
-         static_cast<NodeId>((3 + 5 * k) % (nodes - 1))});
+         static_cast<NodeId>((3 + 5 * k) % workers)});
   }
 
   AsciiTable table({"configuration", "locality", "GMTT (s)",
@@ -54,4 +63,11 @@ int main(int argc, char** argv) {
                "are re-executed elsewhere, and\nthe name node re-replicates "
                "under-replicated blocks from the surviving copies.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dare::run_driver(
+      argc, argv, {dare::cluster::override_keys_for({"jobs", "kills"})}, run);
 }

@@ -5,9 +5,9 @@
 // (one reachable replica left) jump the bulk re-replication backlog.
 //
 // Usage: netfault_run [jobs=N] [nodes=N]
-//                     [plus cluster overrides: netfault=, part_mtbf_s=,
-//                      repair_policy=, repairs_per_uplink=, ...]
-#include <algorithm>
+//                     [plus every cluster override but netfault= and
+//                      repair_policy=, which the demo varies itself:
+//                      part_mtbf_s=, repairs_per_uplink=, ...]
 #include <iostream>
 
 #include "cluster/experiment.h"
@@ -16,50 +16,16 @@
 
 namespace {
 
-constexpr const char kUsage[] =
-    "usage: netfault_run [jobs=N] [nodes=N]\n"
-    "                    [plus cluster overrides: netfault=, part_mtbf_s=,\n"
-    "                     part_duration_s=, link_mtbf_s=, link_duration_s=,\n"
-    "                     bandwidth_cut=, latency_inflation=,\n"
-    "                     connect_timeout_s=, repair_policy=,\n"
-    "                     repairs_per_uplink=, repair_backoff_s=,\n"
-    "                     policy=, scheduler=, seed=, ...]\n"
-    "Arguments are key=value tokens; anything else is rejected.\n";
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const dare::Config& cfg) {
   using namespace dare;
-  std::vector<std::string> args(argv + 1, argv + argc);
-  std::vector<std::string> positional;
-  const Config cfg = Config::from_args(args, &positional);
-
-  // A typo'd knob must fail loudly, not silently run the default config.
-  const std::vector<std::string> local_keys = {"jobs", "nodes"};
-  std::vector<std::string> unknown = positional;
-  for (const auto& key : cfg.keys()) {
-    const auto& shared = cluster::override_keys();
-    if (std::find(shared.begin(), shared.end(), key) != shared.end()) continue;
-    if (std::find(local_keys.begin(), local_keys.end(), key) !=
-        local_keys.end()) {
-      continue;
-    }
-    unknown.push_back(key + "=...");
-  }
-  if (!unknown.empty()) {
-    std::cerr << "error: unrecognized argument(s):";
-    for (const auto& u : unknown) std::cerr << ' ' << u;
-    std::cerr << '\n' << kUsage;
-    return 1;
-  }
-
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 300));
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 300);
 
   const auto wl = cluster::standard_wl1(nodes, jobs);
 
-  // Default network-fault climate; every knob is overridable from the CLI.
-  // Mild node churn underneath keeps the repair pipeline honest.
+  // Default network-fault climate; every knob the variants below do not set
+  // is overridable from the CLI. Mild node churn underneath keeps the
+  // repair pipeline honest.
   auto base = cluster::paper_defaults(net::ec2_profile(nodes),
                                       cluster::SchedulerKind::kFair,
                                       cluster::PolicyKind::kElephantTrap);
@@ -128,4 +94,14 @@ int main(int argc, char** argv) {
          "bulk backlog, shrinking the exposure windows a\nfifo queue leaves "
          "open.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dare::run_driver(
+      argc, argv,
+      {dare::cluster::override_keys_for({"jobs"},
+                                        {"netfault", "repair_policy"})},
+      run);
 }

@@ -12,13 +12,13 @@
 #include "common/config.h"
 #include "common/table.h"
 
-int main(int argc, char** argv) {
-  using namespace dare;
-  std::vector<std::string> args(argv + 1, argv + argc);
-  const Config cfg = Config::from_args(args);
+namespace {
 
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 200));
+int run(const dare::Config& cfg) {
+  using namespace dare;
+
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 200);
 
   // 1. Synthesize a workload: a long stream of small jobs whose input files
   //    follow a heavy-tailed popularity distribution (the paper's wl1).
@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
                                       cluster::SchedulerKind::kFifo,
                                       cluster::PolicyKind::kElephantTrap);
   dare.trap.p = cfg.get_double("p", dare.trap.p);
-  dare.trap.threshold = static_cast<std::uint32_t>(
-      cfg.get_int("threshold", dare.trap.threshold));
+  dare.trap.threshold = cfg.get_count("threshold", dare.trap.threshold);
   dare.budget_fraction = cfg.get_double("budget", dare.budget_fraction);
 
   // 3. Run both configurations on the same workload.
@@ -62,4 +61,11 @@ int main(int argc, char** argv) {
             << fmt_percent(1.0 - after.gmtt_s / before.gmtt_s)
             << ". Try fair scheduling with the facebook_workload example.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dare::run_driver(
+      argc, argv, {{"budget", "jobs", "nodes", "p", "threshold"}}, run);
 }

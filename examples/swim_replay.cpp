@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "cluster/experiment.h"
 #include "common/config.h"
@@ -47,25 +48,17 @@ std::string synthesize_swim_sample(std::size_t rows, std::uint64_t seed) {
   return out.str();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  const Config cfg = Config::from_args(args);
-
+int run(const Config& cfg) {
   workload::SwimImportOptions import_opts;
-  import_opts.first_job = static_cast<std::size_t>(cfg.get_int("first", 0));
-  import_opts.num_jobs = static_cast<std::size_t>(cfg.get_int("count", 0));
+  import_opts.first_job = cfg.get_count<std::size_t>("first", 0);
+  import_opts.num_jobs = cfg.get_count<std::size_t>("count", 0);
   import_opts.time_scale = cfg.get_double("timescale", 1.0);
 
   workload::Workload wl;
   const std::string trace = cfg.get_string("trace", "");
   if (!trace.empty()) {
     std::ifstream in(trace);
-    if (!in) {
-      std::cerr << "cannot open SWIM trace: " << trace << '\n';
-      return 1;
-    }
+    if (!in) throw std::runtime_error("cannot open SWIM trace: " + trace);
     wl = workload::import_swim(in, import_opts);
     std::cout << "Imported " << wl.jobs.size() << " jobs / "
               << wl.catalog.size() << " distinct input files from " << trace
@@ -110,4 +103,13 @@ int main(int argc, char** argv) {
                                  options.scheduler)) +
                              " scheduler)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dare::run_driver(
+      argc, argv,
+      {cluster::override_keys_for({"count", "first", "timescale", "trace"})},
+      run);
 }

@@ -11,16 +11,15 @@
 #include "common/config.h"
 #include "common/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const dare::Config& cfg) {
   using namespace dare;
-  std::vector<std::string> args(argv + 1, argv + argc);
-  const Config cfg = Config::from_args(args);
 
   workload::YahooTraceOptions opts;
-  opts.files = static_cast<std::size_t>(cfg.get_int("files", 1000));
-  opts.total_accesses =
-      static_cast<std::size_t>(cfg.get_int("accesses", 100000));
-  opts.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  opts.files = cfg.get_count<std::size_t>("files", 1000);
+  opts.total_accesses = cfg.get_count<std::size_t>("accesses", 100000);
+  opts.seed = cfg.get_count<std::uint64_t>("seed", 7);
 
   std::cout << "Generating a week-long audit trace: " << opts.files
             << " files, ~" << opts.total_accesses << " accesses...\n\n";
@@ -90,4 +89,10 @@ int main(int argc, char** argv) {
                "skewed and short-lived, so replication\nmust adapt "
                "continuously — which is precisely what DARE does.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dare::run_driver(argc, argv, {{"accesses", "files", "seed"}}, run);
 }

@@ -14,8 +14,8 @@
 //
 // Usage: trace_run [jobs=N] [nodes=N] [out=trace.json] [churn=0|1]
 //                  [sample_s=1.0 gauge-sampling period, 0 disables]
-//                  [plus cluster overrides: policy=, scheduler=, seed=, ...]
-#include <algorithm>
+//                  [plus cluster overrides: policy=, scheduler=, seed=, ...;
+//                   they win over the churn=1 preset]
 #include <fstream>
 #include <iostream>
 
@@ -28,58 +28,25 @@
 
 namespace {
 
-constexpr const char kUsage[] =
-    "usage: trace_run [jobs=N] [nodes=N] [out=trace.json] [churn=0|1]\n"
-    "                 [sample_s=1.0 gauge-sampling period, 0 disables]\n"
-    "                 [plus cluster overrides: policy=, scheduler=, seed=,\n"
-    "                  corruption=, bitrot_per_gb=, sector_mtbf_s=, ...]\n"
-    "Arguments are key=value tokens; anything else is rejected.\n";
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const dare::Config& cfg) {
   using namespace dare;
-  std::vector<std::string> args(argv + 1, argv + argc);
-  std::vector<std::string> positional;
-  const Config cfg = Config::from_args(args, &positional);
-
-  // A typo'd knob must fail loudly, not silently run the default config.
-  const std::vector<std::string> local_keys = {"churn", "jobs", "nodes",
-                                               "out", "sample_s"};
-  std::vector<std::string> unknown = positional;
-  for (const auto& key : cfg.keys()) {
-    const auto& shared = cluster::override_keys();
-    if (std::find(shared.begin(), shared.end(), key) != shared.end()) continue;
-    if (std::find(local_keys.begin(), local_keys.end(), key) !=
-        local_keys.end()) {
-      continue;
-    }
-    unknown.push_back(key + "=...");
-  }
-  if (!unknown.empty()) {
-    std::cerr << "error: unrecognized argument(s):";
-    for (const auto& u : unknown) std::cerr << ' ' << u;
-    std::cerr << '\n' << kUsage;
-    return 1;
-  }
-
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 120));
+  const auto nodes = cfg.get_count<std::size_t>("nodes", 20);
+  const auto jobs = cfg.get_count<std::size_t>("jobs", 120);
   const std::string out = cfg.get_string("out", "trace.json");
 
   const auto wl = cluster::standard_wl1(nodes, jobs);
-  auto options = cluster::apply_overrides(
-      cluster::paper_defaults(net::cct_profile(nodes),
-                              cluster::SchedulerKind::kFair,
-                              cluster::PolicyKind::kElephantTrap),
-      cfg);
-  options.trace_sample_interval = from_seconds(cfg.get_double("sample_s", 1.0));
+  auto options = cluster::paper_defaults(net::cct_profile(nodes),
+                                         cluster::SchedulerKind::kFair,
+                                         cluster::PolicyKind::kElephantTrap);
+  // The churn preset comes first, so every override wins over it.
   if (cfg.get_int("churn", 0) != 0) {
     options.faults.enabled = true;
     options.faults.mtbf_s = 120.0;
     options.faults.mttr_s = 30.0;
     options.faults.min_live_workers = 4;
   }
+  options = cluster::apply_overrides(options, cfg);
+  options.trace_sample_interval = from_seconds(cfg.get_double("sample_s", 1.0));
 
   obs::TraceCollector tracer;
   obs::PhaseProfiler profiler;
@@ -105,4 +72,13 @@ int main(int argc, char** argv) {
             << "ui.perfetto.dev), events.csv, timeseries.csv\n\n";
   profiler.write_report(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dare::run_driver(
+      argc, argv,
+      {dare::cluster::override_keys_for({"churn", "jobs", "out", "sample_s"})},
+      run);
 }

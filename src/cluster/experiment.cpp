@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
-
-#include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 
 namespace dare::cluster {
 
@@ -64,30 +60,24 @@ const std::vector<std::string>& override_keys() {
   return keys;
 }
 
-namespace {
-
-/// A count knob (`key`, current value `fallback`): a value that does not fit
-/// T is rejected, naming the key, instead of wrapping around in the cast.
-template <typename T>
-T get_count(const Config& cfg, const std::string& key, T fallback) {
-  const std::int64_t value =
-      cfg.get_int(key, static_cast<std::int64_t>(fallback));
-  if (value < 0 || static_cast<std::uint64_t>(value) >
-                       std::numeric_limits<T>::max()) {
-    throw std::invalid_argument(key + " must be a count >= 0, got " +
-                                std::to_string(value));
+std::vector<std::string> override_keys_for(
+    const std::vector<std::string>& own,
+    const std::vector<std::string>& overwritten) {
+  std::vector<std::string> keys = own;
+  for (const auto& key : override_keys()) {
+    if (std::find(overwritten.begin(), overwritten.end(), key) ==
+        overwritten.end()) {
+      keys.push_back(key);
+    }
   }
-  return static_cast<T>(value);
+  return keys;
 }
-
-}  // namespace
 
 ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg) {
   if (cfg.contains("profile") || cfg.contains("nodes")) {
     const std::string profile =
         cfg.get_string("profile", options.profile.name);
-    const auto nodes =
-        get_count(cfg, "nodes", options.profile.topology.nodes);
+    const auto nodes = cfg.get_count("nodes", options.profile.topology.nodes);
     if (profile == "cct") {
       options.profile = net::cct_profile(nodes);
     } else if (profile == "ec2") {
@@ -103,13 +93,12 @@ ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg) {
     options.policy = parse_policy(cfg.get_string("policy", ""));
   }
   options.trap.p = cfg.get_double("p", options.trap.p);
-  options.trap.threshold =
-      get_count(cfg, "threshold", options.trap.threshold);
+  options.trap.threshold = cfg.get_count("threshold", options.trap.threshold);
   options.budget_fraction = cfg.get_double("budget", options.budget_fraction);
   options.map_slots_per_node =
-      get_count(cfg, "map_slots", options.map_slots_per_node);
+      cfg.get_count("map_slots", options.map_slots_per_node);
   options.reduce_slots_per_node =
-      get_count(cfg, "reduce_slots", options.reduce_slots_per_node);
+      cfg.get_count("reduce_slots", options.reduce_slots_per_node);
   if (cfg.contains("heartbeat_s")) {
     options.heartbeat_interval =
         from_seconds(cfg.get_double("heartbeat_s", 3.0));
@@ -127,7 +116,7 @@ ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg) {
   options.faults.task_failure_prob =
       cfg.get_double("task_failure_prob", options.faults.task_failure_prob);
   options.faults.min_live_workers =
-      get_count(cfg, "min_live_workers", options.faults.min_live_workers);
+      cfg.get_count("min_live_workers", options.faults.min_live_workers);
   options.corruption.enabled =
       cfg.get_bool("corruption", options.corruption.enabled);
   options.corruption.bitrot_per_gb =
@@ -156,8 +145,8 @@ ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg) {
       "detect_stragglers", options.enable_straggler_detection);
   options.straggler_detect_ratio =
       cfg.get_double("detect_ratio", options.straggler_detect_ratio);
-  options.straggler_detect_min_samples = get_count(
-      cfg, "detect_min_samples", options.straggler_detect_min_samples);
+  options.straggler_detect_min_samples = cfg.get_count(
+      "detect_min_samples", options.straggler_detect_min_samples);
   if (cfg.contains("backoff_s")) {
     options.straggler_backoff =
         from_seconds(cfg.get_double("backoff_s", 30.0));
@@ -189,7 +178,7 @@ ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg) {
     }
   }
   options.max_repairs_per_uplink =
-      get_count(cfg, "repairs_per_uplink", options.max_repairs_per_uplink);
+      cfg.get_count("repairs_per_uplink", options.max_repairs_per_uplink);
   if (cfg.contains("repair_backoff_s")) {
     options.repair_retry_backoff =
         from_seconds(cfg.get_double("repair_backoff_s", 5.0));
@@ -199,15 +188,14 @@ ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg) {
   options.clone_budget_fraction =
       cfg.get_double("clone_budget", options.clone_budget_fraction);
   options.clone_job_max_maps =
-      get_count(cfg, "clone_max_maps", options.clone_job_max_maps);
+      cfg.get_count("clone_max_maps", options.clone_job_max_maps);
   options.detection_missed_heartbeats =
-      get_count(cfg, "detect_missed", options.detection_missed_heartbeats);
+      cfg.get_count("detect_missed", options.detection_missed_heartbeats);
   options.max_task_attempts =
-      get_count(cfg, "max_attempts", options.max_task_attempts);
+      cfg.get_count("max_attempts", options.max_task_attempts);
   options.node_blacklist_threshold =
-      get_count(cfg, "blacklist_threshold", options.node_blacklist_threshold);
-  options.seed = static_cast<std::uint64_t>(
-      cfg.get_int("seed", static_cast<std::int64_t>(options.seed)));
+      cfg.get_count("blacklist_threshold", options.node_blacklist_threshold);
+  options.seed = cfg.get_count("seed", options.seed);
   return options;
 }
 
@@ -215,44 +203,6 @@ metrics::RunResult run_once(const ClusterOptions& options,
                             const workload::Workload& workload) {
   Cluster cluster(options);
   return cluster.run(workload);
-}
-
-std::vector<metrics::RunResult> run_parallel(
-    const std::vector<std::function<metrics::RunResult()>>& runs,
-    std::size_t threads, SweepProgress progress) {
-  // Shared only by the progress path; results flow through per-run futures.
-  struct ProgressState {
-    Mutex mutex;
-    std::size_t completed DARE_GUARDED_BY(mutex) = 0;
-  } state;
-  const std::size_t total = runs.size();
-
-  ThreadPool pool(threads);
-  std::vector<std::future<metrics::RunResult>> futures;
-  futures.reserve(runs.size());
-  for (const auto& run : runs) {
-    if (progress) {
-      futures.push_back(pool.submit([&run, &progress, &state, total] {
-        metrics::RunResult result = run();
-        std::size_t completed = 0;
-        {
-          MutexLock lock(state.mutex);
-          completed = ++state.completed;
-        }
-        // Invoked outside the lock: observer I/O must not serialize the
-        // workers, and an observer exception must not leave the counter
-        // mutex poisoned (see the SweepProgress contract in experiment.h).
-        progress(completed, total);
-        return result;
-      }));
-    } else {
-      futures.push_back(pool.submit(run));
-    }
-  }
-  std::vector<metrics::RunResult> results;
-  results.reserve(runs.size());
-  for (auto& f : futures) results.push_back(f.get());
-  return results;
 }
 
 namespace {

@@ -1,8 +1,8 @@
-// Experiment harness helpers shared by the bench binaries: standard option
-// builders for the paper's configurations and a parallel sweep runner.
+// Experiment harness helpers shared by the driver binaries: standard option
+// builders for the paper's configurations, command-line overrides, and the
+// standard workloads. Sweeps run on the engine in farm.h.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,10 +49,18 @@ ClusterOptions paper_defaults(const net::ClusterProfile& profile,
 /// Cluster is constructed from the options.
 ClusterOptions apply_overrides(ClusterOptions options, const Config& cfg);
 
-/// Every key apply_overrides recognizes, sorted. Example binaries check
-/// their command line against this (plus their own keys) so a typo'd knob
-/// fails loudly instead of being silently ignored.
+/// Every key apply_overrides recognizes, sorted. A driver that applies the
+/// overrides accepts these on its command line (minus any it overwrites
+/// afterwards), so a typo'd knob fails loudly instead of being ignored.
 const std::vector<std::string>& override_keys();
+
+/// The command-line keys of a driver that applies the overrides: the
+/// driver's `own` keys plus override_keys() minus `overwritten`, the knobs
+/// the driver sets itself after applying them (accepting those would let a
+/// key change nothing).
+std::vector<std::string> override_keys_for(
+    const std::vector<std::string>& own,
+    const std::vector<std::string>& overwritten = {});
 
 /// Parse the scheduler / policy names used by apply_overrides.
 SchedulerKind parse_scheduler(const std::string& name);
@@ -61,28 +69,6 @@ PolicyKind parse_policy(const std::string& name);
 /// Construct a cluster and run the workload (one-shot convenience).
 metrics::RunResult run_once(const ClusterOptions& options,
                             const workload::Workload& workload);
-
-/// Progress observer for run_parallel (and the ExperimentFarm in farm.h):
-/// invoked once per completed run with (completed_so_far, total). The
-/// counter is snapshotted under an internal mutex, but the observer itself
-/// runs *outside* that lock on a pool worker thread, so:
-///   - calls arrive in completion order, which is nondeterministic, and may
-///     overlap in time — observers must be thread-safe (a bare stream write
-///     like the bench progress meter is fine);
-///   - observers must only report progress, never feed results (result
-///     order is preserved separately);
-///   - exception contract: a throwing observer does not poison the internal
-///     mutex or stall other workers, but the exception is captured in that
-///     run's future and rethrown by run_parallel when it collects results —
-///     the completed simulation result is lost. Observers should not throw.
-using SweepProgress = std::function<void(std::size_t, std::size_t)>;
-
-/// Run a batch of independent simulations on a thread pool, preserving
-/// result order. Each factory must be self-contained (simulations are
-/// deterministic and share no state).
-std::vector<metrics::RunResult> run_parallel(
-    const std::vector<std::function<metrics::RunResult()>>& runs,
-    std::size_t threads = 0, SweepProgress progress = {});
 
 /// Standard workloads at paper scale for a given cluster size: arrival
 /// rates are scaled so per-worker load stays comparable between the 20-node

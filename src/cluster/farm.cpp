@@ -1,12 +1,13 @@
 #include "cluster/farm.h"
 
+#include <algorithm>
 #include <charconv>
-#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "common/csv.h"
@@ -135,6 +136,32 @@ struct JournalState {
 
 }  // namespace
 
+void run_sweep(std::size_t n, std::size_t threads,
+               const std::function<void(std::size_t)>& task,
+               const SweepProgress& progress, std::size_t done) {
+  const std::size_t total = done + n;
+  if (progress && done != 0) progress(done, total);
+  if (n == 0) return;
+  if (threads == 0) {
+    threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  struct Completions {
+    Mutex mutex;
+    std::size_t count DARE_GUARDED_BY(mutex) = 0;
+  } completions;
+  ThreadPool pool(std::min(threads, n));
+  pool.parallel_for(n, [&](std::size_t i) {
+    task(i);
+    std::size_t now = 0;
+    {
+      MutexLock lock(completions.mutex);
+      now = done + ++completions.count;
+    }
+    // Outside the lock: see the SweepProgress contract.
+    if (progress) progress(now, total);
+  });
+}
+
 const std::vector<std::string>& farm_columns() {
   static const std::vector<std::string> columns = {
       "locality",
@@ -189,17 +216,15 @@ metrics::RunResult run_farm_item(const Config& item) {
       paper_defaults(net::cct_profile(20), SchedulerKind::kFifo,
                      PolicyKind::kVanilla),
       item);
-  const auto jobs = static_cast<std::size_t>(item.get_int("jobs", 500));
+  const auto jobs = item.get_count<std::size_t>("jobs", 500);
   const std::size_t nodes = options.profile.topology.nodes;
   const std::string wl = item.get_string("workload", "wl1");
   if (wl == "wl1") {
-    const auto wl_seed =
-        static_cast<std::uint64_t>(item.get_int("wl_seed", 1));
+    const auto wl_seed = item.get_count<std::uint64_t>("wl_seed", 1);
     return run_once(options, standard_wl1(nodes, jobs, wl_seed));
   }
   if (wl == "wl2") {
-    const auto wl_seed =
-        static_cast<std::uint64_t>(item.get_int("wl_seed", 2));
+    const auto wl_seed = item.get_count<std::uint64_t>("wl_seed", 2);
     return run_once(options, standard_wl2(nodes, jobs, wl_seed));
   }
   throw std::invalid_argument("run_farm_item: unknown workload: " + wl);
@@ -417,81 +442,20 @@ std::vector<FarmResult> ExperimentFarm::run() {
       todo.push_back(i);
     }
   }
-  if (options_.progress && replayed != 0) options_.progress(replayed, total);
-  if (todo.empty()) return results;
-
-  ThreadPool pool(options_.threads);
-  const std::size_t cap =
-      options_.max_in_flight != 0 ? options_.max_in_flight : 2 * pool.size();
-
-  struct Admission {
-    Mutex mutex;
-    std::condition_variable_any cv;
-    std::size_t in_flight DARE_GUARDED_BY(mutex) = 0;
-    std::size_t finished DARE_GUARDED_BY(mutex) = 0;
-  } adm;
-  {
-    MutexLock lock(adm.mutex);
-    adm.finished = replayed;
-  }
-
-  std::vector<std::future<void>> futures;
-  futures.reserve(todo.size());
-  for (const std::size_t idx : todo) {
-    {
-      // Bounded admission: block until a slot frees up before submitting
-      // the next item, so at most `cap` items are queued or running.
-      UniqueMutexLock lock(adm.mutex);
-      while (adm.in_flight >= cap) adm.cv.wait(lock);
-      ++adm.in_flight;
-    }
-    futures.push_back(
-        pool.submit([this, idx, total, &results, &adm, &journal] {
-          try {
-            const metrics::RunResult run = run_farm_item(items_[idx]);
-            FarmResult result;
-            result.index = idx;
-            result.key = keys_[idx];
-            result.fingerprint = metrics::fingerprint(run);
-            result.row = make_farm_row(run);
-            if (!journal.path.empty()) {
-              journal.append({result.key, result.fingerprint, result.row});
-            }
-            // Distinct pre-sized slot per item: no lock needed, and the
-            // futures' get() below synchronizes before results are read.
-            results[idx] = std::move(result);
-          } catch (...) {
-            {
-              MutexLock lock(adm.mutex);
-              --adm.in_flight;
-              ++adm.finished;
-            }
-            adm.cv.notify_all();
-            throw;
-          }
-          std::size_t finished_now = 0;
-          {
-            MutexLock lock(adm.mutex);
-            --adm.in_flight;
-            finished_now = ++adm.finished;
-          }
-          adm.cv.notify_all();
-          // Outside the lock; see the SweepProgress contract.
-          if (options_.progress) options_.progress(finished_now, total);
-        }));
-  }
-
-  // Wait for everything, then rethrow the first failure in grid order —
-  // deterministic, like ThreadPool::parallel_for.
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  run_sweep(
+      todo.size(), options_.threads,
+      [this, &todo, &results, &journal](std::size_t k) {
+        // Each item writes only its own pre-sized slot; run_sweep joins
+        // every task before the results are read.
+        FarmResult& result = results[todo[k]];
+        const metrics::RunResult run = run_farm_item(items_[result.index]);
+        result.fingerprint = metrics::fingerprint(run);
+        result.row = make_farm_row(run);
+        if (!journal.path.empty()) {
+          journal.append({result.key, result.fingerprint, result.row});
+        }
+      },
+      options_.progress, replayed);
   return results;
 }
 

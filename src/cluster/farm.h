@@ -1,13 +1,14 @@
-// Resumable experiment farm: expands a declarative parameter grid into
-// deterministic, keyed work items, runs them as shared-nothing simulations
-// on the common thread pool with bounded in-flight admission, journals
-// every completion durably, and merges results in grid order.
+// The sweep engine every parameter sweep runs on, and the resumable
+// experiment farm built on it: the farm expands a declarative parameter
+// grid into deterministic, keyed work items, runs them as shared-nothing
+// simulations through the engine, journals every completion durably, and
+// merges results in grid order.
 //
 // The design follows the SLASH2 update scheduler (doc/upsch.xdc): work is
 // keyed per item, completed items are persisted immediately so a reboot
-// resumes where it left off instead of redoing work, live status is
-// observable while the sweep runs, and not all work needs to be in flight
-// at once.
+// resumes where it left off instead of redoing work, and live status is
+// observable while the sweep runs. upsch also bounds how much work is in
+// flight; the farm queues a whole grid at once (DESIGN.md §5h says why).
 //
 // Determinism contract: every item is a self-contained `Config` (cluster
 // overrides plus the workload keys below), identified by its canonical
@@ -19,7 +20,9 @@
 // produces byte-identical merged output to an uninterrupted serial one.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -29,6 +32,31 @@
 #include "metrics/run_metrics.h"
 
 namespace dare::cluster {
+
+/// Sweep progress observer, invoked with (completed_so_far, total) once per
+/// completed item. The completion counter is read under a mutex, but the
+/// observer runs on a pool worker thread with no lock held, so:
+///   - calls arrive in completion order, which is nondeterministic, and may
+///     overlap in time — observers must be thread-safe (a bare stream write
+///     like the bench progress meter is fine);
+///   - observers must only report progress, never feed results (result
+///     order is preserved separately);
+///   - a throwing observer does not stall other workers, but its exception
+///     becomes that item's failure and is rethrown by run_sweep: the
+///     completed item's result is lost. Observers should not throw.
+using SweepProgress = std::function<void(std::size_t, std::size_t)>;
+
+/// The sweep engine: runs `task(i)` for every i in [0, n) on a thread pool
+/// of min(threads, n) workers (threads 0 -> hardware concurrency) and
+/// returns once every task has finished, even when some throw; the
+/// exception of the lowest index is then rethrown. Tasks must be
+/// self-contained and write only their own result slot. `done` counts
+/// items finished before the sweep started (a resumed farm's replays):
+/// when nonzero, progress(done, done + n) is reported first, and each
+/// completion then reports done + k.
+void run_sweep(std::size_t n, std::size_t threads,
+               const std::function<void(std::size_t)>& task,
+               const SweepProgress& progress = {}, std::size_t done = 0);
 
 /// Column schema of a farm result row: a fixed, ordered subset of
 /// RunResult's scalar fields. Doubles are rendered with format_double
@@ -100,21 +128,17 @@ std::vector<JournalEntry> read_journal(const std::string& path);
 class ExperimentFarm {
  public:
   struct Options {
-    /// Worker threads (0 -> hardware concurrency, min 1).
+    /// Worker threads (0 -> hardware concurrency); never more than the
+    /// items left to run.
     std::size_t threads = 0;
-    /// Bounded admission: at most this many items submitted but not yet
-    /// completed (0 -> 2x the pool size). Keeps a huge grid from being
-    /// enqueued all at once, upsch-style.
-    std::size_t max_in_flight = 0;
     /// Completion journal. Empty disables journaling and resume. Appends
     /// are write-then-rename: the whole journal is rewritten to
     /// `<path>.tmp` and atomically renamed over `<path>`, so a kill at any
     /// instant leaves either the old or the new journal, never a torn one.
     std::string journal_path;
     /// Invoked after each item completes (journal append included) and
-    /// once up front when a resume replays completed items. Same contract
-    /// as run_parallel's SweepProgress (see experiment.h): may run
-    /// concurrently, must not throw.
+    /// once up front when a resume replays completed items (the
+    /// SweepProgress contract above).
     SweepProgress progress;
   };
 
@@ -127,10 +151,10 @@ class ExperimentFarm {
   const std::vector<Config>& items() const { return items_; }
   const std::vector<std::string>& keys() const { return keys_; }
 
-  /// Run every item not already in the journal; replay the rest. Results
-  /// are indexed in grid order regardless of completion order. The first
-  /// exception thrown by an item (in grid order) is rethrown after all
-  /// in-flight items finish.
+  /// Run every item not already in the journal through run_sweep; replay
+  /// the rest. Results are indexed in grid order regardless of completion
+  /// order. The first exception thrown by an item (in grid order) is
+  /// rethrown after every item has finished.
   std::vector<FarmResult> run();
 
   /// Merged outputs, grid order. CSV columns: key, farm_columns...,

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -17,6 +18,17 @@ std::string trim(const std::string& s) {
   while (b != e && std::isspace(static_cast<unsigned char>(*b))) ++b;
   while (e != b && std::isspace(static_cast<unsigned char>(*(e - 1)))) --e;
   return std::string(b, e);
+}
+
+void print_usage(const char* program, const DriverArgs& args) {
+  std::cerr << "usage: " << program;
+  for (const auto& name : args.positionals) std::cerr << " <" << name << '>';
+  if (args.config_file) std::cerr << " [config=<file>]";
+  std::cerr << " [key=value ...]\naccepted keys:";
+  std::vector<std::string> keys = args.keys;
+  std::sort(keys.begin(), keys.end());
+  for (const auto& key : keys) std::cerr << ' ' << key;
+  std::cerr << '\n';
 }
 
 }  // namespace
@@ -149,6 +161,56 @@ std::vector<std::string> Config::keys() const {
 
 void Config::merge(const Config& other) {
   for (const auto& [k, v] : other.values_) values_[k] = v;
+}
+
+int run_driver(int argc, char** argv, const DriverArgs& args,
+               const std::function<int(const Config&)>& body) {
+  try {
+    std::vector<std::string> tokens;
+    for (int i = 1; i < argc; ++i) tokens.emplace_back(argv[i]);
+    std::vector<std::string> positional;
+    Config cfg = Config::from_args(tokens, &positional);
+    if (args.config_file && cfg.contains("config")) {
+      Config merged = Config::from_file(cfg.get_string("config", ""));
+      merged.merge(cfg);  // the command line wins over the file
+      cfg = std::move(merged);
+    }
+
+    // A typo'd knob must fail loudly, not silently run the default config.
+    std::string problem;
+    for (std::size_t i = args.positionals.size(); i < positional.size(); ++i) {
+      problem += ' ' + positional[i];
+    }
+    for (const auto& key : cfg.keys()) {
+      if ((!args.config_file || key != "config") &&
+          std::find(args.keys.begin(), args.keys.end(), key) ==
+              args.keys.end()) {
+        problem += ' ' + key + "=...";
+      }
+    }
+    if (!problem.empty()) {
+      problem = "unrecognized argument(s):" + problem;
+    } else {
+      for (std::size_t i = positional.size(); i < args.positionals.size();
+           ++i) {
+        problem += " <" + args.positionals[i] + '>';
+      }
+      if (!problem.empty()) problem = "missing argument(s):" + problem;
+    }
+    if (!problem.empty()) {
+      std::cerr << "error: " << problem << '\n';
+      print_usage(argc > 0 ? argv[0] : "driver", args);
+      return 1;
+    }
+
+    for (std::size_t i = 0; i < args.positionals.size(); ++i) {
+      cfg.set(args.positionals[i], positional[i]);
+    }
+    return body(cfg);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 }
 
 }  // namespace dare

@@ -88,7 +88,7 @@ class Histogram {
 /// Empirical CDF: collect samples, then query F(x) or the quantiles.
 /// Fully synchronized: every member — mutation and the lazy sort behind
 /// const queries alike — holds sort_mutex_, so one CDF may be shared across
-/// run_parallel workers that interleave add() with queries. (Queries used
+/// sweep workers that interleave add() with queries. (Queries used
 /// to read data_ before taking the lock, and add() never took it at all;
 /// the clang thread-safety annotations below are what flagged that.)
 class EmpiricalCdf {

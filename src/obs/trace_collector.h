@@ -9,7 +9,7 @@
 // never carry a wall clock.
 //
 // Deliberately unsynchronized: one collector belongs to one simulation
-// thread (run_parallel sweeps attach one collector per run), so the hot
+// thread (parallel sweeps attach one collector per run), so the hot
 // record() path carries no mutex. That single-writer contract is enforced —
 // not just documented — in invariant-enabled builds: the first record()
 // pins the owning thread and any record() from another thread aborts with

@@ -1,6 +1,7 @@
-// Tests for the bench CLI validator: unknown_args() is the pure core of
-// bench::parse_args, which rejects typo'd knobs instead of silently running
-// the default configuration.
+// Tests for the bench sweep helper in bench_common.h: run_cells runs one
+// simulation per cell on the sweep engine, in cell order, and wires the
+// progress=1 meter. (The command-line front end every bench runs through
+// is tested in test_config.)
 #include "bench_common.h"
 
 #include <gtest/gtest.h>
@@ -11,36 +12,35 @@
 namespace dare::bench {
 namespace {
 
-TEST(UnknownArgs, AcceptsClusterOverrideAndCommonKeys) {
-  const auto cfg = Config::from_string(
-      "nodes = 20\npolicy = lru\nseed = 3\ncsv = out\nprogress = 1\n");
-  EXPECT_TRUE(unknown_args(cfg, {}, {}).empty());
+std::vector<cluster::ClusterOptions> seed_cells(std::size_t n) {
+  std::vector<cluster::ClusterOptions> cells;
+  for (std::uint64_t seed = 1; seed <= n; ++seed) {
+    cells.push_back(cluster::paper_defaults(
+        net::cct_profile(8), cluster::SchedulerKind::kFifo,
+        cluster::PolicyKind::kElephantTrap, seed));
+  }
+  return cells;
 }
 
-TEST(UnknownArgs, AcceptsBinarySpecificExtraKeys) {
-  const auto cfg = Config::from_string("jobs = 100\nseeds = 3\n");
-  EXPECT_TRUE(unknown_args(cfg, {}, {"jobs", "seeds"}).empty());
-  // The same keys without the extras list are unknown: each binary opts
-  // into exactly the knobs it reads.
-  const auto unknown = unknown_args(cfg, {}, {});
-  ASSERT_EQ(unknown.size(), 2u);
-  EXPECT_EQ(unknown[0], "jobs=...");
-  EXPECT_EQ(unknown[1], "seeds=...");
+TEST(RunCells, MatchesRunOnceInCellOrder) {
+  const auto wl = cluster::standard_wl1(8, 30, 3);
+  const auto cells = seed_cells(3);
+  const auto results = run_cells(Config(), cells, wl);
+  ASSERT_EQ(results.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(metrics::fingerprint(results[i]),
+              metrics::fingerprint(cluster::run_once(cells[i], wl)));
+  }
 }
 
-TEST(UnknownArgs, FlagsTyposAndPositionals) {
-  const auto cfg = Config::from_string("nodse = 8\njobs = 10\n");
-  const auto unknown = unknown_args(cfg, {"stray"}, {"jobs"});
-  ASSERT_EQ(unknown.size(), 2u);
-  EXPECT_EQ(unknown[0], "stray");        // positionals lead, verbatim
-  EXPECT_EQ(unknown[1], "nodse=...");    // then unknown keys, sorted
-}
-
-TEST(UnknownArgs, CommonKeysAreCsvAndProgress) {
-  const auto& keys = common_bench_keys();
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "csv");
-  EXPECT_EQ(keys[1], "progress");
+TEST(RunCells, ProgressKeyWiresTheMeter) {
+  EXPECT_FALSE(progress_meter(Config()));
+  EXPECT_FALSE(progress_meter(Config::from_string("progress = 0\n")));
+  const auto wl = cluster::standard_wl1(8, 20, 3);
+  testing::internal::CaptureStderr();
+  run_cells(Config::from_string("progress = 1\n"), seed_cells(2), wl);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("[sweep 2/2]"), std::string::npos) << err;
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Tests for the experiment harness: option builders, config overrides, and
-// the parallel runner's order preservation.
+// Tests for the experiment harness: option builders, config overrides and
+// the standard workloads. The sweep engine is tested in test_farm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -122,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("nodes", "threshold", "map_slots", "reduce_slots",
                       "min_live_workers", "detect_min_samples",
                       "repairs_per_uplink", "clone_max_maps", "detect_missed",
-                      "max_attempts", "blacklist_threshold"),
+                      "max_attempts", "blacklist_threshold", "seed"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return std::string(info.param);
     });
@@ -139,79 +138,24 @@ TEST(ApplyOverrides, CountBeyondItsTypeRejected) {
             0u);
 }
 
+TEST(OverrideKeysFor, OwnKeysPlusOverridesMinusOverwritten) {
+  const auto keys = override_keys_for({"jobs"}, {"faults", "policy"});
+  const auto has = [&keys](const std::string& key) {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  };
+  EXPECT_TRUE(has("jobs"));
+  EXPECT_TRUE(has("mtbf_s"));
+  EXPECT_FALSE(has("faults"));
+  EXPECT_FALSE(has("policy"));
+  EXPECT_EQ(keys.size(), override_keys().size() + 1 - 2);
+}
+
 TEST(StandardWorkloads, ScaleArrivalsWithClusterSize) {
   const auto small = standard_wl1(12, 100, 3);
   const auto large = standard_wl1(100, 100, 3);
   // Same job count; the larger cluster receives them faster.
   ASSERT_EQ(small.jobs.size(), large.jobs.size());
   EXPECT_GT(small.jobs.back().arrival, large.jobs.back().arrival);
-}
-
-TEST(RunParallel, PreservesOrderAndValues) {
-  std::vector<std::function<metrics::RunResult()>> runs;
-  for (int i = 0; i < 6; ++i) {
-    runs.push_back([i] {
-      metrics::RunResult r;
-      r.makespan = i;
-      return r;
-    });
-  }
-  const auto results = run_parallel(runs, 3);
-  ASSERT_EQ(results.size(), 6u);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(results[static_cast<std::size_t>(i)].makespan, i);
-  }
-}
-
-TEST(RunParallel, ProgressObserverReportsEveryCompletion) {
-  std::vector<std::function<metrics::RunResult()>> runs;
-  for (int i = 0; i < 8; ++i) {
-    runs.push_back([i] {
-      metrics::RunResult r;
-      r.makespan = i;
-      return r;
-    });
-  }
-  // The observer's counter snapshot is taken under run_parallel's mutex,
-  // but the observer itself runs outside it and may be invoked
-  // concurrently (the SweepProgress contract) — so the test provides its
-  // own lock.
-  std::mutex mutex;
-  std::vector<std::size_t> seen;
-  std::size_t reported_total = 0;
-  const auto results =
-      run_parallel(runs, 4, [&](std::size_t done, std::size_t total) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        seen.push_back(done);
-        reported_total = total;
-      });
-  ASSERT_EQ(results.size(), 8u);
-  ASSERT_EQ(seen.size(), 8u);
-  EXPECT_EQ(reported_total, 8u);
-  // Each completion count 1..8 is reported exactly once; arrival order is
-  // completion order, which is nondeterministic.
-  std::sort(seen.begin(), seen.end());
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i], i + 1);
-  }
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(results[static_cast<std::size_t>(i)].makespan, i);
-  }
-}
-
-TEST(RunParallel, ThrowingProgressObserverPropagates) {
-  std::vector<std::function<metrics::RunResult()>> runs;
-  for (int i = 0; i < 4; ++i) {
-    runs.push_back([] { return metrics::RunResult{}; });
-  }
-  // The documented exception contract: a throwing observer is captured in
-  // that run's future and rethrown by run_parallel — no deadlock, no
-  // poisoned mutex, every worker still drains.
-  EXPECT_THROW(run_parallel(runs, 2,
-                            [](std::size_t, std::size_t) {
-                              throw std::runtime_error("observer failure");
-                            }),
-               std::runtime_error);
 }
 
 TEST(StandardWorkloads, DegenerateClusterSizesClampToOneWorker) {

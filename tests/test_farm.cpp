@@ -1,15 +1,20 @@
-// Tests for the resumable experiment farm: grid expansion order, canonical
-// item keys, journal round-trip/torn-tail handling, parallel-vs-serial
-// determinism, and byte-identical resume of an interrupted sweep.
+// Tests for the sweep engine (run_sweep) and the resumable experiment farm
+// built on it: grid expansion order, canonical item keys, journal
+// round-trip/torn-tail handling, parallel-vs-serial determinism, and
+// byte-identical resume of an interrupted sweep.
 #include "cluster/farm.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/experiment.h"
@@ -33,6 +38,116 @@ Config small_grid() {
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+TEST(RunSweep, PreservesOrderAndValues) {
+  std::vector<int> out(6, -1);
+  run_sweep(out.size(), 3, [&out](std::size_t i) {
+    out[i] = static_cast<int>(i) * 10;
+  });
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], static_cast<int>(i) * 10);
+  }
+}
+
+TEST(RunSweep, ProgressObserverReportsEveryCompletion) {
+  // The observer may be invoked concurrently (the SweepProgress contract),
+  // so the test provides its own lock.
+  std::mutex mutex;
+  std::vector<std::size_t> seen;
+  std::size_t reported_total = 0;
+  std::vector<int> out(8, -1);
+  run_sweep(
+      out.size(), 4, [&out](std::size_t i) { out[i] = static_cast<int>(i); },
+      [&](std::size_t done, std::size_t total) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        seen.push_back(done);
+        reported_total = total;
+      });
+  ASSERT_EQ(seen.size(), 8u);
+  EXPECT_EQ(reported_total, 8u);
+  // Each completion count 1..8 is reported exactly once; arrival order is
+  // completion order, which is nondeterministic.
+  std::sort(seen.begin(), seen.end());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], i + 1);
+    EXPECT_EQ(out[i], static_cast<int>(i));
+  }
+}
+
+TEST(RunSweep, ReportsDoneItemsFirst) {
+  std::mutex mutex;
+  std::vector<std::size_t> seen;
+  run_sweep(
+      3, 2, [](std::size_t) {},
+      [&](std::size_t done, std::size_t total) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        EXPECT_EQ(total, 5u);
+        seen.push_back(done);
+      },
+      2);
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[0], 2u);  // the items done before the sweep, first
+  std::sort(seen.begin() + 1, seen.end());
+  EXPECT_EQ(seen[1], 3u);
+  EXPECT_EQ(seen[2], 4u);
+  EXPECT_EQ(seen[3], 5u);
+}
+
+TEST(RunSweep, ThrowingProgressObserverPropagates) {
+  // A throwing observer becomes that item's failure and is rethrown once
+  // every task has finished — no deadlock, every worker still drains.
+  std::vector<int> out(4, 0);
+  EXPECT_THROW(run_sweep(
+                   out.size(), 2, [&out](std::size_t i) { out[i] = 1; },
+                   [](std::size_t, std::size_t) {
+                     throw std::runtime_error("observer failure");
+                   }),
+               std::runtime_error);
+  for (const int v : out) EXPECT_EQ(v, 1);
+}
+
+TEST(RunSweep, LowestIndexExceptionWins) {
+  try {
+    run_sweep(6, 3, [](std::size_t i) {
+      if (i == 1 || i == 4) {
+        throw std::runtime_error("item " + std::to_string(i));
+      }
+    });
+    FAIL() << "expected the item 1 failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "item 1");
+  }
+}
+
+/// Threads in this process, from /proc/self/status (-1 where unavailable).
+int process_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(RunSweep, StartsNoMoreWorkersThanItems) {
+  // threads=3 for a 2-item sweep: the pool gets 2 workers, so at most 2
+  // distinct threads run items and, where /proc is available, at most 2
+  // threads exist beyond those alive before the sweep.
+  const int before = process_threads();
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  int during = -1;
+  run_sweep(2, 3, [&](std::size_t) {
+    const int now = process_threads();
+    const std::lock_guard<std::mutex> lock(mutex);
+    ids.insert(std::this_thread::get_id());
+    during = std::max(during, now);
+  });
+  EXPECT_LE(ids.size(), 2u);
+  if (before > 0) {
+    EXPECT_LE(during - before, 2);
+  }
 }
 
 TEST(ExpandGrid, CartesianProductInSortedKeyOrder) {
@@ -174,7 +289,6 @@ TEST(ExperimentFarm, ParallelMatchesSerialFingerprints) {
 
   ExperimentFarm::Options serial_options;
   serial_options.threads = 1;
-  serial_options.max_in_flight = 1;
   ExperimentFarm serial(items, serial_options);
   const auto serial_results = serial.run();
 
@@ -252,6 +366,34 @@ TEST(ExperimentFarm, ResumeFromTruncatedJournalIsByteIdentical) {
   ExperimentFarm::write_json(resumed_results, resumed_json);
   EXPECT_EQ(full_csv.str(), resumed_csv.str());
   EXPECT_EQ(full_json.str(), resumed_json.str());
+  std::remove(path.c_str());
+}
+
+TEST(ExperimentFarm, ResumeReportsReplayedCountFirst) {
+  const std::string path = temp_path("dare_farm_resume_progress.jsonl");
+  std::remove(path.c_str());
+  const auto items = expand_grid(small_grid());
+
+  // Journal the first item only, then resume the whole grid.
+  ExperimentFarm::Options options;
+  options.threads = 2;
+  options.journal_path = path;
+  ExperimentFarm(std::vector<Config>(items.begin(), items.begin() + 1),
+                 options)
+      .run();
+
+  std::mutex mutex;
+  std::vector<std::size_t> seen;
+  options.progress = [&](std::size_t done, std::size_t total) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_EQ(total, items.size());
+    seen.push_back(done);
+  };
+  ExperimentFarm(items, options).run();
+  ASSERT_EQ(seen.size(), items.size());
+  EXPECT_EQ(seen.front(), 1u);  // the replayed count, before any completion
+  std::sort(seen.begin(), seen.end());
+  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i + 1);
   std::remove(path.c_str());
 }
 

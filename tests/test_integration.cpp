@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/experiment.h"
+#include "cluster/farm.h"
 
 namespace dare::cluster {
 namespace {
@@ -153,19 +154,17 @@ TEST(Integration, ScarlettComparableButCostsNetwork) {
 
 TEST(Integration, ParallelSweepMatchesSequential) {
   const auto wl = standard_wl1(12, 60, 5);
-  std::vector<std::function<metrics::RunResult()>> runs;
+  std::vector<ClusterOptions> cells;
   for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    runs.push_back([&wl, seed] {
-      return run_once(paper_defaults(net::cct_profile(8),
-                                     SchedulerKind::kFifo,
-                                     PolicyKind::kElephantTrap, seed),
-                      wl);
-    });
+    cells.push_back(paper_defaults(net::cct_profile(8), SchedulerKind::kFifo,
+                                   PolicyKind::kElephantTrap, seed));
   }
-  const auto parallel = run_parallel(runs, 4);
-  ASSERT_EQ(parallel.size(), 4u);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto sequential = runs[i]();
+  std::vector<metrics::RunResult> parallel(cells.size());
+  run_sweep(cells.size(), 4, [&](std::size_t i) {
+    parallel[i] = run_once(cells[i], wl);
+  });
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto sequential = run_once(cells[i], wl);
     EXPECT_DOUBLE_EQ(parallel[i].locality, sequential.locality);
     EXPECT_EQ(parallel[i].makespan, sequential.makespan);
   }

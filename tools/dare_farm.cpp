@@ -38,25 +38,11 @@
 
 namespace {
 
+using namespace dare;
+
 const std::vector<std::string> kToolKeys = {"config",   "journal", "out",
                                             "progress", "stop_after",
                                             "threads"};
-
-void print_usage() {
-  std::cerr
-      << "usage: dare_farm [config=<file>] [key=value[,value...] ...]\n"
-         "                 [out=<prefix>] [journal=<path>] [threads=<n>]\n"
-         "                 [progress=1] [stop_after=<n>]\n"
-         "grid keys: ";
-  for (const auto& key : dare::cluster::override_keys()) {
-    std::cerr << key << ' ';
-  }
-  for (const auto& key : dare::cluster::farm_item_keys()) {
-    std::cerr << key << ' ';
-  }
-  std::cerr << "\n(comma-separated values make an axis; the grid is their "
-               "cartesian product)\n";
-}
 
 /// Write-then-rename like the journal: an interrupted run never leaves a
 /// half-written merged output behind.
@@ -72,62 +58,16 @@ bool write_atomically(const std::string& path, const std::string& content) {
   return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace dare;
-
-  std::vector<std::string> args(argv + 1, argv + argc);
-  std::vector<std::string> positional;
-  Config cli = Config::from_args(args, &positional);
-
-  Config cfg;
-  try {
-    if (cli.contains("config")) {
-      cfg = Config::from_file(cli.get_string("config", ""));
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 1;
-  }
-  cfg.merge(cli);  // CLI wins over the config file
-
-  // A typo'd knob must fail loudly, not silently sweep the wrong grid.
-  std::vector<std::string> unknown = positional;
-  for (const auto& key : cfg.keys()) {
-    const auto known = [&key](const std::vector<std::string>& keys) {
-      return std::find(keys.begin(), keys.end(), key) != keys.end();
-    };
-    if (known(cluster::override_keys()) || known(cluster::farm_item_keys()) ||
-        known(kToolKeys)) {
-      continue;
-    }
-    unknown.push_back(key + "=...");
-  }
-  if (!unknown.empty()) {
-    std::cerr << "error: unrecognized argument(s):";
-    for (const auto& u : unknown) std::cerr << ' ' << u;
-    std::cerr << '\n';
-    print_usage();
-    return 1;
-  }
-
+int run(const Config& cfg) {
   const std::string out_prefix = cfg.get_string("out", "farm");
   std::string journal_path = out_prefix + ".journal.jsonl";
   if (cfg.contains("journal")) journal_path = cfg.get_string("journal", "");
 
   cluster::ExperimentFarm::Options options;
-  std::size_t stop_after = 0;
-  bool progress_meter = false;
-  try {
-    options.threads = static_cast<std::size_t>(cfg.get_int("threads", 0));
-    options.journal_path = journal_path;
-    stop_after = static_cast<std::size_t>(cfg.get_int("stop_after", 0));
-    progress_meter = cfg.get_bool("progress", false);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 1;
-  }
+  options.threads = cfg.get_count<std::size_t>("threads", 0);
+  options.journal_path = journal_path;
+  const auto stop_after = cfg.get_count<std::size_t>("stop_after", 0);
+  const bool progress_meter = cfg.get_bool("progress", false);
   if (stop_after != 0 || progress_meter) {
     options.progress = [stop_after, progress_meter](std::size_t done,
                                                     std::size_t total) {
@@ -156,34 +96,40 @@ int main(int argc, char** argv) {
     grid.set(key, cfg.get_string(key, ""));
   }
 
-  try {
-    cluster::ExperimentFarm farm(cluster::expand_grid(grid), options);
-    std::cout << "[farm] " << farm.items().size() << " items";
-    if (!journal_path.empty()) std::cout << ", journal: " << journal_path;
-    std::cout << '\n';
+  cluster::ExperimentFarm farm(cluster::expand_grid(grid), options);
+  std::cout << "[farm] " << farm.items().size() << " items";
+  if (!journal_path.empty()) std::cout << ", journal: " << journal_path;
+  std::cout << '\n';
 
-    const auto results = farm.run();
-    std::size_t replayed = 0;
-    for (const auto& result : results) replayed += result.from_journal ? 1 : 0;
+  const auto results = farm.run();
+  std::size_t replayed = 0;
+  for (const auto& result : results) replayed += result.from_journal ? 1 : 0;
 
-    std::ostringstream csv;
-    cluster::ExperimentFarm::write_csv(results, csv);
-    std::ostringstream json;
-    cluster::ExperimentFarm::write_json(results, json);
-    const std::string csv_path = out_prefix + ".csv";
-    const std::string json_path = out_prefix + ".json";
-    if (!write_atomically(csv_path, csv.str()) ||
-        !write_atomically(json_path, json.str())) {
-      std::cerr << "error: cannot write merged output under prefix '"
-                << out_prefix << "'\n";
-      return 2;
-    }
-    std::cout << "[farm] " << results.size() << " items done (" << replayed
-              << " replayed from journal)\n"
-              << "[farm] wrote " << csv_path << ", " << json_path << '\n';
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 1;
+  std::ostringstream csv;
+  cluster::ExperimentFarm::write_csv(results, csv);
+  std::ostringstream json;
+  cluster::ExperimentFarm::write_json(results, json);
+  const std::string csv_path = out_prefix + ".csv";
+  const std::string json_path = out_prefix + ".json";
+  if (!write_atomically(csv_path, csv.str()) ||
+      !write_atomically(json_path, json.str())) {
+    std::cerr << "error: cannot write merged output under prefix '"
+              << out_prefix << "'\n";
+    return 2;
   }
+  std::cout << "[farm] " << results.size() << " items done (" << replayed
+            << " replayed from journal)\n"
+            << "[farm] wrote " << csv_path << ", " << json_path << '\n';
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Grid keys (cluster overrides plus the workload keys) and tool keys; a
+  // config=<file> is merged under the command line and checked the same.
+  std::vector<std::string> keys =
+      cluster::override_keys_for(cluster::farm_item_keys());
+  keys.insert(keys.end(), kToolKeys.begin(), kToolKeys.end());
+  return run_driver(argc, argv, {.keys = keys, .config_file = true}, run);
 }

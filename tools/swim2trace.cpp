@@ -3,56 +3,39 @@
 // replayable trace format.
 //
 // Usage:
-//   swim2trace input.swim output.trace [first=N] [count=N] [timescale=X]
+//   swim2trace <input> <output> [first=N] [count=N] [timescale=X]
 //              [blocksize=BYTES] [maxblocks=N]
 //
 // The output can be replayed with examples/facebook_workload load=<file>.
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "common/config.h"
 #include "workload/swim_import.h"
 #include "workload/trace_io.h"
 #include "workload/workload_stats.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const dare::Config& cfg) {
   using namespace dare;
-  std::vector<std::string> args(argv + 1, argv + argc);
-  std::vector<std::string> positional;
-  const Config cfg = Config::from_args(args, &positional);
-  if (positional.size() != 2) {
-    std::cerr << "usage: swim2trace <input.swim> <output.trace> "
-                 "[first=N] [count=N] [timescale=X] [blocksize=BYTES] "
-                 "[maxblocks=N]\n";
-    return 2;
-  }
+  const std::string input = cfg.get_string("input", "");
+  const std::string output = cfg.get_string("output", "");
 
   workload::SwimImportOptions opts;
-  opts.first_job = static_cast<std::size_t>(cfg.get_int("first", 0));
-  opts.num_jobs = static_cast<std::size_t>(cfg.get_int("count", 0));
+  opts.first_job = cfg.get_count<std::size_t>("first", 0);
+  opts.num_jobs = cfg.get_count<std::size_t>("count", 0);
   opts.time_scale = cfg.get_double("timescale", 1.0);
   opts.block_size = cfg.get_int("blocksize", opts.block_size);
-  opts.max_blocks_per_job =
-      static_cast<std::size_t>(cfg.get_int("maxblocks", 512));
+  opts.max_blocks_per_job = cfg.get_count<std::size_t>("maxblocks", 512);
 
-  std::ifstream in(positional[0]);
-  if (!in) {
-    std::cerr << "cannot open " << positional[0] << '\n';
-    return 1;
-  }
-  workload::Workload wl;
-  try {
-    wl = workload::import_swim(in, opts);
-  } catch (const std::exception& e) {
-    std::cerr << "import failed: " << e.what() << '\n';
-    return 1;
-  }
+  std::ifstream in(input);
+  if (!in) throw std::runtime_error("cannot open " + input);
+  const workload::Workload wl = workload::import_swim(in, opts);
 
-  std::ofstream out(positional[1]);
-  if (!out) {
-    std::cerr << "cannot open " << positional[1] << " for writing\n";
-    return 1;
-  }
+  std::ofstream out(output);
+  if (!out) throw std::runtime_error("cannot open " + output + " for writing");
   workload::write_workload(out, wl);
 
   const auto stats = workload::characterize(wl);
@@ -61,7 +44,17 @@ int main(int argc, char** argv) {
             << " s of arrivals; mean " << stats.mean_maps
             << " maps/job, small-job fraction "
             << stats.small_job_fraction << ").\n"
-            << "Replay with: examples/facebook_workload load="
-            << positional[1] << '\n';
+            << "Replay with: examples/facebook_workload load=" << output
+            << '\n';
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dare::run_driver(
+      argc, argv,
+      {.keys = {"blocksize", "count", "first", "maxblocks", "timescale"},
+       .positionals = {"input", "output"}},
+      run);
 }
