@@ -52,13 +52,19 @@ inline void banner(const std::string& experiment,
 
 /// `progress=1`: live completed/total meter on stderr for a sweep (stderr
 /// so redirected table output stays clean). The callback may run
-/// concurrently on worker threads (cluster::SweepProgress contract); a bare
-/// stream write never data-races, at worst interleaves.
+/// concurrently on worker threads (cluster::SweepProgress contract), so
+/// each update is formatted first and written with one insertion, which
+/// stdio-synchronized std::cerr emits as one locked write: updates may
+/// arrive out of order, but one never splits another.
 inline cluster::SweepProgress progress_meter(const Config& cfg) {
   if (!cfg.get_bool("progress", false)) return {};
   return [](std::size_t done, std::size_t total) {
-    std::cerr << "\r[sweep " << done << '/' << total << ']'
-              << (done == total ? "\n" : "") << std::flush;
+    std::string line = "\r[sweep ";
+    line += std::to_string(done);
+    line += '/';
+    line += std::to_string(total);
+    line += done == total ? "]\n" : "]";
+    std::cerr << line << std::flush;
   };
 }
 

@@ -4,6 +4,8 @@
 // the heavy-tailed samplers.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "common/distributions.h"
 #include "core/elephant_trap.h"
 #include "core/greedy_lru.h"
@@ -83,7 +85,9 @@ void BM_NameNodeCreateFile(benchmark::State& state) {
     storage::NameNode nn(19, nullptr, rng);
     state.ResumeTiming();
     for (int f = 0; f < 64; ++f) {
-      nn.create_file("f" + std::to_string(f), 4, 128 * kMiB, 3, 0);
+      std::string name = "f";
+      name += std::to_string(f);
+      nn.create_file(name, 4, 128 * kMiB, 3, 0);
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);

@@ -16,9 +16,11 @@
 //   repeats=<n>       timed repetitions per config; the minimum is reported
 //   json=<path>       output path ("" to skip writing)
 //   max_scale=<n>     skip scale points with more than n nodes
-//   profile=1         re-run the largest Fair/elephant-trap config in-process
-//                     with the PhaseProfiler attached and print the per-phase
-//                     CPU attribution + peak RSS
+//   profile=1         print each configuration's offer-path work counters
+//                     (RunResult::work), then re-run the largest
+//                     Fair/elephant-trap config in-process with the
+//                     PhaseProfiler attached and print the per-phase CPU
+//                     attribution + peak RSS
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -56,6 +58,7 @@ struct Row {
   std::int64_t peak_rss_kb = 0;
   std::uint64_t allocations = 0;
   std::uint64_t fingerprint = 0;
+  metrics::RunResult::OfferWork work;
   bool ok = false;
 };
 
@@ -65,6 +68,7 @@ struct ChildReport {
   std::uint64_t fingerprint = 0;
   std::int64_t peak_rss_kb = 0;
   std::uint64_t allocations = 0;
+  metrics::RunResult::OfferWork work;
 };
 
 double cpu_now_ms() {
@@ -119,6 +123,7 @@ ChildReport measure(std::size_t nodes, std::size_t jobs,
     const double ms = cpu_now_ms() - t0;
     if (r == 0 || ms < report.cpu_ms) report.cpu_ms = ms;
     report.fingerprint = metrics::fingerprint(result);
+    report.work = result.work;
   }
   const auto mem = bench::read_memory_stats();
   report.peak_rss_kb = mem.peak_rss_kb;
@@ -215,6 +220,7 @@ int run(const Config& cfg) {
         row.peak_rss_kb = report.peak_rss_kb;
         row.allocations = report.allocations;
         row.fingerprint = report.fingerprint;
+        row.work = report.work;
         std::printf("%-6zu %-7zu %-6s %-14s %12.1f %12.1f %14llu %016llx%s\n",
                     row.nodes, row.jobs, row.scheduler.c_str(),
                     row.policy.c_str(), row.cpu_ms,
@@ -229,6 +235,19 @@ int run(const Config& cfg) {
   }
 
   if (cfg.get_int("profile", 0) != 0 && !rows.empty()) {
+    std::printf("\noffer-path work counters:\n%-6s %-7s %-6s %-14s %10s %12s "
+                "%12s %12s %12s\n",
+                "nodes", "jobs", "sched", "policy", "sweeps", "node_visits",
+                "select_map", "job_probes", "memo_answers");
+    for (const Row& r : rows) {
+      std::printf("%-6zu %-7zu %-6s %-14s %10llu %12llu %12llu %12llu %12llu\n",
+                  r.nodes, r.jobs, r.scheduler.c_str(), r.policy.c_str(),
+                  static_cast<unsigned long long>(r.work.sweeps),
+                  static_cast<unsigned long long>(r.work.node_visits),
+                  static_cast<unsigned long long>(r.work.select_map_calls),
+                  static_cast<unsigned long long>(r.work.job_probes),
+                  static_cast<unsigned long long>(r.work.memo_answers));
+    }
     const Row& last = rows.back();
     auto opts = scale_cluster_options(last.nodes,
                                       cluster::SchedulerKind::kFair,

@@ -1,8 +1,9 @@
 // Microbenchmarks for the scheduler hot path (google-benchmark):
 //   * find_local_map: the inverted locality index's answer for a job with
 //     many pending maps;
-//   * FairScheduler::select_map: walking the incrementally-maintained share
-//     set when every job declines;
+//   * FairScheduler::select_map: an offer every job declines (the first
+//     walks the incrementally-maintained share set, every later one is
+//     answered by the node's decline memo);
 //   * LocalityIndex watch + unwatch of one map as its block's replica count
 //     R grows (the per-map index maintenance cost, linear in R);
 //   * EventQueue: schedule + fire throughput of the slab/freelist design
@@ -88,8 +89,10 @@ void BM_FindLocalMap(benchmark::State& state) {
 
 /// Build a table of `jobs` active jobs with pending + some running maps so
 /// the fair ordering has real work to do. The index holds no replicas, so
-/// no job is ever local to the probed node: select_map walks the full fair
-/// order and returns nothing (a pure measurement of the ordering machinery).
+/// no job is ever local to the probed node: the first select_map walks the
+/// full fair order and returns nothing, and since nothing changes and no
+/// delay expires, every later offer is a decline-memo answer (the cost of a
+/// declined offer in steady state).
 void BM_FairSelect(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   LocalityIndex index(kNodes, node_racks(), kRacks);

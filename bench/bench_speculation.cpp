@@ -66,8 +66,9 @@ int run(const Config& cfg) {
                    std::to_string(r.speculative_killed)});
   }
   table.print(std::cout,
-              "\n" + fmt_percent(stragglers, 0) + " of nodes slowed " +
-                  fmt_fixed(slowdown, 1) + "x (FIFO, wl1, EC2 profile)");
+              std::string("\n") + fmt_percent(stragglers, 0) +
+                  " of nodes slowed " + fmt_fixed(slowdown, 1) +
+                  "x (FIFO, wl1, EC2 profile)");
   std::cout << "\nExpected: stragglers inflate GMTT well beyond the clean "
                "cluster. Speculation recovers part of the\ntail latency — "
                "the rest is cluster *capacity* lost to slow nodes, which no "

@@ -556,32 +556,55 @@ void Cluster::try_assign_all() {
   // Profiled per sweep, not per node: this is the hottest path in the
   // simulator and a per-node scope would dominate the cost it measures.
   obs::PhaseScope prof(profiler_, obs::Phase::kSchedule);
+  ++result_.work.sweeps;
   const std::size_t n = data_nodes_.size();
   const std::size_t start = assign_rotation_++ % n;
-  for (std::size_t k = 0; k < n; ++k) {
-    // SoA early exits — both behavior-preserving:
-    //  * no pending work of either kind: every remaining select_map /
-    //    select_reduce call would return nullopt without mutating any
-    //    scheduler state (the fair journal drain just defers);
-    //  * no free slot anywhere and the retry tick already booked: every
-    //    remaining visit would be a complete no-op (maybe_schedule_tick
-    //    dedups via tick_scheduled_).
-    // At 10k nodes these turn the steady-state sweep from O(nodes) into
-    // O(1) whenever the cluster is saturated or drained.
-    if (jobs_.total_pending_maps() + jobs_.total_pending_reduces() == 0) {
+  // The walk visits, in rotation order from `start`, only the nodes where
+  // an offer can do something: a free map slot while maps are pending, or a
+  // free reduce slot while a reduce is ready. Any other visit calls no
+  // selection that could return a task or change scheduler state (an empty
+  // map set or ready set answers nullopt, and the Fair journal drain just
+  // defers), so skipping it changes nothing, except where the retry tick is
+  // armed: try_assign_node arms it at the first open node, after that
+  // node's launches. When the walk skips that node, no launch precedes it,
+  // so the tick is armed here, before any launch, keeping its sequence
+  // number (event ties break on it).
+  if (!tick_scheduled_ &&
+      jobs_.total_pending_maps() + jobs_.total_pending_reduces() > 0) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t w = (start + k) % n;
+      if (!node_open_for_launch(w)) continue;
+      const bool offered =
+          (jobs_.total_pending_maps() > 0 && slots_.free_maps(w) > 0) ||
+          (!jobs_.reduce_ready().empty() && slots_.free_reduces(w) > 0);
+      if (!offered) maybe_schedule_tick();
       break;
     }
-    if (slots_.total_free() == 0 && tick_scheduled_) break;
-    try_assign_node(static_cast<NodeId>((start + k) % n));
+  }
+  // Two ranges, [start, n) then [0, start). Both conditions and the bitsets
+  // are re-read after every visit: a launch can drain the last pending map,
+  // and a clone launch takes a slot on another node.
+  for (const auto& [lo, hi] :
+       {std::pair{start, n}, std::pair{std::size_t{0}, start}}) {
+    for (std::size_t w = lo;; ++w) {
+      const bool maps = jobs_.total_pending_maps() > 0;
+      const bool reduces = !jobs_.reduce_ready().empty();
+      if (!maps && !reduces) return;
+      w = slots_.next_free(w, hi, maps, reduces);
+      if (w == hi) break;
+      try_assign_node(static_cast<NodeId>(w));
+    }
   }
 }
 
 void Cluster::try_assign_node(NodeId worker) {
   const auto w = static_cast<std::size_t>(worker);
+  ++result_.work.node_visits;
   // Dead, blacklisted, or detected-slow: no new launches. A detected-slow
   // node keeps its running work (graceful degradation, not eviction).
   if (!node_open_for_launch(w)) return;
   while (slots_.free_maps(w) > 0) {
+    ++result_.work.select_map_calls;
     const auto selection =
         scheduler_->select_map(worker, sim_.now(), jobs_);
     if (!selection) break;
@@ -2312,7 +2335,7 @@ void Cluster::validate() const {
     fail("job table aggregate counters diverge from per-job state");
   }
   if (!slots_.consistent()) {
-    fail("slot ledger totals diverge from per-node free-slot counts");
+    fail("slot ledger free-node bits diverge from per-node free-slot counts");
   }
 
   // With no work in flight, every network flow must have been released and
@@ -2454,6 +2477,8 @@ metrics::RunResult Cluster::collect_results() {
     result_.dynamic_replica_disk_writes += dn->dynamic_insertions();
   }
   result_.blocks_lost = name_node_->lost_block_count();
+  result_.work.job_probes = scheduler_->work().job_probes;
+  result_.work.memo_answers = scheduler_->work().memo_answers;
   result_.clone_wasted_work_s = to_seconds(clone_wasted_work_);
   result_.detection_latency_total_s = to_seconds(detection_latency_total_);
   result_.repair_latency_total_s = to_seconds(repair_latency_total_);

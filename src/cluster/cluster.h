@@ -412,7 +412,7 @@ class Cluster {
   std::unique_ptr<sched::LocalityIndex> locality_index_;
 
   sched::JobTable jobs_;
-  /// SoA sweep state: per-node free slots + O(1) cluster-wide totals.
+  /// Sweep state: per-node free slots + a free-node bitset per slot kind.
   SlotLedger slots_;
   std::vector<FileId> catalog_file_ids_;  ///< catalog index -> FileId
 

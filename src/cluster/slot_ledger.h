@@ -1,22 +1,27 @@
-// Struct-of-arrays task-slot bookkeeping for the scheduler sweep.
+// Task-slot bookkeeping for the scheduler sweep.
 //
-// The per-node free-slot counts and their cluster-wide totals are kept in
-// lockstep behind one API, so the hot try_assign_all sweep can answer "is
-// any launch possible anywhere?" in O(1) instead of touching per-node state
-// for all N nodes. At 10k nodes the sweep runs ~200k times per workload;
-// without the totals it was the dominant cost of the whole simulation.
+// Per node, the ledger keeps the free map and reduce slot counts plus one
+// bit per slot kind, set iff the node has a free slot of that kind. The
+// bits let the try_assign_all sweep visit only the nodes where a launch can
+// happen: next_free() returns the next node, in index order, with a free
+// slot of a kind that has work, a word-sized bit scan instead of one visit
+// per node. A saturated 1k-node cluster has its map slots full while its
+// reduce slots sit free almost everywhere, so a single any-slot-free set
+// would still visit every node; one set per kind does not.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/invariant.h"
 
 namespace dare::cluster {
 
-/// Free map/reduce task slots per node plus their cluster-wide totals.
-/// Every mutation goes through take/give/clear/restore so the totals can
-/// never drift from the per-node truth (validate() audits the invariant).
+/// Free map/reduce task slots per node plus a free-node bitset per kind.
+/// Every mutation goes through take/give/clear/restore so the bits can
+/// never drift from the counts (validate() audits the invariant).
 class SlotLedger {
  public:
   /// (Re)initialize for `nodes` nodes at full per-node capacity.
@@ -26,19 +31,13 @@ class SlotLedger {
     reduce_capacity_ = reduce_slots_per_node;
     free_maps_.assign(nodes, map_slots_per_node);
     free_reduces_.assign(nodes, reduce_slots_per_node);
-    total_free_maps_ = nodes * map_slots_per_node;
-    total_free_reduces_ = nodes * reduce_slots_per_node;
+    fill_bits(map_bits_, nodes, map_slots_per_node > 0);
+    fill_bits(reduce_bits_, nodes, reduce_slots_per_node > 0);
   }
 
   std::size_t free_maps(std::size_t node) const { return free_maps_[node]; }
   std::size_t free_reduces(std::size_t node) const {
     return free_reduces_[node];
-  }
-  std::size_t total_free_maps() const { return total_free_maps_; }
-  std::size_t total_free_reduces() const { return total_free_reduces_; }
-  /// O(1) sweep gate: any slot of either kind free anywhere?
-  std::size_t total_free() const {
-    return total_free_maps_ + total_free_reduces_;
   }
   std::size_t map_capacity() const { return map_capacity_; }
   std::size_t reduce_capacity() const { return reduce_capacity_; }
@@ -46,63 +45,101 @@ class SlotLedger {
 
   void take_map(std::size_t node) {
     DARE_INVARIANT(free_maps_[node] > 0, "SlotLedger: map slot underflow");
-    --free_maps_[node];
-    --total_free_maps_;
+    if (--free_maps_[node] == 0) set_bit(map_bits_, node, false);
   }
   void give_map(std::size_t node) {
     DARE_INVARIANT(free_maps_[node] < map_capacity_,
                    "SlotLedger: map slot overflow");
-    ++free_maps_[node];
-    ++total_free_maps_;
+    if (free_maps_[node]++ == 0) set_bit(map_bits_, node, true);
   }
   void take_reduce(std::size_t node) {
     DARE_INVARIANT(free_reduces_[node] > 0,
                    "SlotLedger: reduce slot underflow");
-    --free_reduces_[node];
-    --total_free_reduces_;
+    if (--free_reduces_[node] == 0) set_bit(reduce_bits_, node, false);
   }
   void give_reduce(std::size_t node) {
     DARE_INVARIANT(free_reduces_[node] < reduce_capacity_,
                    "SlotLedger: reduce slot overflow");
-    ++free_reduces_[node];
-    ++total_free_reduces_;
+    if (free_reduces_[node]++ == 0) set_bit(reduce_bits_, node, true);
   }
 
   /// Node death: its free slots leave the pool (busy slots are returned
   /// one-by-one as the attempt sweep cancels them — they go through
   /// give_* only if the node is alive, so a dead node's counts stay 0).
   void clear_node(std::size_t node) {
-    total_free_maps_ -= free_maps_[node];
-    total_free_reduces_ -= free_reduces_[node];
     free_maps_[node] = 0;
     free_reduces_[node] = 0;
+    set_bit(map_bits_, node, false);
+    set_bit(reduce_bits_, node, false);
   }
 
   /// Node rejoin: back to full capacity (a recovered tracker restarts with
   /// empty slots).
   void restore_node(std::size_t node) {
-    total_free_maps_ += map_capacity_ - free_maps_[node];
-    total_free_reduces_ += reduce_capacity_ - free_reduces_[node];
     free_maps_[node] = map_capacity_;
     free_reduces_[node] = reduce_capacity_;
+    set_bit(map_bits_, node, map_capacity_ > 0);
+    set_bit(reduce_bits_, node, reduce_capacity_ > 0);
   }
 
-  /// Audit: totals equal the per-node sums (cluster validate()).
-  bool consistent() const {
-    std::size_t maps = 0;
-    std::size_t reduces = 0;
-    for (std::size_t w = 0; w < free_maps_.size(); ++w) {
-      maps += free_maps_[w];
-      reduces += free_reduces_[w];
+  /// The first node in [from, end) with a free map slot (when `maps`) or a
+  /// free reduce slot (when `reduces`); `end` when there is none.
+  std::size_t next_free(std::size_t from, std::size_t end, bool maps,
+                        bool reduces) const {
+    const std::uint64_t map_mask = maps ? ~std::uint64_t{0} : 0;
+    const std::uint64_t reduce_mask = reduces ? ~std::uint64_t{0} : 0;
+    for (std::size_t w = from; w < end;) {
+      const std::size_t word = w / 64;
+      const std::uint64_t bits =
+          ((map_bits_[word] & map_mask) | (reduce_bits_[word] & reduce_mask)) >>
+          (w % 64);
+      if (bits != 0) {
+        const std::size_t hit = w + static_cast<std::size_t>(
+                                        std::countr_zero(bits));
+        return hit < end ? hit : end;
+      }
+      w = (word + 1) * 64;
     }
-    return maps == total_free_maps_ && reduces == total_free_reduces_;
+    return end;
+  }
+
+  /// Audit: each node's bits match its counts (cluster validate()).
+  bool consistent() const {
+    for (std::size_t w = 0; w < free_maps_.size(); ++w) {
+      if (bit(map_bits_, w) != (free_maps_[w] > 0) ||
+          bit(reduce_bits_, w) != (free_reduces_[w] > 0)) {
+        return false;
+      }
+    }
+    return true;
   }
 
  private:
+  /// One bit per node, all set to `on` (bits past the last node stay 0).
+  static void fill_bits(std::vector<std::uint64_t>& bits, std::size_t nodes,
+                        bool on) {
+    bits.assign((nodes + 63) / 64, on ? ~std::uint64_t{0} : 0);
+    if (on && nodes % 64 != 0) {
+      bits.back() = (std::uint64_t{1} << (nodes % 64)) - 1;
+    }
+  }
+  static bool bit(const std::vector<std::uint64_t>& bits, std::size_t node) {
+    return ((bits[node / 64] >> (node % 64)) & 1u) != 0;
+  }
+  static void set_bit(std::vector<std::uint64_t>& bits, std::size_t node,
+                      bool on) {
+    const std::uint64_t mask = std::uint64_t{1} << (node % 64);
+    if (on) {
+      bits[node / 64] |= mask;
+    } else {
+      bits[node / 64] &= ~mask;
+    }
+  }
+
   std::vector<std::size_t> free_maps_;
   std::vector<std::size_t> free_reduces_;
-  std::size_t total_free_maps_ = 0;
-  std::size_t total_free_reduces_ = 0;
+  std::vector<std::uint64_t> map_bits_;
+  std::vector<std::uint64_t> reduce_bits_;
   std::size_t map_capacity_ = 0;
   std::size_t reduce_capacity_ = 0;
 };

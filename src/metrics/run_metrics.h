@@ -170,6 +170,18 @@ struct RunResult {
 
   /// Wall-clock sanity data.
   SimTime makespan = 0;
+
+  /// Deterministic work counts of the slot-offer path: exact on any
+  /// machine, so a test can pin them, and never mixed into fingerprint()
+  /// (they measure how the simulator computes a run, not what it computes).
+  struct OfferWork {
+    std::uint64_t sweeps = 0;            ///< cluster-wide offer sweeps
+    std::uint64_t node_visits = 0;       ///< per-node offers (any source)
+    std::uint64_t select_map_calls = 0;  ///< scheduler map selections asked
+    std::uint64_t job_probes = 0;        ///< Fair: jobs probed for a node
+    std::uint64_t memo_answers = 0;      ///< Fair: offers the memo declined
+  };
+  OfferWork work;
 };
 
 /// Fill the aggregate fields of `result` from its per-job entries plus the

@@ -17,24 +17,90 @@ FairScheduler::FairScheduler(SimDuration node_delay, SimDuration rack_delay)
 FairScheduler::FairScheduler(SimDuration delay)
     : FairScheduler(delay, delay) {}
 
+bool FairScheduler::drain_journal(JobTable& jobs) {
+  if (index_ == nullptr) {
+    // No index means no job was ever added: nothing to offer.
+    index_ = jobs.locality_index();
+    if (index_ == nullptr) return false;
+    memo_.assign(index_->num_nodes(), kNoMemo);
+    delay_epoch_.assign(index_->num_racks(), 0);
+  }
+  // add_job journals every job, so the first drain sees them all.
+  for (JobId id : jobs.consume_fair_dirty()) update_share_entry(jobs, id);
+  return true;
+}
+
 void FairScheduler::update_share_entry(JobTable& jobs, JobId id) {
-  const auto old = share_keys_.find(id);
-  if (old != share_keys_.end()) {
+  WaitSet::iterator wait = waiting_.end();
+  if (const auto old = share_keys_.find(id); old != share_keys_.end()) {
+    wait = old->second->wait;
     share_order_.erase(old->second);
     share_keys_.erase(old);
   }
-  if (!jobs.has_job(id)) return;
-  JobRuntime& rt = jobs.job(id);
-  if (!rt.active || rt.pending_maps.empty()) return;
-  const ShareKey key{rt.fair_share(), rt.arrival_seq, id, &rt};
-  share_order_.insert(key);
-  share_keys_.emplace(id, key);
+  JobRuntime* rt = jobs.has_job(id) ? &jobs.job(id) : nullptr;
+  if (rt == nullptr || !rt->active || rt->pending_maps.empty()) {
+    if (wait != waiting_.end()) erase_wait(wait);
+    return;
+  }
+  // A job that re-enters with its clock running: its pending set was
+  // emptied by launches no selection made (tests drive the table
+  // directly), so no accept stopped the clock.
+  if (wait == waiting_.end() && rt->waiting_since != kTimeNever) {
+    wait = add_wait(*rt);
+  }
+  const auto it = share_order_
+                      .insert(ShareKey{rt->fair_share(), rt->arrival_seq, id,
+                                       rt, wait})
+                      .first;
+  share_keys_.emplace(id, it);
 }
 
-std::optional<MapSelection> FairScheduler::try_job(JobRuntime& rt, NodeId node,
-                                                   SimTime now,
+FairScheduler::WaitSet::iterator FairScheduler::add_wait(JobRuntime& rt) {
+  const auto it = waiting_.insert(Wait{rt.waiting_since, next_serial_++, &rt})
+                      .first;
+  if (unpassed_ == waiting_.end() ? std::next(it) != waiting_.end()
+                                  : *it < *unpassed_) {
+    // Placed among processed waits, which all started no earlier and have
+    // passed node_delay: so has this one.
+    invalidate_racks(rt);
+  } else if (unpassed_ == waiting_.end()) {
+    unpassed_ = it;
+  }
+  return it;
+}
+
+void FairScheduler::erase_wait(WaitSet::iterator it) {
+  if (it == unpassed_) ++unpassed_;
+  waiting_.erase(it);
+}
+
+void FairScheduler::stop_clock(const ShareKey& key) {
+  if (key.wait != waiting_.end()) {
+    erase_wait(key.wait);
+    key.wait = waiting_.end();
+  }
+  key.rt->waiting_since = kTimeNever;
+}
+
+void FairScheduler::invalidate_racks(const JobRuntime& rt) {
+  index_->for_each_candidate_rack(*rt.locality, [&](RackId rack) {
+    ++delay_epoch_[static_cast<std::size_t>(rack)];
+  });
+}
+
+void FairScheduler::pass_node_delay(SimTime now) {
+  for (; unpassed_ != waiting_.end() && now - unpassed_->since >= node_delay_;
+       ++unpassed_) {
+    invalidate_racks(*unpassed_->rt);
+  }
+}
+
+std::optional<MapSelection> FairScheduler::try_job(const ShareKey& key,
+                                                   NodeId node, SimTime now,
                                                    JobTable& jobs) {
-  const JobId id = rt.spec.id;
+  JobRuntime& rt = *key.rt;
+  const JobId id = key.id;
+  ++work_.job_probes;
   if (const auto local = jobs.find_local_map(rt, node)) {
     if (tracer_ != nullptr) {
       const double waited_s =
@@ -44,12 +110,13 @@ std::optional<MapSelection> FairScheduler::try_job(JobRuntime& rt, NodeId node,
       tracer_->scheduler_decision(
           node, id, static_cast<int>(Locality::kNodeLocal), waited_s);
     }
-    rt.waiting_since = kTimeNever;
+    stop_clock(key);
     return MapSelection{id, *local, Locality::kNodeLocal};
   }
   if (rt.waiting_since == kTimeNever) {
     // First declined opportunity: start the delay clock.
     rt.waiting_since = now;
+    key.wait = add_wait(rt);
     if (node_delay_ > 0) {
       if (tracer_ != nullptr) tracer_->delay_wait(node, id);
       return std::nullopt;
@@ -64,7 +131,7 @@ std::optional<MapSelection> FairScheduler::try_job(JobRuntime& rt, NodeId node,
                                     static_cast<int>(Locality::kRackLocal),
                                     to_seconds(waited));
       }
-      rt.waiting_since = kTimeNever;
+      stop_clock(key);
       return MapSelection{id, *rack, Locality::kRackLocal};
     }
     if (waited >= node_delay_ + rack_delay_) {
@@ -74,7 +141,7 @@ std::optional<MapSelection> FairScheduler::try_job(JobRuntime& rt, NodeId node,
                                     static_cast<int>(Locality::kOffRack),
                                     to_seconds(waited));
       }
-      rt.waiting_since = kTimeNever;
+      stop_clock(key);
       return MapSelection{id, 0, Locality::kOffRack};
     }
   }
@@ -84,16 +151,37 @@ std::optional<MapSelection> FairScheduler::try_job(JobRuntime& rt, NodeId node,
 
 std::optional<MapSelection> FairScheduler::select_map(NodeId node, SimTime now,
                                                       JobTable& jobs) {
-  // Patch the share order from the fair-share journal (add_job journals
-  // every job, so the first drain sees them all).
-  for (JobId id : jobs.consume_fair_dirty()) update_share_entry(jobs, id);
-  // The loop body only touches waiting_since, never a share component, so
-  // iterating the set while probing jobs is safe; a returned selection is
-  // followed by a launch whose journal entry is drained next call.
-  for (const ShareKey& key : share_order_) {
-    if (auto picked = try_job(*key.rt, node, now, jobs)) return picked;
+  if (!drain_journal(jobs) || share_order_.empty()) return std::nullopt;
+  pass_node_delay(now);
+  // The memo answers only while no job is fresh (every job in the share
+  // order has a wait entry) and the longest waiter cannot go off-rack yet.
+  const auto n = static_cast<std::size_t>(node);
+  const std::uint64_t stamp = memo_stamp(node);
+  if (memo_[n] == stamp && waiting_.size() == share_order_.size() &&
+      now - waiting_.begin()->since < node_delay_ + rack_delay_) {
+    ++work_.memo_answers;
+    return std::nullopt;
   }
+  // The loop body only touches waiting_since and the wait set, never a
+  // share component, so iterating the set while probing jobs is safe; a
+  // returned selection is followed by a launch whose journal entry is
+  // drained next call.
+  for (const ShareKey& key : share_order_) {
+    if (auto picked = try_job(key, node, now, jobs)) {
+      memo_[n] = kNoMemo;
+      return picked;
+    }
+  }
+  memo_[n] = stamp;
   return std::nullopt;
+}
+
+std::vector<JobId> FairScheduler::offer_order(JobTable& jobs) {
+  drain_journal(jobs);
+  std::vector<JobId> order;
+  order.reserve(share_order_.size());
+  for (const ShareKey& key : share_order_) order.push_back(key.id);
+  return order;
 }
 
 std::optional<JobId> FairScheduler::select_reduce(JobTable& jobs) {

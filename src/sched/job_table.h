@@ -82,7 +82,8 @@ struct JobRuntime {
 
   /// Delay-scheduling state (Fair scheduler): when the job first declined a
   /// scheduling opportunity waiting for locality; kTimeNever when it is not
-  /// currently waiting.
+  /// currently waiting. Written only by the FairScheduler serving this
+  /// table, which mirrors it in its decline memo.
   SimTime waiting_since = kTimeNever;
 
   /// Submission index (position in all_jobs()); breaks fair-share ties in
@@ -202,6 +203,8 @@ class JobTable {
   /// before the first add_job (which throws without one); the index must
   /// outlive the table's mutations.
   void attach_locality_index(LocalityIndex* index);
+  /// The attached index (null before attach_locality_index).
+  const LocalityIndex* locality_index() const { return index_; }
 
   /// Find a pending map of `rt`'s job whose block is local to `node`.
   /// Returns the smallest matching position in pending_maps (the same

@@ -59,7 +59,9 @@ LocalityIndex::LocalityIndex(std::size_t num_nodes,
     : num_nodes_(num_nodes),
       num_racks_(num_racks),
       node_rack_(std::move(node_rack)),
-      rack_stamp_(num_racks, 0) {
+      rack_stamp_(num_racks, 0),
+      node_epoch_(num_nodes, 0),
+      rack_epoch_(num_racks, 0) {
   if (num_nodes_ == 0 || num_racks_ == 0) {
     throw std::invalid_argument("LocalityIndex: need >= 1 node and rack");
   }
@@ -123,6 +125,8 @@ void LocalityIndex::replica_added(BlockId block, NodeId node) {
 
   const auto wit = watchers_.find(block);
   if (wit == watchers_.end()) return;
+  ++node_epoch_[static_cast<std::size_t>(node)];
+  if (first_in_rack) ++rack_epoch_[static_cast<std::size_t>(rack)];
   for (const Watcher& w : wit->second) {
     w.state->by_node.insert(static_cast<std::uint32_t>(node), w.map_index);
     if (first_in_rack) {
@@ -166,10 +170,12 @@ void LocalityIndex::watch_map(JobId job, std::size_t map_index,
   if (it == block_nodes_.end()) return;  // block has no live replica
   for (NodeId n : it->second) {
     state.by_node.insert(static_cast<std::uint32_t>(n), mi);
+    ++node_epoch_[static_cast<std::size_t>(n)];
   }
   // One rack-candidate entry per distinct rack holding a replica.
   for_each_distinct_rack(it->second, [&](RackId rack) {
     state.by_rack.insert(static_cast<std::uint32_t>(rack), mi);
+    ++rack_epoch_[static_cast<std::size_t>(rack)];
   });
 }
 

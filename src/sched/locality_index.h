@@ -70,6 +70,16 @@ class CandidateMap {
     }
   }
 
+  /// Calls fn(key) for every entry, in no fixed order (a key repeats once
+  /// per entry under it).
+  template <typename Fn>
+  void for_each_key(Fn&& fn) const {
+    if (size_ == 0) return;
+    for (const Entry& e : entries_) {
+      if (e.key != kEmptyKey) fn(e.key);
+    }
+  }
+
   /// Adds one (key, map_index) entry. `key` must differ from kEmptyKey.
   void insert(std::uint32_t key, std::uint32_t map_index) {
     if ((size_ + 1) * 2 > entries_.size()) grow();
@@ -160,6 +170,30 @@ class LocalityIndex {
         fn);
   }
 
+  /// Calls fn(rack) for each rack in which the job has a rack candidate (a
+  /// rack may repeat).
+  template <typename Fn>
+  void for_each_candidate_rack(const JobState& state, Fn&& fn) const {
+    state.by_rack.for_each_key(
+        [&](std::uint32_t rack) { fn(static_cast<RackId>(rack)); });
+  }
+
+  /// --- candidate epochs ---------------------------------------------------
+  /// Bumped by every insert into any job's by_node table under `node`, or
+  /// into any by_rack table under `node`'s rack: a job whose offer of
+  /// `node` was declined can only gain a candidate there while this value
+  /// moves (FairScheduler's decline memo reads it). Removals never bump it.
+  std::uint64_t candidate_epoch(NodeId node) const {
+    const auto n = static_cast<std::size_t>(node);
+    return node_epoch_[n] +
+           rack_epoch_[static_cast<std::size_t>(node_rack_[n])];
+  }
+  RackId rack_of(NodeId node) const {
+    return node_rack_[static_cast<std::size_t>(node)];
+  }
+  std::size_t num_nodes() const { return num_nodes_; }
+  std::size_t num_racks() const { return num_racks_; }
+
   /// Create-or-get the job's candidate state. The returned pointer is
   /// stable until job_retired(job).
   JobState* job_state_ptr(JobId job) { return &jobs_[job]; }
@@ -197,6 +231,9 @@ class LocalityIndex {
   /// rack -> last for_each_distinct_rack pass that visited it.
   std::vector<std::uint32_t> rack_stamp_;
   std::uint32_t stamp_ = 0;
+  /// Insert counters behind candidate_epoch().
+  std::vector<std::uint64_t> node_epoch_;
+  std::vector<std::uint64_t> rack_epoch_;
 
   /// Slab-backed maps (watcher and job nodes churn at task / job rate).
   template <typename K, typename V>

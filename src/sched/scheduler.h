@@ -6,6 +6,7 @@
 // Fair scheduler with delay scheduling [Zaharia et al., EuroSys'10].
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -46,8 +47,17 @@ class Scheduler {
   /// selections are bit-identical with and without it.
   void set_tracer(obs::TraceCollector* tracer) { tracer_ = tracer; }
 
+  /// Deterministic work counts (reported in metrics::RunResult::work).
+  /// Counting only observes, like tracing.
+  struct Work {
+    std::uint64_t job_probes = 0;    ///< jobs probed for a node (Fair)
+    std::uint64_t memo_answers = 0;  ///< offers the decline memo answered
+  };
+  const Work& work() const { return work_; }
+
  protected:
   obs::TraceCollector* tracer_ = nullptr;
+  Work work_;
 };
 
 }  // namespace dare::sched

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
+#include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -237,9 +241,11 @@ TEST_F(FairTest, HighDelayWithDistributedLocalityGivesAllLocal) {
 /// steps and, after every step, compare FairScheduler's full offer order
 /// with a test-local stable_sort, by fair_share(), of the active jobs that
 /// have pending maps (the per-opportunity sort the share set replaced).
-/// The offer order is read from the kDelayWait events of one opportunity
-/// that every job declines: the probed node holds no replica, and every
-/// delay clock is reset first so each decline records exactly one event.
+/// The order is read with offer_order(); one offer that every job declines
+/// (the probed node holds no replica) then checks that the walk probes in
+/// that order: each job whose delay clock has not started records one
+/// kDelayWait event, in offer order. (The clocks belong to the scheduler,
+/// which mirrors them in its decline memo, so the test never resets them.)
 TEST(FairOrderOracleTest, OfferOrderMatchesStableSortByFairShare) {
   constexpr int kSteps = 3000;
   constexpr NodeId kProbe = 0;
@@ -329,19 +335,324 @@ TEST(FairOrderOracleTest, OfferOrderMatchesStableSortByFairShare) {
                        return a->fair_share() < b->fair_share();
                      });
     std::vector<JobId> expected;
-    for (const JobRuntime* rt : sorted) expected.push_back(rt->spec.id);
+    std::vector<JobId> expected_fresh;
+    for (const JobRuntime* rt : sorted) {
+      expected.push_back(rt->spec.id);
+      if (rt->waiting_since == kTimeNever) expected_fresh.push_back(rt->spec.id);
+    }
+    ASSERT_EQ(sched.offer_order(jobs), expected)
+        << "offer order diverges at step " << step;
 
-    for (JobRuntime& rt : jobs.active_jobs()) rt.waiting_since = kTimeNever;
     tracer.clear();
     ASSERT_FALSE(sched.select_map(kProbe, from_seconds(step), jobs));
     std::vector<JobId> offered;
     for (const obs::TraceEvent& ev : tracer.events()) {
       if (ev.kind == obs::EventKind::kDelayWait) offered.push_back(ev.job);
     }
-    ASSERT_EQ(offered, expected) << "offer order diverges at step " << step;
+    ASSERT_EQ(offered, expected_fresh)
+        << "probe order diverges at step " << step;
   }
   EXPECT_GT(next_job, 50);  // the schedule exercised a real job stream
 }
+
+/// The delay-scheduling walk as it was before the decline memo, kept as
+/// the memo's oracle: every offer probes every job with pending maps, in
+/// fair order (a stable_sort by fair_share(), the order the share set
+/// reproduces; see OfferOrderMatchesStableSortByFairShare).
+class FullWalkFair {
+ public:
+  FullWalkFair(SimDuration node_delay, SimDuration rack_delay,
+               obs::TraceCollector* tracer)
+      : node_delay_(node_delay), rack_delay_(rack_delay), tracer_(tracer) {}
+
+  std::optional<MapSelection> select_map(NodeId node, SimTime now,
+                                         JobTable& jobs) {
+    std::vector<JobRuntime*> order;
+    for (JobRuntime& rt : jobs.active_jobs()) {
+      if (!rt.pending_maps.empty()) order.push_back(&rt);
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [](const JobRuntime* a, const JobRuntime* b) {
+                       return a->fair_share() < b->fair_share();
+                     });
+    for (JobRuntime* rt : order) {
+      if (auto picked = try_job(*rt, node, now, jobs)) return picked;
+    }
+    return std::nullopt;
+  }
+
+ private:
+  std::optional<MapSelection> try_job(JobRuntime& rt, NodeId node,
+                                      SimTime now, JobTable& jobs) {
+    const JobId id = rt.spec.id;
+    if (const auto local = jobs.find_local_map(rt, node)) {
+      const double waited_s = rt.waiting_since == kTimeNever
+                                  ? 0.0
+                                  : to_seconds(now - rt.waiting_since);
+      tracer_->scheduler_decision(
+          node, id, static_cast<int>(Locality::kNodeLocal), waited_s);
+      rt.waiting_since = kTimeNever;
+      return MapSelection{id, *local, Locality::kNodeLocal};
+    }
+    if (rt.waiting_since == kTimeNever) {
+      rt.waiting_since = now;
+      if (node_delay_ > 0) {
+        tracer_->delay_wait(node, id);
+        return std::nullopt;
+      }
+    }
+    const SimDuration waited = now - rt.waiting_since;
+    if (waited >= node_delay_) {
+      if (const auto rack = jobs.find_rack_local_map(rt, node)) {
+        tracer_->scheduler_decision(node, id,
+                                    static_cast<int>(Locality::kRackLocal),
+                                    to_seconds(waited));
+        rt.waiting_since = kTimeNever;
+        return MapSelection{id, *rack, Locality::kRackLocal};
+      }
+      if (waited >= node_delay_ + rack_delay_) {
+        tracer_->scheduler_decision(node, id,
+                                    static_cast<int>(Locality::kOffRack),
+                                    to_seconds(waited));
+        rt.waiting_since = kTimeNever;
+        return MapSelection{id, 0, Locality::kOffRack};
+      }
+    }
+    return std::nullopt;
+  }
+
+  SimDuration node_delay_;
+  SimDuration rack_delay_;
+  obs::TraceCollector* tracer_;
+};
+
+/// One job table with its index and tracer; the memo oracle drives two.
+struct Twin {
+  Twin(const std::vector<RackId>& racks, std::size_t num_racks)
+      : index(racks.size(), racks, num_racks) {
+    jobs.attach_locality_index(&index);
+    jobs.set_retire_observer([](const JobRuntime&) {});
+  }
+  LocalityIndex index;
+  JobTable jobs;
+  obs::TraceCollector tracer;
+};
+
+bool same_event(const obs::TraceEvent& a, const obs::TraceEvent& b) {
+  return a.t == b.t && a.kind == b.kind && a.node == b.node &&
+         a.job == b.job && a.task == b.task && a.detail == b.detail &&
+         a.value == b.value;
+}
+
+struct MemoCase {
+  double node_delay_s;
+  double rack_delay_s;
+  bool one_rack;  ///< else two nodes per rack
+};
+
+void PrintTo(const MemoCase& c, std::ostream* os) {
+  *os << (c.one_rack ? "one rack" : "two nodes per rack") << ", delays "
+      << c.node_delay_s << " s / " << c.rack_delay_s << " s";
+}
+
+/// Drives a FairScheduler twin and a FullWalkFair twin through one random
+/// schedule (arrivals, offers and the launches they select, completions,
+/// requeues, job kills, clones, direct launches, replica adds and removes,
+/// time steps across both delay thresholds) and fails on the first offer
+/// whose selection, delay clocks or trace events differ. Returns the
+/// offers the memo answered.
+std::uint64_t run_memo_oracle(const MemoCase& c, std::uint64_t seed) {
+  constexpr std::size_t kNodes = 6;
+  constexpr std::size_t kBlocks = 14;
+  constexpr int kSteps = 40000;
+  std::vector<RackId> racks(kNodes);
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    racks[n] = c.one_rack ? 0 : static_cast<RackId>(n / 2);
+  }
+  const std::size_t num_racks = c.one_rack ? 1 : kNodes / 2;
+  Twin memo(racks, num_racks);
+  Twin full(racks, num_racks);
+  SimTime now = 0;
+  memo.tracer.set_clock([&] { return now; });
+  full.tracer.set_clock([&] { return now; });
+  FairScheduler sched(from_seconds(c.node_delay_s),
+                      from_seconds(c.rack_delay_s));
+  sched.set_tracer(&memo.tracer);
+  FullWalkFair oracle(from_seconds(c.node_delay_s),
+                      from_seconds(c.rack_delay_s), &full.tracer);
+
+  Rng rng(seed);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(n));
+  };
+  std::vector<std::vector<bool>> holds(kBlocks, std::vector<bool>(kNodes));
+  const auto add_replica = [&](BlockId b, NodeId n) {
+    holds[static_cast<std::size_t>(b)][static_cast<std::size_t>(n)] = true;
+    memo.index.replica_added(b, n);
+    full.index.replica_added(b, n);
+  };
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    add_replica(static_cast<BlockId>(b), static_cast<NodeId>(pick(kNodes)));
+  }
+
+  const double weights[] = {1.0, 2.0, 0.5};
+  const double steps_ms[] = {0.0, 20.0, 50.0, 100.0, 250.0, 499.0, 500.0, 501.0};
+  JobId next_job = 0;
+  std::vector<JobId> live;
+  struct Running {
+    JobId job;
+    std::size_t map_index;
+    Locality locality;
+  };
+  std::vector<Running> running;
+  std::vector<JobId> clones;
+  std::size_t checked_events = 0;
+  const auto drop_job = [&](JobId job) {
+    live.erase(std::find(live.begin(), live.end(), job));
+    running.erase(std::remove_if(running.begin(), running.end(),
+                                 [&](const Running& r) {
+                                   return r.job == job;
+                                 }),
+                  running.end());
+  };
+  const auto launch = [&](JobId job, std::size_t pending_index,
+                          Locality locality) {
+    const std::size_t mi = memo.jobs.launch_map(job, pending_index, locality);
+    EXPECT_EQ(full.jobs.launch_map(job, pending_index, locality), mi);
+    running.push_back({job, mi, locality});
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    const auto action = rng.uniform_int(0, 19);
+    if (action == 0 && live.size() < 10) {
+      JobSpec spec;
+      spec.id = next_job++;
+      spec.reduces = 0;
+      spec.weight = weights[pick(3)];
+      const auto maps = rng.uniform_int(1, 5);
+      for (std::int64_t m = 0; m < maps; ++m) {
+        spec.maps.push_back(
+            MapTaskSpec{static_cast<BlockId>(pick(kBlocks)), 1, 1});
+      }
+      memo.jobs.add_job(spec);
+      full.jobs.add_job(spec);
+      live.push_back(spec.id);
+    } else if (action == 1 && !running.empty()) {
+      const std::size_t i = pick(running.size());
+      const JobId job = running[i].job;
+      running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+      const bool done = memo.jobs.complete_map(job, now).job_done;
+      EXPECT_EQ(full.jobs.complete_map(job, now).job_done, done);
+      if (done) drop_job(job);
+    } else if (action == 2 && !running.empty()) {
+      const std::size_t i = pick(running.size());
+      const Running r = running[i];
+      running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+      memo.jobs.requeue_running_map(r.job, r.map_index, r.locality);
+      full.jobs.requeue_running_map(r.job, r.map_index, r.locality);
+    } else if (action == 3 && !live.empty() && pick(6) == 0) {
+      const JobId job = live[pick(live.size())];
+      memo.jobs.fail_job(job, now);
+      full.jobs.fail_job(job, now);
+      drop_job(job);
+    } else if (action == 4 && !live.empty()) {
+      if (!clones.empty() && pick(2) == 0) {
+        const std::size_t i = pick(clones.size());
+        memo.jobs.finish_clone(clones[i]);
+        full.jobs.finish_clone(clones[i]);
+        clones.erase(clones.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        const JobId job = live[pick(live.size())];
+        memo.jobs.launch_clone(job);
+        full.jobs.launch_clone(job);
+        clones.push_back(job);
+      }
+    } else if (action == 5) {
+      const auto b = static_cast<BlockId>(pick(kBlocks));
+      const auto n = static_cast<NodeId>(pick(kNodes));
+      if (!holds[static_cast<std::size_t>(b)][static_cast<std::size_t>(n)]) {
+        add_replica(b, n);
+      }
+    } else if (action == 6) {
+      const auto b = static_cast<BlockId>(pick(kBlocks));
+      const auto n = static_cast<NodeId>(pick(kNodes));
+      if (holds[static_cast<std::size_t>(b)][static_cast<std::size_t>(n)]) {
+        holds[static_cast<std::size_t>(b)][static_cast<std::size_t>(n)] =
+            false;
+        memo.index.replica_removed(b, n);
+        full.index.replica_removed(b, n);
+      }
+    } else if (action == 7 && !live.empty() && pick(4) == 0) {
+      // A launch no selection made: the job keeps its delay clock.
+      const JobId job = live[pick(live.size())];
+      const std::size_t pending = memo.jobs.job(job).pending_maps.size();
+      if (pending > 0) launch(job, pick(pending), Locality::kOffRack);
+    } else if (action <= 9) {
+      now += from_millis(steps_ms[pick(std::size(steps_ms))]);
+    } else {
+      const auto node = static_cast<NodeId>(pick(kNodes));
+      const auto got = sched.select_map(node, now, memo.jobs);
+      const auto want = oracle.select_map(node, now, full.jobs);
+      EXPECT_EQ(got.has_value(), want.has_value()) << "step " << step;
+      if (got && want) {
+        EXPECT_EQ(got->job, want->job) << "step " << step;
+        EXPECT_EQ(got->pending_index, want->pending_index) << "step " << step;
+        EXPECT_EQ(got->locality, want->locality) << "step " << step;
+        launch(got->job, got->pending_index, got->locality);
+      }
+    }
+
+    // Every delay clock and every trace event matches after every step.
+    auto a = memo.jobs.active_jobs().begin();
+    auto b = full.jobs.active_jobs().begin();
+    for (; a != memo.jobs.active_jobs().end(); ++a, ++b) {
+      EXPECT_EQ(a->spec.id, b->spec.id);
+      EXPECT_EQ(a->waiting_since, b->waiting_since)
+          << "job " << a->spec.id << " at step " << step;
+    }
+    EXPECT_EQ(memo.tracer.events().size(), full.tracer.events().size())
+        << "step " << step;
+    for (; checked_events < std::min(memo.tracer.events().size(),
+                                     full.tracer.events().size());
+         ++checked_events) {
+      EXPECT_TRUE(same_event(memo.tracer.events()[checked_events],
+                             full.tracer.events()[checked_events]))
+          << "trace event " << checked_events << " at step " << step;
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  return sched.work().memo_answers;
+}
+
+class FairDeclineMemo : public ::testing::TestWithParam<MemoCase> {};
+
+TEST_P(FairDeclineMemo, MatchesFullWalkOnRandomSchedules) {
+  const MemoCase& c = GetParam();
+  const std::uint64_t answered = run_memo_oracle(c, 77);
+  if (c.node_delay_s + c.rack_delay_s > 0) {
+    // The memo answered real offers, so the comparison covered it.
+    EXPECT_GT(answered, 100u);
+  } else {
+    // Zero delays are greedy: every walk with a job selects, so no node is
+    // ever memoized.
+    EXPECT_EQ(answered, 0u);
+  }
+}
+
+std::string memo_case_name(const ::testing::TestParamInfo<MemoCase>& info) {
+  const MemoCase& c = info.param;
+  return std::string(c.one_rack ? "OneRack" : "TwoPerRack") + "_Node" +
+         std::to_string(static_cast<int>(c.node_delay_s * 1000)) + "ms_Rack" +
+         std::to_string(static_cast<int>(c.rack_delay_s * 1000)) + "ms";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DelaysAndTopologies, FairDeclineMemo,
+    ::testing::Values(MemoCase{0.0, 0.0, true}, MemoCase{0.0, 0.5, true},
+                      MemoCase{0.5, 0.0, true}, MemoCase{0.5, 0.5, true},
+                      MemoCase{0.0, 0.0, false}, MemoCase{0.0, 0.5, false},
+                      MemoCase{0.5, 0.0, false}, MemoCase{0.5, 0.5, false}),
+    memo_case_name);
 
 }  // namespace
 }  // namespace dare::sched

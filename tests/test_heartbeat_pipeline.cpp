@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/rng.h"
 #include "net/profile.h"
@@ -47,8 +48,8 @@ TEST_F(HeartbeatPipelineTest, ReplicaInvisibleUntilHeartbeat) {
   // with replication 2 of 4 nodes a few tries always suffice.
   BlockId b = kInvalidBlock;
   for (int attempt = 0; attempt < 16 && b == kInvalidBlock; ++attempt) {
-    const FileId f = nn_.create_file("a" + std::to_string(attempt), 1, kMiB,
-                                     2, 0);
+    const FileId f = nn_.create_file(
+        std::string("a") + std::to_string(attempt), 1, kMiB, 2, 0);
     const BlockId candidate = nn_.file(f).blocks[0];
     if (!visible_at_namenode(candidate)) b = candidate;
   }

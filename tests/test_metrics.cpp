@@ -79,6 +79,22 @@ TEST(Fingerprint, SkippedJobsChangeDigestOnlyWhenPresent) {
   EXPECT_EQ(fingerprint(b), base);
 }
 
+TEST(Fingerprint, IgnoresOfferWorkCounters) {
+  // The work counters measure how the simulator computed a run, not what
+  // it computed: an optimization that halves them keeps every digest.
+  RunResult a;
+  a.jobs.push_back(job(1, 0.0, 10.0, 1, 1, 5.0));
+  finalize(a, {1.0});
+  const auto base = fingerprint(a);
+  RunResult b = a;
+  b.work.sweeps = 7;
+  b.work.node_visits = 11;
+  b.work.select_map_calls = 13;
+  b.work.job_probes = 17;
+  b.work.memo_answers = 19;
+  EXPECT_EQ(fingerprint(b), base);
+}
+
 TEST(Finalize, EmptyRunIsSafe) {
   RunResult result;
   finalize(result, std::vector<double>{});

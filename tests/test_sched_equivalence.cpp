@@ -169,5 +169,47 @@ INSTANTIATE_TEST_SUITE_P(
              "_elephant_trap";
     });
 
+/// Deterministic offer-path work counters (RunResult::work), pinned
+/// exactly, with the fingerprint of the run they count: a change in how much
+/// work the sweep, the selection or the Fair decline memo does fails here on
+/// any machine, where a CPU budget could not tell.
+struct OfferWorkCase {
+  SchedulerKind scheduler;
+  PolicyKind policy;
+  std::uint64_t fingerprint;
+  metrics::RunResult::OfferWork work;
+};
+
+class OfferWorkCounters : public ::testing::TestWithParam<OfferWorkCase> {};
+
+TEST_P(OfferWorkCounters, MatchRecorded) {
+  const OfferWorkCase& c = GetParam();
+  const auto result =
+      run_once(paper_defaults(net::ec2_profile(24), c.scheduler, c.policy, 42),
+               standard_wl1(24, 200, 1));
+  EXPECT_EQ(metrics::fingerprint(result), c.fingerprint);
+  EXPECT_EQ(result.work.sweeps, c.work.sweeps);
+  EXPECT_EQ(result.work.node_visits, c.work.node_visits);
+  EXPECT_EQ(result.work.select_map_calls, c.work.select_map_calls);
+  EXPECT_EQ(result.work.job_probes, c.work.job_probes);
+  EXPECT_EQ(result.work.memo_answers, c.work.memo_answers);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, OfferWorkCounters,
+    ::testing::Values(
+        OfferWorkCase{SchedulerKind::kFair, PolicyKind::kVanilla,
+                      0xf496d732b1f866aeULL, {512, 3624, 3546, 2136, 2748}},
+        OfferWorkCase{SchedulerKind::kFifo, PolicyKind::kElephantTrap,
+                      0xd20ad4751f25f07fULL, {461, 494, 307, 0, 0}}),
+    [](const ::testing::TestParamInfo<OfferWorkCase>& info) {
+      std::string name = std::string(scheduler_name(info.param.scheduler)) +
+                         "_" + policy_name(info.param.policy);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
 }  // namespace
 }  // namespace dare::cluster
