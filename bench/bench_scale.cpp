@@ -58,7 +58,7 @@ struct Row {
   std::int64_t peak_rss_kb = 0;
   std::uint64_t allocations = 0;
   std::uint64_t fingerprint = 0;
-  metrics::RunResult::OfferWork work;
+  metrics::RunResult::Work work;
   bool ok = false;
 };
 
@@ -68,7 +68,7 @@ struct ChildReport {
   std::uint64_t fingerprint = 0;
   std::int64_t peak_rss_kb = 0;
   std::uint64_t allocations = 0;
-  metrics::RunResult::OfferWork work;
+  metrics::RunResult::Work work;
 };
 
 double cpu_now_ms() {
@@ -247,6 +247,22 @@ int run(const Config& cfg) {
                   static_cast<unsigned long long>(r.work.select_map_calls),
                   static_cast<unsigned long long>(r.work.job_probes),
                   static_cast<unsigned long long>(r.work.memo_answers));
+    }
+    std::printf("\nexecuted events by kind (nonzero kinds):\n");
+    for (const Row& r : rows) {
+      std::uint64_t total = 0;
+      for (const std::uint64_t n : r.work.events) total += n;
+      std::printf("%-6zu %-7zu %-6s %-14s total=%llu", r.nodes, r.jobs,
+                  r.scheduler.c_str(), r.policy.c_str(),
+                  static_cast<unsigned long long>(total));
+      for (std::size_t k = 0; k < r.work.events.size(); ++k) {
+        if (r.work.events[k] == 0) continue;
+        std::printf(" %s=%llu",
+                    cluster::Cluster::event_kind_name(
+                        static_cast<cluster::Cluster::EventKind>(k)),
+                    static_cast<unsigned long long>(r.work.events[k]));
+      }
+      std::printf("\n");
     }
     const Row& last = rows.back();
     auto opts = scale_cluster_options(last.nodes,

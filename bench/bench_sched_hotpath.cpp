@@ -7,7 +7,9 @@
 //   * LocalityIndex watch + unwatch of one map as its block's replica count
 //     R grows (the per-map index maintenance cost, linear in R);
 //   * EventQueue: schedule + fire throughput of the slab/freelist design
-//     with 16-byte event records.
+//     with 16-byte event records, and the simulator's steady state: N
+//     heartbeat chains re-armed at a fixed delay among other pending
+//     events, with the chains on the heap or on the in-order lane.
 //
 // Run with --benchmark_filter=... to narrow; plain invocation runs all.
 #include <benchmark/benchmark.h>
@@ -167,10 +169,61 @@ void BM_EventQueue_ScheduleFire(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * batch));
 }
 
+/// N chains staggered over one 3 s interval, each re-armed at +3 s when it
+/// fires, among N/4 other events that each re-arm at a random delay (the
+/// cluster's heartbeats among its task completions). One iteration is one
+/// pop plus one schedule, so the time per iteration is the cost per event.
+/// Arg 1 puts the chains on the in-order lane (as the cluster does) instead
+/// of the heap; both variants pop the same sequence.
+void BM_EventQueue_HeartbeatChains(benchmark::State& state) {
+  const auto chains = static_cast<std::size_t>(state.range(0));
+  const bool lane = state.range(1) != 0;
+  constexpr SimTime kInterval = 3'000'000;
+  constexpr std::uint32_t kBeat = 1;
+  constexpr std::uint32_t kOther = 3;
+  std::uint64_t lcg = 42;
+  const auto random_delay = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<SimTime>((lcg >> 33) % (2 * kInterval));
+  };
+  sim::EventQueue queue;
+  const auto arm_beat = [&](SimTime when, std::int32_t node) {
+    const sim::Event beat{kBeat, node, 0};
+    if (lane) {
+      queue.schedule_in_order(when, beat);
+    } else {
+      queue.schedule(when, beat);
+    }
+  };
+  for (std::size_t w = 0; w < chains; ++w) {
+    arm_beat(kInterval * static_cast<SimTime>(w + 1) /
+                 static_cast<SimTime>(chains),
+             static_cast<std::int32_t>(w));
+  }
+  for (std::size_t i = 0; i < chains / 4; ++i) {
+    queue.schedule(random_delay(), sim::Event{kOther, 0, i});
+  }
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    const auto next = queue.pop_due(kTimeNever);
+    if (next->event.kind == kBeat) {
+      arm_beat(next->when + kInterval, next->event.node);
+    } else {
+      queue.schedule(next->when + random_delay(), next->event);
+    }
+    sink += next->event.id + static_cast<std::uint64_t>(next->event.node);
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 BENCHMARK(BM_FindLocalMap)->Arg(64)->Arg(512)->Arg(4096);
 BENCHMARK(BM_FairSelect)->Arg(50)->Arg(500);
 BENCHMARK(BM_WatchUnwatch)->Arg(3)->Arg(64)->Arg(512);
 BENCHMARK(BM_EventQueue_ScheduleFire)->Arg(1024);
+BENCHMARK(BM_EventQueue_HeartbeatChains)
+    ->ArgsProduct({{1000, 10000}, {0, 1}})
+    ->ArgNames({"", "lane"});
 
 }  // namespace
 }  // namespace dare::sched

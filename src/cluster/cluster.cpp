@@ -277,7 +277,41 @@ Cluster::Cluster(const ClusterOptions& options)
 
 Cluster::~Cluster() = default;
 
+const char* Cluster::event_kind_name(EventKind kind) {
+  switch (kind) {
+    case EventKind::kJobArrival: return "job_arrival";
+    case EventKind::kHeartbeat: return "heartbeat";
+    case EventKind::kSchedulerRetry: return "scheduler_retry";
+    case EventKind::kMapAttemptFinished: return "map_attempt_finished";
+    case EventKind::kReduceAttemptFinished: return "reduce_attempt_finished";
+    case EventKind::kSpeculationTick: return "speculation_tick";
+    case EventKind::kDetectionTick: return "detection_tick";
+    case EventKind::kFailureOnset: return "failure_onset";
+    case EventKind::kNodeRecovered: return "node_recovered";
+    case EventKind::kDegradeOnset: return "degrade_onset";
+    case EventKind::kDegradeEnd: return "degrade_end";
+    case EventKind::kPartitionOnset: return "partition_onset";
+    case EventKind::kPartitionEnd: return "partition_end";
+    case EventKind::kLinkDegradeOnset: return "link_degrade_onset";
+    case EventKind::kLinkDegradeEnd: return "link_degrade_end";
+    case EventKind::kRereplicationTick: return "rereplication_tick";
+    case EventKind::kRepairLanded: return "repair_landed";
+    case EventKind::kLatentCorruption: return "latent_corruption";
+    case EventKind::kSampleTick: return "sample_tick";
+    case EventKind::kScarlettEpoch: return "scarlett_epoch";
+    case EventKind::kScriptedFailure: return "scripted_failure";
+    case EventKind::kScriptedCorruption: return "scripted_corruption";
+    case EventKind::kScriptedPartition: return "scripted_partition";
+  }
+  return "unknown";
+}
+
 void Cluster::dispatch(const sim::Event& event) {
+  if (event.kind >= result_.work.events.size()) {
+    throw std::logic_error("Cluster: event of unknown kind " +
+                           std::to_string(event.kind));
+  }
+  ++result_.work.events[event.kind];
   switch (static_cast<EventKind>(event.kind)) {
     case EventKind::kJobArrival:
       admit_job(next_arrival_);
@@ -349,8 +383,6 @@ void Cluster::dispatch(const sim::Event& event) {
       return begin_partition(partition.rack, partition.duration);
     }
   }
-  throw std::logic_error("Cluster: event of unknown kind " +
-                         std::to_string(event.kind));
 }
 
 void Cluster::load_files(const std::vector<workload::FileSpec>& catalog,
@@ -475,7 +507,7 @@ void Cluster::start_heartbeats() {
     const SimDuration phase =
         options_.heartbeat_interval * static_cast<SimDuration>(w + 1) /
         static_cast<SimDuration>(workers);
-    heartbeat_event_[w] = sim_.after(
+    heartbeat_event_[w] = sim_.after_in_order(
         phase, make_event(EventKind::kHeartbeat, static_cast<NodeId>(w)));
   }
 }
@@ -491,8 +523,8 @@ void Cluster::heartbeat(NodeId worker) {
     // drains them, for a blip shorter than the detection timeout).
     if (!run_finished()) {
       heartbeat_event_[w] =
-          sim_.after(options_.heartbeat_interval,
-                     make_event(EventKind::kHeartbeat, worker));
+          sim_.after_in_order(options_.heartbeat_interval,
+                              make_event(EventKind::kHeartbeat, worker));
     }
     return;
   }
@@ -541,8 +573,9 @@ void Cluster::heartbeat(NodeId worker) {
   }
 
   if (!run_finished()) {
-    heartbeat_event_[w] = sim_.after(options_.heartbeat_interval,
-                                     make_event(EventKind::kHeartbeat, worker));
+    heartbeat_event_[w] =
+        sim_.after_in_order(options_.heartbeat_interval,
+                            make_event(EventKind::kHeartbeat, worker));
   }
 }
 
@@ -1309,8 +1342,8 @@ void Cluster::detection_tick() {
   for (NodeId overdue : name_node_->overdue_nodes(sim_.now(), timeout)) {
     declare_node_dead(overdue);
   }
-  monitor_event_ = sim_.after(options_.heartbeat_interval,
-                              make_event(EventKind::kDetectionTick));
+  monitor_event_ = sim_.after_in_order(options_.heartbeat_interval,
+                                       make_event(EventKind::kDetectionTick));
 }
 
 void Cluster::declare_node_dead(NodeId worker) {
@@ -2600,8 +2633,8 @@ metrics::RunResult Cluster::run_with(
     // deaths — and of partitions, whose lost beats look identical. Without
     // it a partitioned node's tasks would never requeue and the run would
     // hang. Runs every heartbeat interval until the workload finishes.
-    monitor_event_ = sim_.after(options_.heartbeat_interval,
-                                make_event(EventKind::kDetectionTick));
+    monitor_event_ = sim_.after_in_order(
+        options_.heartbeat_interval, make_event(EventKind::kDetectionTick));
   }
   if (options_.faults.enabled) {
     for (std::size_t w = 0; w < data_nodes_.size(); ++w) {

@@ -76,13 +76,13 @@ class Cluster {
   /// Residency telemetry for the O(active) regression tests.
   const sched::JobTable& job_table() const { return jobs_; }
 
- private:
   /// --- events -------------------------------------------------------------
   /// Every event the cluster schedules is a sim::Event of one of these
   /// kinds, and dispatch() routes each popped record to its handler. The
   /// record carries only ids (noted per kind: `node` is a worker or rack,
   /// `id` one further operand); anything else a handler needs is state that
-  /// cannot change while the event is pending.
+  /// cannot change while the event is pending. RunResult::work.events
+  /// counts the executed events per kind, indexed by this enum.
   enum class EventKind : std::uint32_t {
     kJobArrival,             ///< admits next_arrival_
     kHeartbeat,              ///< node: worker
@@ -107,7 +107,15 @@ class Cluster {
     kScriptedFailure,        ///< id: index into options_.failures
     kScriptedCorruption,     ///< id: index into options_.corruption_events
     kScriptedPartition,      ///< id: index into options_.partition_events
+                             ///< (stays last: it sizes the per-kind counts)
   };
+  static_assert(static_cast<std::size_t>(EventKind::kScriptedPartition) + 1 ==
+                    metrics::RunResult::Work::kEventKinds,
+                "RunResult::Work::events needs one counter per EventKind");
+  /// Short name of a kind, for reports ("heartbeat", "job_arrival", ...).
+  static const char* event_kind_name(EventKind kind);
+
+ private:
   static sim::Event make_event(EventKind kind,
                                std::int32_t node = kInvalidNode,
                                std::uint64_t id = 0) {

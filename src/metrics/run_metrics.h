@@ -12,6 +12,8 @@
 //  * blocks created/job  — dynamic replication activity (Figs. 8, 9).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -171,17 +173,21 @@ struct RunResult {
   /// Wall-clock sanity data.
   SimTime makespan = 0;
 
-  /// Deterministic work counts of the slot-offer path: exact on any
-  /// machine, so a test can pin them, and never mixed into fingerprint()
-  /// (they measure how the simulator computes a run, not what it computes).
-  struct OfferWork {
+  /// Deterministic work counts of the event loop and the slot-offer path:
+  /// exact on any machine, so a test can pin them, and never mixed into
+  /// fingerprint() (they measure how the simulator computes a run, not what
+  /// it computes).
+  struct Work {
+    /// Executed events per kind, indexed by cluster::Cluster::EventKind.
+    static constexpr std::size_t kEventKinds = 23;
+    std::array<std::uint64_t, kEventKinds> events{};
     std::uint64_t sweeps = 0;            ///< cluster-wide offer sweeps
     std::uint64_t node_visits = 0;       ///< per-node offers (any source)
     std::uint64_t select_map_calls = 0;  ///< scheduler map selections asked
     std::uint64_t job_probes = 0;        ///< Fair: jobs probed for a node
     std::uint64_t memo_answers = 0;      ///< Fair: offers the memo declined
   };
-  OfferWork work;
+  Work work;
 };
 
 /// Fill the aggregate fields of `result` from its per-job entries plus the

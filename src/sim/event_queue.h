@@ -3,14 +3,21 @@
 // Events at the same timestamp fire in insertion order (a strict sequence
 // number breaks ties), which keeps heartbeat/scheduling interleavings
 // deterministic. Events can be cancelled in O(1) (lazily: the slab record is
-// tombstoned and its heap entry skipped and reclaimed at pop time).
+// tombstoned and its queued entry skipped and reclaimed at pop time).
 //
 // Storage layout (the event-engine inner loop of every simulation):
 //  * a slab of 32-byte records recycled through an intrusive freelist — the
 //    event plus a generation counter live here, and a record is reused as
-//    soon as its heap entry has been drained;
-//  * a binary heap of 24-byte POD entries {when, seq, slot} ordered by
-//    (when, seq).
+//    soon as its queued entry has been drained;
+//  * two containers of 24-byte POD entries {when, seq, slot}:
+//    - a binary heap ordered by (when, seq), for events at arbitrary times;
+//    - an in-order lane, a FIFO ring for events whose owner schedules them
+//      at non-decreasing times (periodic chains with one fixed delay, such
+//      as heartbeats). Its entries arrive already sorted, so scheduling or
+//      popping one is O(1) instead of O(log n).
+//    Both take `seq` from one counter and a pop takes the smaller
+//    (when, seq) of the two fronts, so the pop order is exactly the order
+//    one heap holding every entry would give.
 // Scheduling therefore performs zero heap allocations in steady state.
 //
 // Handles are {queue, slot, generation} triples: the generation (the
@@ -20,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/invariant.h"
@@ -38,6 +46,12 @@ struct Event {
   std::uint64_t id = 0;
 };
 static_assert(sizeof(Event) == 16, "sim::Event must stay a 16-byte record");
+
+/// A popped event with the time it was scheduled for.
+struct TimedEvent {
+  SimTime when = 0;
+  Event event;
+};
 
 class EventQueue;
 
@@ -69,8 +83,16 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedule `event` at absolute time `when`. Requires when >= 0.
+  /// Schedule `event` at absolute time `when` on the heap. Requires
+  /// when >= 0.
   EventHandle schedule(SimTime when, Event event);
+
+  /// Schedule `event` at absolute time `when` on the in-order lane.
+  /// Requires when >= 0 and `when` no earlier than the previous lane
+  /// schedule since construction or clear(); an earlier time throws
+  /// std::logic_error (the lane never reorders and never falls back to the
+  /// heap). Fires exactly where schedule() would have fired it.
+  EventHandle schedule_in_order(SimTime when, Event event);
 
   /// True when no live (uncancelled) events remain.
   bool empty() const { return live_ == 0; }
@@ -81,12 +103,17 @@ class EventQueue {
   /// Timestamp of the earliest live event; kTimeNever when empty.
   SimTime next_time() const;
 
+  /// Remove and return the earliest live event if it is due at or before
+  /// `until`; nullopt (nothing removed but cancelled entries) otherwise.
+  std::optional<TimedEvent> pop_due(SimTime until);
+
   /// Remove and return the earliest live event (the one at next_time()).
   /// Requires !empty().
   Event pop();
 
   /// Drop everything (used when a simulation ends early). Outstanding
-  /// handles become non-pending; the slab and heap release their memory.
+  /// handles become non-pending; the slab, heap and lane release their
+  /// memory.
   void clear();
 
   /// Slab records currently allocated (live + tombstoned awaiting drain).
@@ -103,39 +130,68 @@ class EventQueue {
   struct Record {
     Event event;
     /// Sequence number of the occupying event; a mismatch against a handle
-    /// or heap entry means the slot was recycled since.
+    /// or queued entry means the slot was recycled since.
     std::uint64_t generation = 0;
     std::uint32_t next_free = kNoSlot;
-    /// Scheduled and neither fired nor cancelled. A dead record whose heap
-    /// entry is still queued is a tombstone: it is reclaimed (returned to
-    /// the freelist) when the entry reaches the top of the heap.
+    /// Scheduled and neither fired nor cancelled. A dead record whose entry
+    /// is still queued is a tombstone: it is reclaimed (returned to the
+    /// freelist) when the entry reaches the front of its container.
     bool live = false;
   };
   static_assert(sizeof(Record) <= 32, "EventQueue record grew past 32 bytes");
 
-  struct HeapEntry {
+  /// A queued event, in the heap or the lane.
+  struct Entry {
     SimTime when = 0;
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
   };
 
   /// Min-heap order on (when, seq) via std::push_heap/pop_heap with
-  /// std::greater semantics expressed directly.
-  static bool later(const HeapEntry& a, const HeapEntry& b) {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
-  }
+  /// std::greater semantics expressed directly. A function object rather
+  /// than a function pointer, so the heap algorithms inline the compare.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return a.seq > b.seq;
+    }
+  };
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) const;
-  /// Remove drained (cancelled) entries from the top of the heap and
-  /// reclaim their tombstoned records.
+  /// Fill a fresh slab record for `event` and return its entry at `when`
+  /// (the caller queues it).
+  Entry make_entry(SimTime when, Event event);
+  /// The entry's event was cancelled (or its record recycled).
+  bool dead(const Entry& entry) const {
+    const Record& record = slab_[entry.slot];
+    return record.generation != entry.seq || !record.live;
+  }
+  const Entry& lane_front() const { return lane_[lane_head_]; }
+  void lane_pop_front() const {
+    lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+    --lane_count_;
+  }
+  /// Remove drained (cancelled) entries from the front of the heap and of
+  /// the lane and reclaim their tombstoned records.
   void skim() const;
+  /// After skim(): true when the earliest live entry is the lane's front.
+  bool lane_first() const {
+    return lane_count_ != 0 &&
+           (heap_.empty() || Later{}(heap_.front(), lane_front()));
+  }
 
   // skim() is logically const (it only reclaims dead storage), so the
   // containers are mutable.
   mutable std::vector<Record> slab_;
-  mutable std::vector<HeapEntry> heap_;
+  mutable std::vector<Entry> heap_;
+  /// The lane's ring: capacity is zero or a power of two, and its
+  /// lane_count_ entries start at lane_head_ and wrap around.
+  mutable std::vector<Entry> lane_;
+  mutable std::size_t lane_head_ = 0;
+  mutable std::size_t lane_count_ = 0;
+  /// Time of the latest lane schedule; a lane schedule before it throws.
+  SimTime lane_last_ = 0;
   mutable std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;

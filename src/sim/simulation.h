@@ -1,7 +1,11 @@
 // The discrete-event simulation driver: a clock plus an event queue.
 //
 // Components hold a reference to the Simulation and use `at`/`after` to
-// schedule `Event` records; `run(handler)` drains them in timestamp order,
+// schedule `Event` records, or `after_in_order` for a chain whose times
+// never decrease from one call to the next (one fixed delay from the
+// non-decreasing clock, such as heartbeats): those ride the queue's O(1)
+// in-order lane and still fire exactly where `after` would fire them.
+// `run(handler)` drains the queue in timestamp order with one pop per event,
 // advancing the clock, and passes each popped record to `handler` — the
 // owning component's dispatch. The handler is a template parameter, so
 // nothing is type-erased, and the class is header-only. One Simulation
@@ -42,6 +46,13 @@ class Simulation {
     return queue_.schedule(now_ + (delay < 0 ? 0 : delay), event);
   }
 
+  /// `after` on the queue's in-order lane: the time must not precede any
+  /// earlier in-order schedule (std::logic_error otherwise), which holds
+  /// for a chain that always re-arms with the same delay.
+  EventHandle after_in_order(SimDuration delay, Event event) {
+    return queue_.schedule_in_order(now_ + (delay < 0 ? 0 : delay), event);
+  }
+
   /// Run until the queue is empty or `until` is reached (events at exactly
   /// `until` still run), calling `handler(const Event&)` for each event
   /// with now() at the event's timestamp. Returns the number of events
@@ -49,11 +60,7 @@ class Simulation {
   template <typename Handler>
   std::uint64_t run(Handler&& handler, SimTime until = kTimeNever) {
     std::uint64_t ran = 0;
-    while (advance(until)) {
-      handler(queue_.pop());
-      ++ran;
-      ++executed_;
-    }
+    while (fire_next(until, handler)) ++ran;
     // Advance the clock to `until` only if we exhausted events before it;
     // this lets callers resume with a later horizon without time going
     // backwards.
@@ -64,10 +71,7 @@ class Simulation {
   /// Execute exactly one event if present; returns false when idle.
   template <typename Handler>
   bool step(Handler&& handler) {
-    if (!advance(kTimeNever)) return false;
-    handler(queue_.pop());
-    ++executed_;
-    return true;
+    return fire_next(kTimeNever, handler);
   }
 
   /// Abort: drop all pending events. `run` then returns.
@@ -80,20 +84,23 @@ class Simulation {
   std::uint64_t executed_events() const { return executed_; }
 
  private:
-  /// Move the clock to the earliest live event if it is due at or before
-  /// `until`; false (clock untouched) when there is none.
-  bool advance(SimTime until) {
-    if (queue_.empty()) return false;
-    const SimTime next = queue_.next_time();
-    if (next > until) return false;
+  /// Pop the earliest live event if it is due at or before `until`, move
+  /// the clock to it and hand it to `handler`; false (clock untouched) when
+  /// there is none.
+  template <typename Handler>
+  bool fire_next(SimTime until, Handler& handler) {
+    const auto next = queue_.pop_due(until);
+    if (!next) return false;
     // `at` rejects scheduling in the past, so the next event can never be
     // earlier than the clock; a violation means the queue or clock is
     // corrupt. Handlers observe now() == their own timestamp.
-    DARE_INVARIANT(next >= now_,
+    DARE_INVARIANT(next->when >= now_,
                    "Simulation: clock would move backwards (event at " +
-                       std::to_string(next) + ", now " +
+                       std::to_string(next->when) + ", now " +
                        std::to_string(now_) + ")");
-    now_ = next;
+    now_ = next->when;
+    handler(next->event);
+    ++executed_;
     return true;
   }
 

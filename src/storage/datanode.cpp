@@ -86,11 +86,12 @@ bool DataNode::mark_for_deletion(BlockId block) {
 
 std::size_t DataNode::reclaim_marked() {
   const std::size_t n = marked_.size();
+  if (n == 0) return 0;  // the common idle beat
   // dare-lint: allow(unordered-iteration) -- erasing from an unordered set,
   // no observable order
   for (const auto& [id, _] : marked_) corrupt_.erase(id);
   marked_.clear();
-  if (tracer_ != nullptr && n > 0) tracer_->disk_reclaim(id_, n);
+  if (tracer_ != nullptr) tracer_->disk_reclaim(id_, n);
   return n;
 }
 
@@ -191,6 +192,7 @@ bool DataNode::has_any_copy(BlockId block) const {
 
 DataNode::Report DataNode::drain_report() {
   Report report;
+  if (pending_added_.empty() && pending_removed_.empty()) return report;
   // Cancel out blocks that were both added and removed since the last
   // heartbeat: the name node never needs to learn about them.
   std::unordered_set<BlockId> removed(pending_removed_.begin(),

@@ -171,6 +171,107 @@ TEST(EventQueue, CancelledTombstoneReclaimedBySkim) {
   EXPECT_EQ(q.slab_size(), slab_before);
 }
 
+TEST(EventQueue, LaneAndHeapTieFiresInSchedulingOrder) {
+  // Both containers share one sequence counter, so at equal times the entry
+  // scheduled first fires first, whichever container holds it.
+  EventQueue lane_first;
+  lane_first.schedule_in_order(5, tagged(1));
+  lane_first.schedule(5, tagged(2));
+  lane_first.schedule_in_order(5, tagged(3));
+  EXPECT_EQ(drain(lane_first), (std::vector<std::uint64_t>{1, 2, 3}));
+
+  EventQueue heap_first;
+  heap_first.schedule(5, tagged(1));
+  heap_first.schedule_in_order(5, tagged(2));
+  heap_first.schedule(5, tagged(3));
+  EXPECT_EQ(drain(heap_first), (std::vector<std::uint64_t>{1, 2, 3}));
+}
+
+TEST(EventQueue, LaneInterleavesWithHeapByTime) {
+  EventQueue q;
+  q.schedule_in_order(10, tagged(2));
+  q.schedule(30, tagged(4));
+  q.schedule_in_order(20, tagged(3));
+  q.schedule(5, tagged(1));
+  EXPECT_EQ(q.next_time(), 5);
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{1, 2, 3, 4}));
+}
+
+TEST(EventQueue, LaneRejectsOutOfOrderSchedule) {
+  EventQueue q;
+  q.schedule_in_order(10, tagged(1));
+  q.schedule_in_order(10, tagged(2));  // equal times are in order
+  EXPECT_THROW(q.schedule_in_order(9, tagged(3)), std::logic_error);
+  EXPECT_THROW(q.schedule_in_order(-1, tagged(3)), std::invalid_argument);
+  // The order holds across pops: an emptied lane still refuses the past of
+  // its last schedule rather than taking it silently.
+  EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_THROW(q.schedule_in_order(9, tagged(3)), std::logic_error);
+  EXPECT_TRUE(q.empty());
+  // The heap still takes any time.
+  q.schedule(1, tagged(4));
+  EXPECT_EQ(q.pop().id, 4u);
+}
+
+TEST(EventQueue, CancelledLaneEntryNeverFires) {
+  EventQueue q;
+  auto doomed = q.schedule_in_order(10, tagged(1));
+  q.schedule_in_order(20, tagged(2));
+  q.schedule(15, tagged(3));
+  EXPECT_TRUE(doomed.cancel());
+  EXPECT_FALSE(doomed.pending());
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), 15);
+  EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{3, 2}));
+}
+
+TEST(EventQueue, PopDueLeavesLaterEvents) {
+  EventQueue q;
+  q.schedule_in_order(10, tagged(1));
+  q.schedule(20, tagged(2));
+  EXPECT_FALSE(q.pop_due(9).has_value());
+  const auto first = q.pop_due(10);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->when, 10);
+  EXPECT_EQ(first->event.id, 1u);
+  EXPECT_FALSE(q.pop_due(19).has_value());
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop_due(kTimeNever)->event.id, 2u);
+  EXPECT_FALSE(q.pop_due(kTimeNever).has_value());
+}
+
+TEST(EventQueue, LaneKeepsOrderWhenGrowingWrapped) {
+  // Pop part of the ring so its entries wrap past the end of storage, then
+  // grow it: the unwrapped copy must keep FIFO order.
+  EventQueue q;
+  SimTime t = 0;
+  std::uint64_t next_id = 0;
+  std::uint64_t expect = 0;
+  for (int i = 0; i < 50; ++i) q.schedule_in_order(++t, tagged(next_id++));
+  for (int i = 0; i < 40; ++i) EXPECT_EQ(q.pop().id, expect++);
+  for (int i = 0; i < 300; ++i) q.schedule_in_order(++t, tagged(next_id++));
+  while (!q.empty()) EXPECT_EQ(q.pop().id, expect++);
+  EXPECT_EQ(expect, next_id);
+}
+
+TEST(EventQueue, ClearDropsLaneEntries) {
+  EventQueue q;
+  auto lane = q.schedule_in_order(10, tagged(1));
+  auto heap = q.schedule(20, tagged(2));
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.next_time(), kTimeNever);
+  EXPECT_FALSE(lane.pending());
+  EXPECT_FALSE(lane.cancel());
+  EXPECT_FALSE(heap.pending());
+  // A cleared lane starts over: an earlier time than before is in order.
+  q.schedule_in_order(5, tagged(3));
+  EXPECT_FALSE(lane.pending());
+  EXPECT_EQ(q.pop().id, 3u);
+}
+
 TEST(EventQueue, MillionEventChurnKeepsSlabBounded) {
   // Regression test for tombstone leaks: schedule and cancel/fire a million
   // events in waves. The slab must stay bounded by the per-wave live peak

@@ -217,5 +217,97 @@ TEST(FuzzEventQueue, MatchesExactPendingSetModel) {
   EXPECT_TRUE(pending.empty());
 }
 
+TEST(FuzzEventQueue, LaneAndHeapMatchOneOrderedModel) {
+  // The same (when, tag) model over both containers: a share of the
+  // schedules go on the in-order lane at non-decreasing times, and heap
+  // times cluster on the lane's frontier, so many heap and lane entries
+  // share a time and only the sequence number can order them. Pops go
+  // through pop_due with a random horizon; every pop, next_time() and
+  // size() must agree with the model.
+  struct Pending {
+    sim::EventHandle handle;
+    bool lane = false;
+  };
+  Rng ops(709);
+  sim::EventQueue queue;
+  std::map<std::pair<SimTime, int>, Pending> pending;
+  SimTime lane_time = 0;
+  int next_tag = 0;
+  std::size_t lane_cancels = 0;
+  std::size_t lane_pops = 0;
+  std::size_t cross_ties = 0;  // pops decided by seq across the containers
+
+  const auto pop_checked = [&](SimTime until, int step) {
+    const auto got = queue.pop_due(until);
+    const auto min = pending.begin();
+    if (min->first.first > until) {
+      ASSERT_FALSE(got.has_value()) << "step " << step;
+      return;
+    }
+    ASSERT_TRUE(got.has_value()) << "step " << step;
+    ASSERT_EQ(got->when, min->first.first) << "step " << step;
+    ASSERT_EQ(got->event.node, min->first.second) << "step " << step;
+    ASSERT_EQ(static_cast<SimTime>(got->event.id), got->when);
+    const auto next = std::next(min);
+    if (next != pending.end() && next->first.first == min->first.first &&
+        next->second.lane != min->second.lane) {
+      ++cross_ties;
+    }
+    lane_pops += min->second.lane ? 1 : 0;
+    pending.erase(min);
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    const double dice = ops.uniform();
+    if (dice < 0.5) {
+      const bool lane = dice < 0.25;
+      SimTime when = 0;
+      if (lane) {
+        lane_time += static_cast<SimTime>(ops.uniform_int(std::uint64_t{2}));
+        when = lane_time;
+      } else if (ops.uniform() < 0.7) {
+        when = lane_time +
+               static_cast<SimTime>(ops.uniform_int(std::uint64_t{4}));
+      } else {
+        when = static_cast<SimTime>(ops.uniform_int(
+            static_cast<std::uint64_t>(lane_time) + 1));
+      }
+      const int tag = next_tag++;
+      const sim::Event event{0, tag, static_cast<std::uint64_t>(when)};
+      auto handle = lane ? queue.schedule_in_order(when, event)
+                         : queue.schedule(when, event);
+      pending.emplace(std::make_pair(when, tag), Pending{handle, lane});
+    } else if (dice < 0.62 && !pending.empty()) {
+      auto it = pending.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(
+                           ops.uniform_int(pending.size())));
+      ASSERT_TRUE(it->second.handle.cancel());
+      lane_cancels += it->second.lane ? 1 : 0;
+      pending.erase(it);
+    } else if (!pending.empty()) {
+      const SimTime until =
+          ops.uniform() < 0.8
+              ? kTimeNever
+              : static_cast<SimTime>(ops.uniform_int(
+                    static_cast<std::uint64_t>(lane_time) + 4));
+      pop_checked(until, step);
+    } else {
+      ASSERT_FALSE(queue.pop_due(kTimeNever).has_value()) << "step " << step;
+    }
+    ASSERT_EQ(queue.size(), pending.size()) << "step " << step;
+    ASSERT_EQ(queue.empty(), pending.empty()) << "step " << step;
+    ASSERT_EQ(queue.next_time(),
+              pending.empty() ? kTimeNever : pending.begin()->first.first)
+        << "step " << step;
+  }
+  while (!pending.empty()) pop_checked(kTimeNever, -1);
+  EXPECT_TRUE(queue.empty());
+  // The run exercised what it claims to: lane cancels, lane pops and ties
+  // between the containers that only the sequence number could break.
+  EXPECT_GT(lane_cancels, 100u);
+  EXPECT_GT(lane_pops, 1000u);
+  EXPECT_GT(cross_ties, 100u);
+}
+
 }  // namespace
 }  // namespace dare

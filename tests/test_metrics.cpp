@@ -92,6 +92,9 @@ TEST(Fingerprint, IgnoresOfferWorkCounters) {
   b.work.select_map_calls = 13;
   b.work.job_probes = 17;
   b.work.memo_answers = 19;
+  b.work.events[0] = 23;
+  b.work.events[1] = 29;
+  b.work.events[b.work.events.size() - 1] = 31;
   EXPECT_EQ(fingerprint(b), base);
 }
 

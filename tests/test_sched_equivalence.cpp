@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -169,15 +170,22 @@ INSTANTIATE_TEST_SUITE_P(
              "_elephant_trap";
     });
 
-/// Deterministic offer-path work counters (RunResult::work), pinned
-/// exactly, with the fingerprint of the run they count: a change in how much
-/// work the sweep, the selection or the Fair decline memo does fails here on
-/// any machine, where a CPU budget could not tell.
+/// Deterministic work counters (RunResult::work), pinned exactly, with the
+/// fingerprint of the run they count: a change in how many events the run
+/// executes, or in how much work the sweep, the selection or the Fair
+/// decline memo does, fails here on any machine, where a CPU budget could
+/// not tell.
 struct OfferWorkCase {
   SchedulerKind scheduler;
   PolicyKind policy;
   std::uint64_t fingerprint;
-  metrics::RunResult::OfferWork work;
+  std::uint64_t events;      ///< executed events, all kinds
+  std::uint64_t heartbeats;  ///< executed heartbeat events
+  std::uint64_t sweeps;
+  std::uint64_t node_visits;
+  std::uint64_t select_map_calls;
+  std::uint64_t job_probes;
+  std::uint64_t memo_answers;
 };
 
 class OfferWorkCounters : public ::testing::TestWithParam<OfferWorkCase> {};
@@ -188,20 +196,27 @@ TEST_P(OfferWorkCounters, MatchRecorded) {
       run_once(paper_defaults(net::ec2_profile(24), c.scheduler, c.policy, 42),
                standard_wl1(24, 200, 1));
   EXPECT_EQ(metrics::fingerprint(result), c.fingerprint);
-  EXPECT_EQ(result.work.sweeps, c.work.sweeps);
-  EXPECT_EQ(result.work.node_visits, c.work.node_visits);
-  EXPECT_EQ(result.work.select_map_calls, c.work.select_map_calls);
-  EXPECT_EQ(result.work.job_probes, c.work.job_probes);
-  EXPECT_EQ(result.work.memo_answers, c.work.memo_answers);
+  const auto& events = result.work.events;
+  EXPECT_EQ(std::accumulate(events.begin(), events.end(), std::uint64_t{0}),
+            c.events);
+  EXPECT_EQ(events[static_cast<std::size_t>(Cluster::EventKind::kHeartbeat)],
+            c.heartbeats);
+  EXPECT_EQ(result.work.sweeps, c.sweeps);
+  EXPECT_EQ(result.work.node_visits, c.node_visits);
+  EXPECT_EQ(result.work.select_map_calls, c.select_map_calls);
+  EXPECT_EQ(result.work.job_probes, c.job_probes);
+  EXPECT_EQ(result.work.memo_answers, c.memo_answers);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Recorded, OfferWorkCounters,
     ::testing::Values(
         OfferWorkCase{SchedulerKind::kFair, PolicyKind::kVanilla,
-                      0xf496d732b1f866aeULL, {512, 3624, 3546, 2136, 2748}},
+                      0xf496d732b1f866aeULL, 1635, 923, 512, 3624, 3546,
+                      2136, 2748},
         OfferWorkCase{SchedulerKind::kFifo, PolicyKind::kElephantTrap,
-                      0xd20ad4751f25f07fULL, {461, 494, 307, 0, 0}}),
+                      0xd20ad4751f25f07fULL, 1172, 511, 461, 494, 307, 0,
+                      0}),
     [](const ::testing::TestParamInfo<OfferWorkCase>& info) {
       std::string name = std::string(scheduler_name(info.param.scheduler)) +
                          "_" + policy_name(info.param.policy);
