@@ -1,29 +1,34 @@
-// Hyperscale scale-curve benchmark (PR8 perf baseline).
+// End-to-end perf baseline: the paper cells and the hyperscale curve.
 //
-// Runs the full simulation at three scale points — 100 nodes x 2k jobs
-// (paper scale), 1k x 10k, and 10k x 100k — for FIFO/Fair x
-// vanilla/elephant-trap, reporting process-CPU ms, peak RSS, and heap
-// allocation count per configuration. Each configuration executes in a
-// forked child process: the kernel's RSS high-water mark never decreases,
-// so per-configuration peaks are only measurable with one process per
-// measurement (the fork also isolates the allocation counter).
+// Runs the full simulation for FIFO/Fair at three scale points and reports
+// process-CPU ms, peak RSS, heap allocations, the fingerprint and the
+// deterministic work counters (RunResult::work) per cell:
+//   paper  the Fig. 7/10 clusters, CCT 20 nodes x 600 jobs and EC2 100 x
+//          2000, under vanilla, greedy-LRU and elephant-trap;
+//   1k     1000 nodes x 10k jobs, vanilla and elephant-trap;
+//   10k    10000 nodes x 100k jobs, vanilla and elephant-trap.
+// Each cell executes in a forked child process: the kernel's RSS high-water
+// mark never decreases, so per-cell peaks are only measurable with one
+// process per measurement.
 //
-// Writes the results as JSON (default BENCH_PR8.json) for the tracked
-// baseline, gated in CI by tools/check_bench_baseline.py (fingerprints
-// hard, CPU and RSS with separate tolerances). Overrides:
-//   mode=full|smoke   full: all three scale points (the committed curve);
-//                     smoke: the 1k x 10k slice only (regular CI runs)
-//   repeats=<n>       timed repetitions per config; the minimum is reported
-//   json=<path>       output path ("" to skip writing)
-//   max_scale=<n>     skip scale points with more than n nodes
-//   profile=1         print each configuration's offer-path work counters
-//                     (RunResult::work), then re-run the largest
-//                     Fair/elephant-trap config in-process with the
+// With json=<path>, writes the results as JSON for the tracked baseline
+// (BENCH_PR8.json), gated in CI by tools/check_bench_baseline.py:
+// fingerprints and work counters exact, summed CPU, RSS and allocations per
+// scale point within tolerances. Overrides:
+//   mode=full|smoke   full: all three scale points (the committed baseline);
+//                     smoke: the paper and 1k points (regular CI runs)
+//   repeats=<n>       timed repetitions per cell, at least 3 for a paper
+//                     cell; the minimum is reported
+//   json=<path>       output path (default: none, print only)
+//   max_scale=<n>     skip cells with more than n nodes
+//   profile=1         print each cell's work counters, then re-run the
+//                     largest Fair/elephant-trap cell in-process with the
 //                     PhaseProfiler attached and print the per-phase CPU
 //                     attribution + peak RSS
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -44,22 +49,15 @@
 namespace dare {
 namespace {
 
+/// One cluster shape of a scale point, run under FIFO and Fair with each
+/// of its policies.
 struct ScalePoint {
+  const char* name = "";     ///< "paper", "1k" or "10k"
+  const char* profile = "";  ///< "cct" or "ec2"
   std::size_t nodes = 0;
   std::size_t jobs = 0;
-};
-
-struct Row {
-  std::size_t nodes = 0;
-  std::size_t jobs = 0;
-  std::string scheduler;
-  std::string policy;
-  double cpu_ms = 0.0;
-  std::int64_t peak_rss_kb = 0;
-  std::uint64_t allocations = 0;
-  std::uint64_t fingerprint = 0;
-  metrics::RunResult::Work work;
-  bool ok = false;
+  int min_repeats = 1;  ///< floor on repeats=
+  std::vector<cluster::PolicyKind> policies;
 };
 
 /// What the forked child reports back over its pipe.
@@ -71,6 +69,14 @@ struct ChildReport {
   metrics::RunResult::Work work;
 };
 
+struct Row {
+  const ScalePoint* point = nullptr;
+  std::string scheduler;
+  std::string policy;
+  ChildReport m;  ///< the child's measurements
+  bool ok = false;
+};
+
 double cpu_now_ms() {
   timespec ts{};
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
@@ -78,64 +84,66 @@ double cpu_now_ms() {
          static_cast<double>(ts.tv_nsec) * 1e-6;
 }
 
-/// The hyperscale wl2 stream: the bench_sched_e2e heavy workload scaled so
-/// per-node offered load and catalog-per-node stay constant as the cluster
-/// grows (interarrival shrinks and the catalog widens with the node count).
+/// The wl2 stream of every cell: many concurrent small jobs over a modest
+/// file catalog, so map selection (not data generation) dominates. Up to
+/// 100 nodes it keeps its 100-node shape; above, it is scaled so per-node
+/// offered load and catalog-per-node stay constant as the cluster grows
+/// (interarrival shrinks and the catalog widens with the node count).
 workload::WorkloadOptions scale_workload_options(std::size_t nodes,
                                                  std::size_t jobs) {
   workload::WorkloadOptions wopts;
   wopts.num_jobs = jobs;
   wopts.seed = 7;
-  const double factor = static_cast<double>(nodes) / 100.0;
+  const double factor = std::max(1.0, static_cast<double>(nodes) / 100.0);
   wopts.small_interarrival_s = 0.002 / factor;
-  wopts.catalog.small_files =
-      static_cast<std::size_t>(60 * factor < 60 ? 60 : 60 * factor);
+  wopts.catalog.small_files = static_cast<std::size_t>(60 * factor);
   wopts.catalog.small_min_blocks = 2;
   wopts.catalog.small_max_blocks = 6;
-  wopts.catalog.large_files =
-      static_cast<std::size_t>(12 * factor < 12 ? 12 : 12 * factor);
+  wopts.catalog.large_files = static_cast<std::size_t>(12 * factor);
   wopts.catalog.large_min_blocks = 16;
   wopts.catalog.large_max_blocks = 48;
   wopts.large_period = 20;
   return wopts;
 }
 
-cluster::ClusterOptions scale_cluster_options(std::size_t nodes,
+cluster::ClusterOptions scale_cluster_options(const ScalePoint& point,
                                               cluster::SchedulerKind sched,
                                               cluster::PolicyKind pol) {
-  return cluster::paper_defaults(net::ec2_profile(nodes), sched, pol, 42);
+  const auto profile = std::strcmp(point.profile, "cct") == 0
+                           ? net::cct_profile(point.nodes)
+                           : net::ec2_profile(point.nodes);
+  return cluster::paper_defaults(profile, sched, pol, 42);
 }
 
-/// One measured configuration, in-process. Returns the min-over-repeats CPU
-/// plus the process-wide memory telemetry (meaningful when this is the only
-/// configuration the process ran — see run_in_child).
-ChildReport measure(std::size_t nodes, std::size_t jobs,
-                    cluster::SchedulerKind sched, cluster::PolicyKind pol,
-                    int repeats) {
-  const auto wopts = scale_workload_options(nodes, jobs);
-  const auto spec = workload::make_wl2_spec(wopts);
+/// One measured cell, in-process. Returns the min-over-repeats CPU, the
+/// heap allocations of the first repeat, and the process peak RSS
+/// (meaningful when this is the only cell the process ran — see
+/// run_in_child).
+ChildReport measure(const ScalePoint& point, cluster::SchedulerKind sched,
+                    cluster::PolicyKind pol, int repeats) {
+  const auto spec =
+      workload::make_wl2_spec(scale_workload_options(point.nodes, point.jobs));
   ChildReport report;
   for (int r = 0; r < repeats; ++r) {
-    const auto opts = scale_cluster_options(nodes, sched, pol);
+    const auto opts = scale_cluster_options(point, sched, pol);
+    const std::uint64_t allocs0 = bench::allocation_count();
     const double t0 = cpu_now_ms();
     cluster::Cluster sim(opts);
     const auto result = sim.run_stream(spec);
     const double ms = cpu_now_ms() - t0;
+    if (r == 0) report.allocations = bench::allocation_count() - allocs0;
     if (r == 0 || ms < report.cpu_ms) report.cpu_ms = ms;
     report.fingerprint = metrics::fingerprint(result);
     report.work = result.work;
   }
-  const auto mem = bench::read_memory_stats();
-  report.peak_rss_kb = mem.peak_rss_kb;
-  report.allocations = mem.allocations;
+  report.peak_rss_kb = bench::read_memory_stats().peak_rss_kb;
   return report;
 }
 
-/// Fork-and-measure so every configuration gets a fresh RSS high-water mark
-/// and allocation counter. Returns false when the child died abnormally.
-bool run_in_child(std::size_t nodes, std::size_t jobs,
-                  cluster::SchedulerKind sched, cluster::PolicyKind pol,
-                  int repeats, ChildReport* out) {
+/// Fork-and-measure so every cell gets a fresh RSS high-water mark.
+/// Returns false when the child died abnormally.
+bool run_in_child(const ScalePoint& point, cluster::SchedulerKind sched,
+                  cluster::PolicyKind pol, int repeats, ChildReport* out) {
   int fds[2];
   if (pipe(fds) != 0) return false;
   const pid_t pid = fork();
@@ -148,7 +156,7 @@ bool run_in_child(std::size_t nodes, std::size_t jobs,
     // Child: measure, ship the POD report, and _exit without running any
     // parent-owned teardown.
     close(fds[0]);
-    const ChildReport report = measure(nodes, jobs, sched, pol, repeats);
+    const ChildReport report = measure(point, sched, pol, repeats);
     const char* bytes = reinterpret_cast<const char*>(&report);
     std::size_t off = 0;
     while (off < sizeof report) {
@@ -175,59 +183,59 @@ bool run_in_child(std::size_t nodes, std::size_t jobs,
 }
 
 int run(const Config& cfg) {
-  bench::banner("Hyperscale scale curve (PR8 perf baseline)",
-                "infrastructure (no paper figure); ROADMAP hyperscale tier");
+  bench::banner("End-to-end perf baseline (paper cells + scale curve)",
+                "infrastructure; DARE Figs. 7 and 10 configs, ROADMAP "
+                "hyperscale tier");
 
   const bool smoke = cfg.get_string("mode", "full") == "smoke";
   const int repeats = cfg.get_count<int>("repeats", 1);
   const auto max_scale = cfg.get_count<std::size_t>("max_scale", 1u << 20);
-  const std::string json_path = cfg.get_string("json", "BENCH_PR8.json");
+  const std::string json_path = cfg.get_string("json", "");
 
-  std::vector<ScalePoint> points;
-  if (smoke) {
-    points = {{1000, 10000}};
-  } else {
-    points = {{100, 2000}, {1000, 10000}, {10000, 100000}};
+  using cluster::PolicyKind;
+  const std::vector<PolicyKind> paper_policies = {
+      PolicyKind::kVanilla, PolicyKind::kGreedyLru, PolicyKind::kElephantTrap};
+  const std::vector<PolicyKind> scale_policies = {PolicyKind::kVanilla,
+                                                  PolicyKind::kElephantTrap};
+  std::vector<ScalePoint> points = {
+      {"paper", "cct", 20, 600, 3, paper_policies},
+      {"paper", "ec2", 100, 2000, 3, paper_policies},
+      {"1k", "ec2", 1000, 10000, 1, scale_policies},
+  };
+  if (!smoke) {
+    points.push_back({"10k", "ec2", 10000, 100000, 1, scale_policies});
   }
-  const std::vector<cluster::SchedulerKind> schedulers = {
-      cluster::SchedulerKind::kFifo, cluster::SchedulerKind::kFair};
-  const std::vector<cluster::PolicyKind> policies = {
-      cluster::PolicyKind::kVanilla, cluster::PolicyKind::kElephantTrap};
 
   std::vector<Row> rows;
   bool all_ok = true;
-  std::printf("%-6s %-7s %-6s %-14s %12s %12s %14s %s\n", "nodes", "jobs",
-              "sched", "policy", "cpu_ms", "peak_rss_mb", "allocations",
-              "fingerprint");
+  std::printf("%-5s %-4s %-6s %-7s %-6s %-14s %12s %12s %14s %s\n", "point",
+              "prof", "nodes", "jobs", "sched", "policy", "cpu_ms",
+              "peak_rss_mb", "allocations", "fingerprint");
   for (const auto& point : points) {
     if (point.nodes > max_scale) {
-      std::printf("%-6zu %-7zu (skipped: max_scale=%zu)\n", point.nodes,
-                  point.jobs, max_scale);
+      std::printf("%-5s %-4s %-6zu %-7zu (skipped: max_scale=%zu)\n",
+                  point.name, point.profile, point.nodes, point.jobs,
+                  max_scale);
       continue;
     }
-    for (const auto sched : schedulers) {
-      for (const auto pol : policies) {
+    for (const auto sched :
+         {cluster::SchedulerKind::kFifo, cluster::SchedulerKind::kFair}) {
+      for (const auto pol : point.policies) {
         Row row;
-        row.nodes = point.nodes;
-        row.jobs = point.jobs;
+        row.point = &point;
         row.scheduler = cluster::scheduler_name(sched);
         row.policy = cluster::policy_name(pol);
-        ChildReport report;
-        row.ok = run_in_child(point.nodes, point.jobs, sched, pol, repeats,
-                              &report);
+        row.ok = run_in_child(point, sched, pol,
+                              std::max(point.min_repeats, repeats), &row.m);
         all_ok = all_ok && row.ok;
-        row.cpu_ms = report.cpu_ms;
-        row.peak_rss_kb = report.peak_rss_kb;
-        row.allocations = report.allocations;
-        row.fingerprint = report.fingerprint;
-        row.work = report.work;
-        std::printf("%-6zu %-7zu %-6s %-14s %12.1f %12.1f %14llu %016llx%s\n",
-                    row.nodes, row.jobs, row.scheduler.c_str(),
-                    row.policy.c_str(), row.cpu_ms,
-                    static_cast<double>(row.peak_rss_kb) / 1024.0,
-                    static_cast<unsigned long long>(row.allocations),
-                    static_cast<unsigned long long>(row.fingerprint),
-                    row.ok ? "" : "  CHILD FAILED");
+        std::printf(
+            "%-5s %-4s %-6zu %-7zu %-6s %-14s %12.1f %12.1f %14llu %016llx%s\n",
+            point.name, point.profile, point.nodes, point.jobs,
+            row.scheduler.c_str(), row.policy.c_str(), row.m.cpu_ms,
+            static_cast<double>(row.m.peak_rss_kb) / 1024.0,
+            static_cast<unsigned long long>(row.m.allocations),
+            static_cast<unsigned long long>(row.m.fingerprint),
+            row.ok ? "" : "  CHILD FAILED");
         std::fflush(stdout);
         rows.push_back(row);
       }
@@ -235,47 +243,50 @@ int run(const Config& cfg) {
   }
 
   if (cfg.get_int("profile", 0) != 0 && !rows.empty()) {
-    std::printf("\noffer-path work counters:\n%-6s %-7s %-6s %-14s %10s %12s "
-                "%12s %12s %12s\n",
-                "nodes", "jobs", "sched", "policy", "sweeps", "node_visits",
-                "select_map", "job_probes", "memo_answers");
+    std::printf("\noffer-path work counters:\n%-5s %-4s %-6s %-6s %-14s %10s "
+                "%12s %12s %12s %12s %12s\n",
+                "point", "prof", "nodes", "sched", "policy", "sweeps",
+                "node_visits", "select_map", "select_red", "job_probes",
+                "memo_answers");
     for (const Row& r : rows) {
-      std::printf("%-6zu %-7zu %-6s %-14s %10llu %12llu %12llu %12llu %12llu\n",
-                  r.nodes, r.jobs, r.scheduler.c_str(), r.policy.c_str(),
-                  static_cast<unsigned long long>(r.work.sweeps),
-                  static_cast<unsigned long long>(r.work.node_visits),
-                  static_cast<unsigned long long>(r.work.select_map_calls),
-                  static_cast<unsigned long long>(r.work.job_probes),
-                  static_cast<unsigned long long>(r.work.memo_answers));
+      std::printf(
+          "%-5s %-4s %-6zu %-6s %-14s %10llu %12llu %12llu %12llu %12llu "
+          "%12llu\n",
+          r.point->name, r.point->profile, r.point->nodes,
+          r.scheduler.c_str(), r.policy.c_str(),
+          static_cast<unsigned long long>(r.m.work.sweeps),
+          static_cast<unsigned long long>(r.m.work.node_visits),
+          static_cast<unsigned long long>(r.m.work.select_map_calls),
+          static_cast<unsigned long long>(r.m.work.select_reduce_calls),
+          static_cast<unsigned long long>(r.m.work.job_probes),
+          static_cast<unsigned long long>(r.m.work.memo_answers));
     }
     std::printf("\nexecuted events by kind (nonzero kinds):\n");
     for (const Row& r : rows) {
       std::uint64_t total = 0;
-      for (const std::uint64_t n : r.work.events) total += n;
-      std::printf("%-6zu %-7zu %-6s %-14s total=%llu", r.nodes, r.jobs,
-                  r.scheduler.c_str(), r.policy.c_str(),
-                  static_cast<unsigned long long>(total));
-      for (std::size_t k = 0; k < r.work.events.size(); ++k) {
-        if (r.work.events[k] == 0) continue;
+      for (const std::uint64_t n : r.m.work.events) total += n;
+      std::printf("%-5s %-4s %-6zu %-6s %-14s total=%llu", r.point->name,
+                  r.point->profile, r.point->nodes, r.scheduler.c_str(),
+                  r.policy.c_str(), static_cast<unsigned long long>(total));
+      for (std::size_t k = 0; k < r.m.work.events.size(); ++k) {
+        if (r.m.work.events[k] == 0) continue;
         std::printf(" %s=%llu",
                     cluster::Cluster::event_kind_name(
                         static_cast<cluster::Cluster::EventKind>(k)),
-                    static_cast<unsigned long long>(r.work.events[k]));
+                    static_cast<unsigned long long>(r.m.work.events[k]));
       }
       std::printf("\n");
     }
-    const Row& last = rows.back();
-    auto opts = scale_cluster_options(last.nodes,
-                                      cluster::SchedulerKind::kFair,
-                                      cluster::PolicyKind::kElephantTrap);
+    const ScalePoint& last = *rows.back().point;
+    auto opts = scale_cluster_options(last, cluster::SchedulerKind::kFair,
+                                      PolicyKind::kElephantTrap);
     obs::PhaseProfiler phase_profiler;
     opts.profiler = &phase_profiler;
     cluster::Cluster sim(opts);
-    sim.run_stream(
-        workload::make_wl2_spec(scale_workload_options(last.nodes,
-                                                       last.jobs)));
-    std::printf("\nphase attribution (%zu nodes, %zu jobs, "
-                "Fair/elephant-trap):\n", last.nodes, last.jobs);
+    sim.run_stream(workload::make_wl2_spec(
+        scale_workload_options(last.nodes, last.jobs)));
+    std::printf("\nphase attribution (%s, %zu nodes, %zu jobs, "
+                "Fair/elephant-trap):\n", last.profile, last.nodes, last.jobs);
     phase_profiler.write_report(std::cout);
   }
 
@@ -287,9 +298,10 @@ int run(const Config& cfg) {
     }
     out << "{\n"
         << "  \"benchmark\": \"bench_scale\",\n"
-        << "  \"description\": \"Hyperscale scale curve (process-CPU ms + "
-           "peak RSS per forked config): streaming workload admission, arena "
-           "job storage, SoA hot structures (PR8)\",\n"
+        << "  \"description\": \"End-to-end perf baseline, one forked process "
+           "per cell: process-CPU ms (min over repeats, 3 for paper cells), "
+           "peak RSS, heap allocations of one run, fingerprint and work "
+           "counters\",\n"
         << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
         << "  \"repeats\": " << repeats << ",\n"
         << "  \"results\": [\n";
@@ -297,13 +309,30 @@ int run(const Config& cfg) {
       const Row& r = rows[i];
       char fp[32];
       std::snprintf(fp, sizeof(fp), "%016llx",
-                    static_cast<unsigned long long>(r.fingerprint));
-      out << "    {\"profile\": \"ec2\", \"nodes\": " << r.nodes
-          << ", \"jobs\": " << r.jobs << ", \"scheduler\": \"" << r.scheduler
-          << "\", \"policy\": \"" << r.policy << "\", \"cpu_ms\": "
-          << r.cpu_ms << ", \"peak_rss_kb\": " << r.peak_rss_kb
-          << ", \"allocations\": " << r.allocations << ", \"fingerprint\": \""
-          << fp << "\"}" << (i + 1 < rows.size() ? "," : "") << "\n";
+                    static_cast<unsigned long long>(r.m.fingerprint));
+      out << "    {\"point\": \"" << r.point->name << "\", \"profile\": \""
+          << r.point->profile << "\", \"nodes\": " << r.point->nodes
+          << ", \"jobs\": " << r.point->jobs << ", \"scheduler\": \""
+          << r.scheduler << "\", \"policy\": \"" << r.policy
+          << "\", \"cpu_ms\": " << r.m.cpu_ms << ", \"peak_rss_kb\": "
+          << r.m.peak_rss_kb << ", \"allocations\": " << r.m.allocations
+          << ", \"fingerprint\": \"" << fp << "\", \"work\": {\"sweeps\": "
+          << r.m.work.sweeps << ", \"node_visits\": " << r.m.work.node_visits
+          << ", \"select_map_calls\": " << r.m.work.select_map_calls
+          << ", \"select_reduce_calls\": " << r.m.work.select_reduce_calls
+          << ", \"job_probes\": " << r.m.work.job_probes
+          << ", \"memo_answers\": " << r.m.work.memo_answers
+          << ", \"events\": {";
+      const char* sep = "";
+      for (std::size_t k = 0; k < r.m.work.events.size(); ++k) {
+        if (r.m.work.events[k] == 0) continue;
+        out << sep << "\""
+            << cluster::Cluster::event_kind_name(
+                   static_cast<cluster::Cluster::EventKind>(k))
+            << "\": " << r.m.work.events[k];
+        sep = ", ";
+      }
+      out << "}}}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::printf("[json written: %s]\n", json_path.c_str());

@@ -644,6 +644,7 @@ void Cluster::try_assign_node(NodeId worker) {
     launch_map(worker, *selection);
   }
   while (slots_.free_reduces(w) > 0) {
+    ++result_.work.select_reduce_calls;
     const auto job = scheduler_->select_reduce(jobs_);
     if (!job) break;
     launch_reduce(worker, *job);
@@ -827,13 +828,7 @@ void Cluster::launch_map(NodeId worker, const sched::MapSelection& selection) {
       start_map_attempt(worker, job, map_index, state, selection.locality,
                         AttemptKind::kOriginal);
   map_time_stats_.add(to_seconds(duration));
-  if (scarlett_ || options_.record_access_trace) {
-    const FileId file = name_node_->block(state.block).file;
-    if (scarlett_) scarlett_->record_access(file);
-    if (options_.record_access_trace) {
-      access_trace_.events.push_back({file, sim_.now()});
-    }
-  }
+  if (scarlett_) scarlett_->record_access(name_node_->block(state.block).file);
   // Proactive cloning fires at launch time, not on a timer: the clone runs
   // from the start, hedging against a slow node before any evidence exists.
   maybe_clone(job, map_index, state, worker);
@@ -2669,15 +2664,6 @@ metrics::RunResult Cluster::run_with(
 
   if (!jobs_.all_done() || jobs_.all_jobs().size() != total_jobs_) {
     throw std::logic_error("Cluster: simulation drained with unfinished jobs");
-  }
-  if (options_.record_access_trace) {
-    // Finish the audit trace: file metadata + horizon.
-    for (FileId fid : name_node_->all_files()) {
-      const auto& info = name_node_->file(fid);
-      access_trace_.files.push_back(
-          {fid, info.created, info.blocks.size()});
-    }
-    access_trace_.span = sim_.now();
   }
   return collect_results();
 }

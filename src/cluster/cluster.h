@@ -32,7 +32,6 @@
 #include "storage/datanode.h"
 #include "storage/namenode.h"
 #include "workload/workload.h"
-#include "workload/yahoo_trace.h"
 
 namespace dare::cluster {
 
@@ -60,10 +59,6 @@ class Cluster {
   /// (it walks every block): slot accounting, name-node/data-node replica
   /// agreement, no metadata pointing at dead nodes, job-table totals.
   void validate() const;
-
-  /// The recorded audit trace (options.record_access_trace must be set;
-  /// call after run()). One event per map-task launch, file granularity.
-  const workload::AccessTrace& access_trace() const { return access_trace_; }
 
   /// Introspection for tests.
   std::size_t worker_count() const { return data_nodes_.size(); }
@@ -581,7 +576,6 @@ class Cluster {
   /// Initial-placement file popularity (accesses per file in the workload),
   /// snapshot at load time; shared by collect_results and the sampler.
   std::unordered_map<FileId, double> file_popularity_;
-  workload::AccessTrace access_trace_;
 
   /// Observability (borrowed from options_; null = disabled).
   obs::TraceCollector* tracer_ = nullptr;

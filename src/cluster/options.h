@@ -139,11 +139,6 @@ struct ClusterOptions {
   /// consecutive retry of the same entry (shift capped at 4 → 16x).
   SimDuration repair_retry_backoff = from_seconds(5.0);
 
-  /// Record a file-level access event for every launched map task, exposed
-  /// as a workload::AccessTrace after the run — the simulated counterpart
-  /// of the HDFS audit logs the paper analyzes in Section III.
-  bool record_access_trace = false;
-
   /// --- stragglers & degraded nodes ----------------------------------------
   /// Stochastic degraded-mode injection (persistent compute/disk slowdowns
   /// with exponential onset/recovery, optionally rack-correlated) plus

@@ -117,8 +117,9 @@ std::uint64_t fingerprint(const RunResult& result) {
   d.mix(result.rack_locality);
   d.mix(result.gmtt_s);
   // Mixed only when nonzero: digests recorded before this field existed
-  // (BENCH_PR3.json) stay valid for runs where no turnaround is skipped,
-  // while any run that does skip jobs is distinguishable.
+  // (the paper cells in BENCH_PR8.json) stay valid for runs where no
+  // turnaround is skipped, while any run that does skip jobs is
+  // distinguishable.
   if (result.gmtt_skipped_jobs != 0) d.mix(result.gmtt_skipped_jobs);
   d.mix(result.mean_slowdown);
   d.mix(result.mean_map_time_s);
@@ -142,7 +143,8 @@ std::uint64_t fingerprint(const RunResult& result) {
   d.mix(result.blacklisted_nodes);
   // Data-integrity fields follow the gmtt_skipped_jobs convention: mixed
   // only when nonzero so the no-corruption digests committed in
-  // BENCH_PR3.json stay valid, while any corrupted run is distinguishable.
+  // BENCH_PR8.json's paper cells stay valid, while any corrupted run is
+  // distinguishable.
   if (result.corrupt_reads != 0) d.mix(result.corrupt_reads);
   if (result.corrupt_replicas != 0) d.mix(result.corrupt_replicas);
   if (result.replicas_quarantined != 0) d.mix(result.replicas_quarantined);
@@ -173,7 +175,7 @@ std::uint64_t fingerprint(const RunResult& result) {
   if (result.clones_killed != 0) d.mix(result.clones_killed);
   if (result.clone_wasted_work_s != 0.0) d.mix(result.clone_wasted_work_s);
   // Network-fault and repair-ledger fields, same only-when-nonzero rule:
-  // the quiet BENCH_PR3.json configurations never partition, never degrade
+  // the quiet paper cells of BENCH_PR8.json never partition, never degrade
   // a link, and never queue a repair, so their committed digests survive
   // both the new subsystem and the repair-queue replacement.
   if (result.partition_episodes != 0) d.mix(result.partition_episodes);

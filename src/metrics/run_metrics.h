@@ -184,6 +184,7 @@ struct RunResult {
     std::uint64_t sweeps = 0;            ///< cluster-wide offer sweeps
     std::uint64_t node_visits = 0;       ///< per-node offers (any source)
     std::uint64_t select_map_calls = 0;  ///< scheduler map selections asked
+    std::uint64_t select_reduce_calls = 0;  ///< reduce selections asked
     std::uint64_t job_probes = 0;        ///< Fair: jobs probed for a node
     std::uint64_t memo_answers = 0;      ///< Fair: offers the memo declined
   };

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "analysis/trace_analysis.h"
 #include "cluster/experiment.h"
 
 namespace dare::cluster {
@@ -263,36 +262,6 @@ TEST(Cluster, ValidatePassesAfterEveryConfiguration) {
       EXPECT_NO_THROW(cluster.validate());
     }
   }
-}
-
-TEST(Cluster, RecordsAuditTraceWhenRequested) {
-  auto opts = tiny_options(PolicyKind::kElephantTrap);
-  opts.record_access_trace = true;
-  Cluster cluster(opts);
-  const auto wl = tiny_workload(60);
-  const auto result = cluster.run(wl);
-  const auto& trace = cluster.access_trace();
-  // One access event per launched map task (re-executions would add more,
-  // but this run has no failures).
-  std::size_t total_maps = 0;
-  for (const auto& jm : result.jobs) total_maps += jm.maps;
-  EXPECT_EQ(trace.events.size(), total_maps);
-  EXPECT_EQ(trace.files.size(), wl.catalog.size());
-  EXPECT_EQ(trace.span, result.makespan);
-  for (const auto& ev : trace.events) {
-    EXPECT_GE(ev.time, 0);
-    EXPECT_LE(ev.time, trace.span);
-  }
-  // The trace feeds the Section III analysis directly.
-  const auto ranking = analysis::popularity_ranking(trace);
-  EXPECT_EQ(ranking.size(), wl.catalog.size());
-  EXPECT_GT(ranking.front().accesses, 0u);
-}
-
-TEST(Cluster, NoAuditTraceByDefault) {
-  Cluster cluster(tiny_options());
-  (void)cluster.run(tiny_workload());
-  EXPECT_TRUE(cluster.access_trace().events.empty());
 }
 
 TEST(Cluster, ValidatePassesAfterFailuresAndSpeculation) {

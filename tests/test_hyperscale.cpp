@@ -4,8 +4,9 @@
 //     WorkloadSpec through Cluster::run_stream must produce bit-identical
 //     metrics (fingerprint equality) to materializing the same spec and
 //     running the job vector through Cluster::run. This is the equivalence
-//     oracle that lets BENCH_PR8 use streaming at every scale point while
-//     BENCH_PR3 configurations stay pinned to their recorded fingerprints.
+//     oracle that lets bench_scale use streaming at every scale point while
+//     the paper cells stay pinned to their fingerprints recorded from
+//     materialized runs.
 //
 //  2. Residency stays O(active jobs): a streamed run releases each
 //     JobRuntime at retirement, so the job table's high-water mark tracks

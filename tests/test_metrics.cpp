@@ -64,8 +64,9 @@ TEST(Finalize, CountsJobsSkippedFromGmtt) {
 
 TEST(Fingerprint, SkippedJobsChangeDigestOnlyWhenPresent) {
   // Digest-compatibility contract: runs with no skipped jobs keep the
-  // digest they had before the field existed (the committed BENCH_PR3.json
-  // baselines), while a nonzero skip count must be visible in the digest.
+  // digest they had before the field existed (the paper cells committed in
+  // BENCH_PR8.json), while a nonzero skip count must be visible in the
+  // digest.
   RunResult a;
   a.jobs.push_back(job(1, 0.0, 10.0, 1, 1, 5.0));
   finalize(a, {1.0});
@@ -92,6 +93,7 @@ TEST(Fingerprint, IgnoresOfferWorkCounters) {
   b.work.select_map_calls = 13;
   b.work.job_probes = 17;
   b.work.memo_answers = 19;
+  b.work.select_reduce_calls = 37;
   b.work.events[0] = 23;
   b.work.events[1] = 29;
   b.work.events[b.work.events.size() - 1] = 31;

@@ -184,6 +184,7 @@ struct OfferWorkCase {
   std::uint64_t sweeps;
   std::uint64_t node_visits;
   std::uint64_t select_map_calls;
+  std::uint64_t select_reduce_calls;
   std::uint64_t job_probes;
   std::uint64_t memo_answers;
 };
@@ -204,6 +205,7 @@ TEST_P(OfferWorkCounters, MatchRecorded) {
   EXPECT_EQ(result.work.sweeps, c.sweeps);
   EXPECT_EQ(result.work.node_visits, c.node_visits);
   EXPECT_EQ(result.work.select_map_calls, c.select_map_calls);
+  EXPECT_EQ(result.work.select_reduce_calls, c.select_reduce_calls);
   EXPECT_EQ(result.work.job_probes, c.job_probes);
   EXPECT_EQ(result.work.memo_answers, c.memo_answers);
 }
@@ -213,10 +215,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         OfferWorkCase{SchedulerKind::kFair, PolicyKind::kVanilla,
                       0xf496d732b1f866aeULL, 1635, 923, 512, 3624, 3546,
-                      2136, 2748},
+                      1093, 2136, 2748},
         OfferWorkCase{SchedulerKind::kFifo, PolicyKind::kElephantTrap,
-                      0xd20ad4751f25f07fULL, 1172, 511, 461, 494, 307, 0,
-                      0}),
+                      0xd20ad4751f25f07fULL, 1172, 511, 461, 494, 307, 360,
+                      0, 0}),
     [](const ::testing::TestParamInfo<OfferWorkCase>& info) {
       std::string name = std::string(scheduler_name(info.param.scheduler)) +
                          "_" + policy_name(info.param.policy);

@@ -1,41 +1,50 @@
 #!/usr/bin/env python3
-"""Compare a fresh bench JSON against a committed perf baseline.
+"""Compare a fresh bench_scale JSON against the committed BENCH_PR8.json.
 
-Both tracked baselines share one row schema: `profile`, `nodes`, `jobs`,
-`scheduler`, `policy`, `cpu_ms` and `fingerprint`. BENCH_PR8.json
-(bench_scale, one forked process per configuration) also records
-`peak_rss_kb` and `allocations`; BENCH_PR3.json (bench_sched_e2e) does not.
+Every row carries every field: `point` (paper, 1k or 10k), `profile`,
+`nodes`, `jobs`, `scheduler`, `policy`, `cpu_ms`, `peak_rss_kb`,
+`allocations`, `fingerprint`, and `work`, the run's deterministic work
+counters (`sweeps`, `node_visits`, `select_map_calls`,
+`select_reduce_calls`, `job_probes`, `memo_answers`, and `events`, the
+nonzero executed-event counts by kind). A row missing a field makes the
+file unusable (exit 2).
 
 Checks, in order of severity (every failure names the judged field):
 
-  1. [fingerprint] (hard fail, no tolerance). Every configuration's
+  1. [fingerprint] (hard fail, no tolerance). Every cell's
      metrics::fingerprint must equal the committed baseline's. A mismatch
      means simulation *behavior* changed, e.g. an "observability" hook that
      consumed an RNG draw or reordered a float sum, which silently
      invalidates every recorded figure.
 
-  2. [cpu_ms] (tolerance, default 5%). The summed CPU time across all
-     compared configurations must not exceed the baseline's sum by more
-     than --cpu-tolerance. The sum (not per-row deltas) is compared because
-     individual rows are noisy on shared runners while the aggregate is
-     stable; getting faster never fails.
+  2. [work.<name>] (hard fail, no tolerance). Every work counter must equal
+     the baseline's; an event kind absent from a row counts 0. Counters are
+     exact on any machine, so a change in how much work a cell does fails
+     here where a CPU budget could not tell.
 
-  3. [peak_rss_kb] / [allocations] (tolerance, default 25%). Only judged
-     when both sides record them. RSS gets a looser budget than CPU: the
-     kernel's high-water mark is quantized by page reclaim and allocator
-     chunking, so small relative wobble at the small scale points is
-     expected. Shrinking never fails.
+  3. [cpu_ms] (tolerance, default 5%). Per scale point, the summed CPU time
+     of the compared cells must not exceed the baseline's sum by more than
+     --cpu-tolerance. Sums (not per-row deltas) are compared because single
+     rows are noisy on shared runners while the aggregate is stable; they
+     are taken per point so the small paper cells are not hidden under the
+     large ones. Getting faster never fails.
 
-Rows are keyed by (profile, nodes, jobs, scheduler, policy). A fresh row
-whose scale fields match no baseline key but whose configuration does is a
-refusal (exit 2): timings at different scales are not comparable. With
---allow-subset the fresh run may cover a subset of the baseline's rows
-(CI smoke slices) and the `mode` fields may differ; sums are then taken
-over the common rows only.
+  4. [peak_rss_kb] / [allocations] (tolerance, default 25%), summed per
+     point like CPU. RSS gets a looser budget than CPU: the kernel's
+     high-water mark is quantized by page reclaim and allocator chunking,
+     so small relative wobble at the small cells is expected. Shrinking
+     never fails.
+
+Rows are keyed by (point, profile, nodes, jobs, scheduler, policy). A fresh
+row whose scale fields match no baseline key but whose point and
+configuration do is a refusal (exit 2): timings at different scales are not
+comparable. With --allow-subset the fresh run may leave out whole scale
+points (CI's smoke run has no 10k cells) and the `mode` fields may differ;
+a point it does run must still have every baseline row.
 
 Usage:
-  python3 tools/check_bench_baseline.py \
-      --baseline BENCH_PR3.json --fresh build/BENCH_FRESH.json \
+  python3 tools/check_bench_baseline.py \\
+      --baseline BENCH_PR8.json --fresh build/BENCH_FRESH.json \\
       [--cpu-tolerance 0.05] [--rss-tolerance 0.25] [--allow-subset]
   python3 tools/check_bench_baseline.py --self-test
 
@@ -48,6 +57,11 @@ import argparse
 import json
 import sys
 
+FIELDS = ("point", "profile", "nodes", "jobs", "scheduler", "policy",
+          "cpu_ms", "peak_rss_kb", "allocations", "fingerprint", "work")
+WORK_FIELDS = ("sweeps", "node_visits", "select_map_calls",
+               "select_reduce_calls", "job_probes", "memo_answers", "events")
+
 
 def load(path: str) -> dict:
     try:
@@ -58,60 +72,79 @@ def load(path: str) -> dict:
 
 
 def key(row: dict) -> tuple:
-    return (row["profile"], row["nodes"], row["jobs"], row["scheduler"],
-            row["policy"])
+    return (row["point"], row["profile"], row["nodes"], row["jobs"],
+            row["scheduler"], row["policy"])
 
 
 def label(k: tuple) -> str:
-    profile, nodes, jobs, scheduler, policy = k
-    return f"{profile}/{nodes}x{jobs}/{scheduler}/{policy}"
+    point, profile, nodes, jobs, scheduler, policy = k
+    return f"{point}/{profile}/{nodes}x{jobs}/{scheduler}/{policy}"
+
+
+def missing_fields(row: dict) -> list:
+    missing = [f for f in FIELDS if f not in row]
+    work = row.get("work")
+    if isinstance(work, dict):
+        missing += [f"work.{f}" for f in WORK_FIELDS if f not in work]
+    return missing
+
+
+def work_counters(row: dict) -> dict:
+    work = row["work"]
+    flat = {name: work[name] for name in WORK_FIELDS if name != "events"}
+    flat.update({f"events.{kind}": n for kind, n in work["events"].items()})
+    return flat
 
 
 def sum_check(name: str, base_rows: dict, fresh_rows: dict, keys: list,
-              tolerance: float, failures: list, required: bool) -> None:
-    """Budget check on a summed numeric field; absent fields are skipped
-    (unless required), shrinking never fails."""
-    judged = [k for k in keys
-              if name in base_rows[k] and name in fresh_rows[k]]
-    if not judged:
-        if required:
-            failures.append(f"[{name}] field missing from both runs")
-        return
-    base_total = sum(base_rows[k][name] for k in judged)
-    fresh_total = sum(fresh_rows[k][name] for k in judged)
-    ratio = fresh_total / base_total if base_total > 0 else float("inf")
-    budget = 1.0 + tolerance
-    print(f"{name}: baseline {base_total:.1f}, fresh {fresh_total:.1f} "
-          f"({ratio:.3f}x, budget {budget:.2f}x, {len(judged)} rows)")
-    if ratio > budget:
-        failures.append(
-            f"[{name}] summed total regressed {ratio:.3f}x > {budget:.2f}x "
-            f"budget ({fresh_total:.1f} vs {base_total:.1f})")
+              tolerance: float, failures: list) -> None:
+    """Budget check on a field summed per scale point; shrinking never
+    fails."""
+    points = sorted({k[0] for k in keys})
+    for point in points:
+        judged = [k for k in keys if k[0] == point]
+        base_total = sum(base_rows[k][name] for k in judged)
+        fresh_total = sum(fresh_rows[k][name] for k in judged)
+        ratio = fresh_total / base_total if base_total > 0 else float("inf")
+        budget = 1.0 + tolerance
+        print(f"{name} [{point}]: baseline {base_total:.1f}, fresh "
+              f"{fresh_total:.1f} ({ratio:.3f}x, budget {budget:.2f}x, "
+              f"{len(judged)} rows)")
+        if ratio > budget:
+            failures.append(
+                f"[{name}] point {point}: summed total regressed "
+                f"{ratio:.3f}x > {budget:.2f}x budget ({fresh_total:.1f} vs "
+                f"{base_total:.1f})")
 
 
 def compare(baseline: dict, fresh: dict, cpu_tolerance: float,
             rss_tolerance: float, allow_subset: bool) -> int:
-    base_rows = {key(r): r for r in baseline.get("results", [])}
-    fresh_rows = {key(r): r for r in fresh.get("results", [])}
-    if not base_rows:
-        print("error: baseline has no results", file=sys.stderr)
-        return 2
-    if not fresh_rows:
-        print("error: fresh run has no results", file=sys.stderr)
-        return 2
+    for name, doc in (("baseline", baseline), ("fresh run", fresh)):
+        if not doc.get("results"):
+            print(f"error: {name} has no results", file=sys.stderr)
+            return 2
+        for i, row in enumerate(doc["results"]):
+            missing = missing_fields(row)
+            if missing:
+                print(f"error: {name} row {i} lacks {', '.join(missing)}",
+                      file=sys.stderr)
+                return 2
+    base_rows = {key(r): r for r in baseline["results"]}
+    fresh_rows = {key(r): r for r in fresh["results"]}
     if not allow_subset and baseline.get("mode") != fresh.get("mode"):
         print(f"error: [mode] mismatch (baseline={baseline.get('mode')!r}, "
               f"fresh={fresh.get('mode')!r}): runs are not comparable "
-              f"(pass --allow-subset for smoke slices)", file=sys.stderr)
+              f"(pass --allow-subset for smoke runs)", file=sys.stderr)
         return 2
 
-    # A fresh row whose configuration exists in the baseline at a different
-    # scale is a setup error, not a perf regression: refuse to judge.
-    base_configs = {(k[0], k[3], k[4]): k for k in base_rows}
+    # A fresh row whose point and configuration exist in the baseline at a
+    # different scale is a setup error, not a perf regression: refuse to
+    # judge.
+    base_configs = {(k[0], k[1], k[4], k[5]): k for k in base_rows}
     for k in fresh_rows:
         if k in base_rows:
             continue
-        other = base_configs.get((k[0], k[3], k[4]))
+        other = base_configs.get((k[0], k[1], k[4], k[5]))
         if other is not None:
             print(f"error: [nodes/jobs] {label(k)} does not match the "
                   f"baseline scale {label(other)}: runs are not comparable",
@@ -120,10 +153,11 @@ def compare(baseline: dict, fresh: dict, cpu_tolerance: float,
 
     failures = []
     common = []
+    fresh_points = {k[0] for k in fresh_rows}
     for k, base in sorted(base_rows.items()):
         row = fresh_rows.get(k)
         if row is None:
-            if not allow_subset:
+            if not allow_subset or k[0] in fresh_points:
                 failures.append(f"[row] {label(k)}: missing from fresh run")
             continue
         common.append(k)
@@ -131,6 +165,12 @@ def compare(baseline: dict, fresh: dict, cpu_tolerance: float,
             failures.append(
                 f"[fingerprint] {label(k)}: {row['fingerprint']} != baseline "
                 f"{base['fingerprint']} (simulation behavior changed)")
+        base_work, fresh_work = work_counters(base), work_counters(row)
+        for name in sorted(set(base_work) | set(fresh_work)):
+            if fresh_work.get(name, 0) != base_work.get(name, 0):
+                failures.append(
+                    f"[work.{name}] {label(k)}: {fresh_work.get(name, 0)} != "
+                    f"baseline {base_work.get(name, 0)}")
 
     if allow_subset and not common:
         print("error: fresh run shares no rows with the baseline",
@@ -140,88 +180,105 @@ def compare(baseline: dict, fresh: dict, cpu_tolerance: float,
         print(f"note: {label(k)}: new configuration not in baseline "
               f"(not judged)")
 
-    if common:
-        sum_check("cpu_ms", base_rows, fresh_rows, common, cpu_tolerance,
-                  failures, required=True)
-        for name in ("peak_rss_kb", "allocations"):
-            sum_check(name, base_rows, fresh_rows, common, rss_tolerance,
-                      failures, required=False)
+    sum_check("cpu_ms", base_rows, fresh_rows, common, cpu_tolerance,
+              failures)
+    for name in ("peak_rss_kb", "allocations"):
+        sum_check(name, base_rows, fresh_rows, common, rss_tolerance,
+                  failures)
 
     if failures:
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)
         return 1
-    print(f"ok: {len(common)} configurations match the baseline "
-          f"fingerprints; resources within budget")
+    print(f"ok: {len(common)} cells match the baseline fingerprints and "
+          f"work counters; resources within budget")
     return 0
 
 
 # --- self-test fixtures ----------------------------------------------------
 
-def _e2e_fixture(**overrides) -> dict:
-    """A two-row bench_sched_e2e-style file; overrides patch row 0."""
+def _work(**overrides) -> dict:
+    work = {"sweeps": 100, "node_visits": 900, "select_map_calls": 800,
+            "select_reduce_calls": 50, "job_probes": 0, "memo_answers": 0,
+            "events": {"job_arrival": 20, "heartbeat": 300}}
+    work.update(overrides)
+    return work
+
+
+def _fixture(**overrides) -> dict:
+    """One cell per point (two at paper); overrides patch row 0."""
+    def row(point, profile, nodes, jobs, cpu, rss, allocs, fp):
+        return {"point": point, "profile": profile, "nodes": nodes,
+                "jobs": jobs, "scheduler": "FIFO", "policy": "vanilla",
+                "cpu_ms": cpu, "peak_rss_kb": rss, "allocations": allocs,
+                "fingerprint": fp, "work": _work()}
     rows = [
-        {"profile": "ec2", "nodes": 100, "jobs": 2000, "scheduler": "FIFO",
-         "policy": "vanilla", "cpu_ms": 40.0, "fingerprint": "aa00"},
-        {"profile": "ec2", "nodes": 100, "jobs": 2000, "scheduler": "Fair",
-         "policy": "lru", "cpu_ms": 60.0, "fingerprint": "bb11"},
+        row("paper", "cct", 20, 600, 10.0, 5000, 40000, "aa00"),
+        row("paper", "ec2", 100, 2000, 40.0, 20000, 1000000, "bb11"),
+        row("1k", "ec2", 1000, 10000, 700.0, 41000, 6000000, "cc22"),
+        row("10k", "ec2", 10000, 100000, 20000.0, 190000, 9000000, "dd33"),
     ]
     rows[0].update(overrides)
     return {"mode": "full", "results": rows}
 
 
-def _scale_fixture(**overrides) -> dict:
-    """A two-scale-point bench_scale-style file; overrides patch row 0."""
-    rows = [
-        {"profile": "ec2", "nodes": 100, "jobs": 2000, "scheduler": "FIFO",
-         "policy": "vanilla", "cpu_ms": 50.0, "peak_rss_kb": 20000,
-         "allocations": 1000000, "fingerprint": "cc22"},
-        {"profile": "ec2", "nodes": 1000, "jobs": 10000, "scheduler": "FIFO",
-         "policy": "vanilla", "cpu_ms": 700.0, "peak_rss_kb": 41000,
-         "allocations": 6000000, "fingerprint": "dd33"},
-    ]
-    rows[0].update(overrides)
-    return {"mode": "full", "results": rows}
+def _subset(mode: str, indices: list) -> dict:
+    rows = _fixture()["results"]
+    return {"mode": mode, "results": [rows[i] for i in indices]}
 
 
 def self_test() -> int:
+    no_allocs = _fixture()
+    del no_allocs["results"][1]["allocations"]
     cases = [
         # (name, baseline, fresh, allow_subset, expected exit, expected text)
-        ("e2e identical ok",
-         _e2e_fixture(), _e2e_fixture(), False, 0, None),
+        ("identical ok",
+         _fixture(), _fixture(), False, 0, None),
         ("fingerprint mismatch fails hard",
-         _e2e_fixture(), _e2e_fixture(fingerprint="9999"), False, 1,
+         _fixture(), _fixture(fingerprint="9999"), False, 1,
          "[fingerprint]"),
+        ("work counter off by one fails exactly",
+         _fixture(), _fixture(work=_work(select_reduce_calls=51)), False, 1,
+         "[work.select_reduce_calls] paper/cct/20x600/FIFO/vanilla"),
+        ("event count off by one fails exactly",
+         _fixture(),
+         _fixture(work=_work(events={"job_arrival": 20, "heartbeat": 301})),
+         False, 1, "[work.events.heartbeat]"),
+        ("new nonzero event kind fails",
+         _fixture(),
+         _fixture(work=_work(events={"job_arrival": 20, "heartbeat": 300,
+                                     "scheduler_retry": 1})),
+         False, 1, "[work.events.scheduler_retry]"),
         ("cpu regression beyond budget fails",
-         _e2e_fixture(), _e2e_fixture(cpu_ms=80.0), False, 1,
-         "[cpu_ms]"),
+         _fixture(), _fixture(cpu_ms=40.0), False, 1, "[cpu_ms]"),
+        ("10% paper cpu regression fails while 1k is flat",
+         _fixture(), _fixture(cpu_ms=15.0), False, 1,
+         "[cpu_ms] point paper"),
         ("cpu wobble within budget ok",
-         _e2e_fixture(), _e2e_fixture(cpu_ms=43.0), False, 0, None),
+         _fixture(), _fixture(cpu_ms=12.0), False, 0, None),
         ("getting faster never fails",
-         _e2e_fixture(), _e2e_fixture(cpu_ms=1.0), False, 0, None),
-        ("scale rows with rss wobble within looser budget ok",
-         _scale_fixture(), _scale_fixture(peak_rss_kb=24000), False, 0, None),
+         _fixture(), _fixture(cpu_ms=1.0), False, 0, None),
+        ("rss wobble within looser budget ok",
+         _fixture(), _fixture(peak_rss_kb=10000), False, 0, None),
         ("rss regression beyond budget fails",
-         _scale_fixture(), _scale_fixture(peak_rss_kb=45000), False, 1,
-         "[peak_rss_kb]"),
+         _fixture(), _fixture(peak_rss_kb=13000), False, 1,
+         "[peak_rss_kb] point paper"),
         ("allocation regression beyond budget fails",
-         _scale_fixture(), _scale_fixture(allocations=9000000), False, 1,
-         "[allocations]"),
+         _fixture(), _fixture(allocations=400000), False, 1,
+         "[allocations] point paper"),
+        ("row missing a field is unusable",
+         _fixture(), no_allocs, False, 2, "lacks allocations"),
         ("missing row fails without subset",
-         _scale_fixture(),
-         {"mode": "full", "results": _scale_fixture()["results"][:1]},
-         False, 1, "[row]"),
-        ("smoke slice ok with --allow-subset",
-         _scale_fixture(),
-         {"mode": "smoke", "results": _scale_fixture()["results"][:1]},
-         True, 0, None),
+         _fixture(), _subset("full", [0, 1, 2]), False, 1, "[row]"),
+        ("smoke run ok with --allow-subset",
+         _fixture(), _subset("smoke", [0, 1, 2]), True, 0, None),
+        ("smoke run missing one paper row fails",
+         _fixture(), _subset("smoke", [1, 2]), True, 1,
+         "[row] paper/cct/20x600/FIFO/vanilla"),
         ("scale mismatch refuses to judge",
-         _scale_fixture(),
-         _scale_fixture(nodes=200), False, 2, None),
+         _fixture(), _fixture(nodes=200), False, 2, None),
         ("mode mismatch refuses without subset",
-         _scale_fixture(),
-         {"mode": "smoke", "results": _scale_fixture()["results"]},
-         False, 2, None),
+         _fixture(), _subset("smoke", [0, 1, 2, 3]), False, 2, None),
     ]
     import contextlib
     import io
@@ -245,19 +302,19 @@ def self_test() -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", default="BENCH_PR3.json",
+    parser.add_argument("--baseline", default="BENCH_PR8.json",
                         help="committed baseline JSON (default: %(default)s)")
     parser.add_argument("--fresh",
-                        help="freshly produced bench JSON")
+                        help="freshly produced bench_scale JSON")
     parser.add_argument("--cpu-tolerance", type=float, default=0.05,
-                        help="allowed relative increase of summed CPU ms "
-                             "(default: %(default)s)")
+                        help="allowed relative increase of summed CPU ms per "
+                             "point (default: %(default)s)")
     parser.add_argument("--rss-tolerance", type=float, default=0.25,
                         help="allowed relative increase of summed peak RSS / "
-                             "allocations (default: %(default)s)")
+                             "allocations per point (default: %(default)s)")
     parser.add_argument("--allow-subset", action="store_true",
-                        help="fresh run may cover a subset of baseline rows "
-                             "(CI smoke slices)")
+                        help="fresh run may leave out whole scale points "
+                             "(CI smoke runs)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the built-in fixture cases and exit")
     args = parser.parse_args()

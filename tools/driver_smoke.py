@@ -2,9 +2,8 @@
 """Smoke-test every driver binary's command line.
 
 The drivers are every executable directly under <build>/bench,
-<build>/examples and <build>/tools, except the google-benchmark binaries
-bench_micro and bench_sched_hotpath. Each one runs three cases in a temporary
-working directory:
+<build>/examples and <build>/tools, except the google-benchmark binary
+bench_micro. Each one runs three cases in a temporary working directory:
 
   1. [toy]      a toy-size run (the TOY table below) exits 0;
   2. [unknown]  the toy run plus `nosuchkey=1` exits 1 with "unrecognized"
@@ -31,7 +30,7 @@ import tempfile
 import time
 from pathlib import Path
 
-EXCLUDED = {"bench_micro", "bench_sched_hotpath"}
+EXCLUDED = {"bench_micro"}
 
 SMALL = ["jobs=20", "nodes=8"]
 TRACE = ["files=50", "accesses=2000"]
@@ -60,10 +59,8 @@ TOY: dict[str, tuple[list[str], str]] = {
     "bench_model_check": (SMALL, "jobs"),
     # The netfault sweep is 24 cells with partitions and churn: keep it tiny.
     "bench_netfault": (["jobs=10", "nodes=8"], "jobs"),
-    # max_scale=0 skips every scale point (each is a 1k-node cell).
+    # max_scale=0 skips every cell (the smallest has 20 nodes).
     "bench_scale": (["mode=smoke", "max_scale=0", "json="], "repeats"),
-    "bench_sched_e2e": (["mode=smoke", "nodes_cct=6", "nodes_ec2=6",
-                         "jobs_cct=10", "jobs_ec2=10", "json="], "repeats"),
     "bench_speculation": (SMALL, "jobs"),
     "bench_table1_rtt": (["nodes=8", "pings=1"], "pings"),
     "bench_table2_bandwidth": (["nodes=8", "samples=5", "pairs=20"],
