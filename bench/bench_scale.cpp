@@ -21,7 +21,8 @@
 //                     cell; the minimum is reported
 //   json=<path>       output path (default: none, print only)
 //   max_scale=<n>     skip cells with more than n nodes
-//   profile=1         print each cell's work counters, then re-run the
+//   profile=1         print each cell's work counters (offer path,
+//                     locality-index upkeep, events), then re-run the
 //                     largest Fair/elephant-trap cell in-process with the
 //                     PhaseProfiler attached and print the per-phase CPU
 //                     attribution + peak RSS
@@ -261,6 +262,20 @@ int run(const Config& cfg) {
           static_cast<unsigned long long>(r.m.work.job_probes),
           static_cast<unsigned long long>(r.m.work.memo_answers));
     }
+    std::printf("\nlocality-index upkeep counters:\n%-5s %-4s %-6s %-6s %-14s "
+                "%14s %14s %12s %14s\n",
+                "point", "prof", "nodes", "sched", "policy", "cand_inserts",
+                "cand_erases", "cand_allocs", "watcher_visits");
+    for (const Row& r : rows) {
+      std::printf("%-5s %-4s %-6zu %-6s %-14s %14llu %14llu %12llu %14llu\n",
+                  r.point->name, r.point->profile, r.point->nodes,
+                  r.scheduler.c_str(), r.policy.c_str(),
+                  static_cast<unsigned long long>(r.m.work.candidate_inserts),
+                  static_cast<unsigned long long>(r.m.work.candidate_erases),
+                  static_cast<unsigned long long>(
+                      r.m.work.candidate_allocations),
+                  static_cast<unsigned long long>(r.m.work.watcher_visits));
+    }
     std::printf("\nexecuted events by kind (nonzero kinds):\n");
     for (const Row& r : rows) {
       std::uint64_t total = 0;
@@ -322,6 +337,11 @@ int run(const Config& cfg) {
           << ", \"select_reduce_calls\": " << r.m.work.select_reduce_calls
           << ", \"job_probes\": " << r.m.work.job_probes
           << ", \"memo_answers\": " << r.m.work.memo_answers
+          << ", \"candidate_inserts\": " << r.m.work.candidate_inserts
+          << ", \"candidate_erases\": " << r.m.work.candidate_erases
+          << ", \"candidate_allocations\": "
+          << r.m.work.candidate_allocations
+          << ", \"watcher_visits\": " << r.m.work.watcher_visits
           << ", \"events\": {";
       const char* sep = "";
       for (std::size_t k = 0; k < r.m.work.events.size(); ++k) {

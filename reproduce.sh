@@ -4,7 +4,7 @@
 set -e
 cd "$(dirname "$0")"
 
-cmake -B build -G Ninja
+cmake -B build -S .
 cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt

@@ -643,7 +643,9 @@ void Cluster::try_assign_node(NodeId worker) {
     if (!selection) break;
     launch_map(worker, *selection);
   }
-  while (slots_.free_reduces(w) > 0) {
+  // Both schedulers answer an empty ready set with nullopt and no side
+  // effect, so asking only while a reduce is ready changes no launch.
+  while (slots_.free_reduces(w) > 0 && !jobs_.reduce_ready().empty()) {
     ++result_.work.select_reduce_calls;
     const auto job = scheduler_->select_reduce(jobs_);
     if (!job) break;
@@ -2507,6 +2509,11 @@ metrics::RunResult Cluster::collect_results() {
   result_.blocks_lost = name_node_->lost_block_count();
   result_.work.job_probes = scheduler_->work().job_probes;
   result_.work.memo_answers = scheduler_->work().memo_answers;
+  const auto& index_work = locality_index_->work();
+  result_.work.candidate_inserts = index_work.candidate_inserts;
+  result_.work.candidate_erases = index_work.candidate_erases;
+  result_.work.candidate_allocations = index_work.candidate_allocations;
+  result_.work.watcher_visits = index_work.watcher_visits;
   result_.clone_wasted_work_s = to_seconds(clone_wasted_work_);
   result_.detection_latency_total_s = to_seconds(detection_latency_total_);
   result_.repair_latency_total_s = to_seconds(repair_latency_total_);

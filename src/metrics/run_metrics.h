@@ -187,6 +187,13 @@ struct RunResult {
     std::uint64_t select_reduce_calls = 0;  ///< reduce selections asked
     std::uint64_t job_probes = 0;        ///< Fair: jobs probed for a node
     std::uint64_t memo_answers = 0;      ///< Fair: offers the memo declined
+    /// Locality-index upkeep (sched::LocalityIndex::Work): candidate
+    /// entries inserted and erased, table allocations and doublings, and
+    /// watchers visited by replica deltas.
+    std::uint64_t candidate_inserts = 0;
+    std::uint64_t candidate_erases = 0;
+    std::uint64_t candidate_allocations = 0;
+    std::uint64_t watcher_visits = 0;
   };
   Work work;
 };

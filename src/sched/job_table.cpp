@@ -185,10 +185,7 @@ void JobTable::add_job(const JobSpec& spec) {
 
   mark_fair_dirty(spec.id, stored);
   update_map_ready(stored);
-  stored.locality = index_->job_state_ptr(spec.id);
-  for (std::size_t i = 0; i < stored.spec.maps.size(); ++i) {
-    watch_pending(spec.id, stored, i);
-  }
+  stored.locality = index_->admit_job(spec.id, stored.spec.maps);
 }
 
 JobRuntime& JobTable::job(JobId id) {

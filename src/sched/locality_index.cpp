@@ -10,12 +10,36 @@ namespace dare::sched {
 
 bool CandidateMap::erase(std::uint32_t key, std::uint32_t map_index) {
   if (size_ == 0) return false;
-  const std::size_t mask = entries_.size() - 1;
-  std::size_t hole = home(key);
-  while (entries_[hole].key != key || entries_[hole].map_index != map_index) {
-    if (entries_[hole].key == kEmptyKey) return false;
-    hole = (hole + 1) & mask;
+  const std::size_t mask = capacity() - 1;
+  std::size_t i = home(key);
+  while (entries_[i].key != key || entries_[i].map_index != map_index) {
+    if (entries_[i].key == kEmptyKey) return false;
+    i = (i + 1) & mask;
   }
+  erase_at(i);
+  return true;
+}
+
+std::size_t CandidateMap::erase_map(std::uint32_t map_index) {
+  std::size_t erased = 0;
+  // One forward pass. erase_at refills the hole from later slots of the
+  // same chain, so the slot is examined again before the pass moves on. An
+  // entry the pass has not reached yet only ever moves back as far as the
+  // hole, never behind it; entries that wrapped past the last slot were
+  // examined at the start of the pass.
+  for (std::size_t i = 0; i < capacity();) {
+    if (entries_[i].key != kEmptyKey && entries_[i].map_index == map_index) {
+      erase_at(i);
+      ++erased;
+    } else {
+      ++i;
+    }
+  }
+  return erased;
+}
+
+void CandidateMap::erase_at(std::size_t hole) {
+  const std::size_t mask = capacity() - 1;
   // Backward shift: move each later entry of the chain into the hole unless
   // that would put it before its home slot, so no chain is ever broken.
   for (std::size_t i = (hole + 1) & mask; entries_[i].key != kEmptyKey;
@@ -27,26 +51,36 @@ bool CandidateMap::erase(std::uint32_t key, std::uint32_t map_index) {
   }
   entries_[hole] = Entry{};
   --size_;
-  return true;
 }
 
-void CandidateMap::grow() {
-  std::vector<Entry> old = std::move(entries_);
-  const std::size_t capacity = old.empty() ? 8 : old.size() * 2;
-  entries_.assign(capacity, Entry{});
+void CandidateMap::reserve(std::size_t entries) {
+  if (entries * 2 <= capacity()) return;
+  std::size_t capacity = entries_ ? this->capacity() : 8;
+  while (capacity < entries * 2) capacity *= 2;
+  rehash(capacity);
+}
+
+void CandidateMap::rehash(std::size_t capacity) {
+  const std::size_t old_capacity = this->capacity();
+  const std::unique_ptr<Entry[]> old = std::move(entries_);
+  entries_ = std::make_unique<Entry[]>(capacity);
   shift_ = 64;
   for (std::size_t c = capacity; c > 1; c >>= 1) --shift_;
-  for (const Entry& e : old) {
-    if (e.key != kEmptyKey) place(e);
+  for (std::size_t i = 0; i < old_capacity; ++i) {
+    if (old[i].key != kEmptyKey) place(old[i]);
   }
 }
 
 namespace {
 
-std::vector<std::uint32_t> sorted_candidates(const CandidateMap& candidates,
-                                             std::uint32_t key) {
+/// Sorted map indices under `key` whose map is watched.
+std::vector<std::uint32_t> sorted_candidates(
+    const LocalityIndex::JobState& state, const CandidateMap& candidates,
+    std::uint32_t key) {
   std::vector<std::uint32_t> out;
-  candidates.for_each(key, [&](std::uint32_t mi) { out.push_back(mi); });
+  candidates.for_each(key, [&](std::uint32_t mi) {
+    if (state.watched.test(mi)) out.push_back(mi);
+  });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -102,6 +136,20 @@ void LocalityIndex::for_each_distinct_rack(const std::vector<NodeId>& nodes,
   }
 }
 
+void LocalityIndex::reserve(CandidateMap& candidates, std::size_t entries) {
+  const std::size_t capacity = candidates.capacity();
+  candidates.reserve(entries);
+  if (candidates.capacity() != capacity) ++work_.candidate_allocations;
+}
+
+void LocalityIndex::add_candidate(CandidateMap& candidates, std::uint32_t key,
+                                  std::uint32_t map_index) {
+  const std::size_t capacity = candidates.capacity();
+  candidates.insert(key, map_index);
+  ++work_.candidate_inserts;
+  if (candidates.capacity() != capacity) ++work_.candidate_allocations;
+}
+
 void LocalityIndex::drop_candidate(CandidateMap& candidates, std::uint32_t key,
                                    std::uint32_t map_index) {
   const bool erased = candidates.erase(key, map_index);
@@ -109,6 +157,7 @@ void LocalityIndex::drop_candidate(CandidateMap& candidates, std::uint32_t key,
                  "LocalityIndex: candidate to drop is not indexed (key " +
                      std::to_string(key) + ", map " +
                      std::to_string(map_index) + ")");
+  ++work_.candidate_erases;
 }
 
 void LocalityIndex::replica_added(BlockId block, NodeId node) {
@@ -120,17 +169,20 @@ void LocalityIndex::replica_added(BlockId block, NodeId node) {
                  "LocalityIndex: duplicate replica delta for block " +
                      std::to_string(block));
   nodes.push_back(node);
-  const RackId rack = node_rack_[static_cast<std::size_t>(node)];
-  const bool first_in_rack = rack_replicas(block, rack) == 1;
 
   const auto wit = watchers_.find(block);
   if (wit == watchers_.end()) return;
+  const RackId rack = node_rack_[static_cast<std::size_t>(node)];
+  const bool first_in_rack = rack_replicas(block, rack) == 1;
   ++node_epoch_[static_cast<std::size_t>(node)];
   if (first_in_rack) ++rack_epoch_[static_cast<std::size_t>(rack)];
+  work_.watcher_visits += wit->second.size();
   for (const Watcher& w : wit->second) {
-    w.state->by_node.insert(static_cast<std::uint32_t>(node), w.map_index);
+    add_candidate(w.state->by_node, static_cast<std::uint32_t>(node),
+                  w.map_index);
     if (first_in_rack) {
-      w.state->by_rack.insert(static_cast<std::uint32_t>(rack), w.map_index);
+      add_candidate(w.state->by_rack, static_cast<std::uint32_t>(rack),
+                    w.map_index);
     }
   }
 }
@@ -146,11 +198,12 @@ void LocalityIndex::replica_removed(BlockId block, NodeId node) {
                  "LocalityIndex: removal delta for absent replica of block " +
                      std::to_string(block));
   nodes.erase(pos);
-  const RackId rack = node_rack_[static_cast<std::size_t>(node)];
-  const bool last_in_rack = rack_replicas(block, rack) == 0;
 
   const auto wit = watchers_.find(block);
   if (wit == watchers_.end()) return;
+  const RackId rack = node_rack_[static_cast<std::size_t>(node)];
+  const bool last_in_rack = rack_replicas(block, rack) == 0;
+  work_.watcher_visits += wit->second.size();
   for (const Watcher& w : wit->second) {
     drop_candidate(w.state->by_node, static_cast<std::uint32_t>(node),
                    w.map_index);
@@ -161,22 +214,62 @@ void LocalityIndex::replica_removed(BlockId block, NodeId node) {
   }
 }
 
-void LocalityIndex::watch_map(JobId job, std::size_t map_index,
-                              BlockId block) {
-  const auto mi = static_cast<std::uint32_t>(map_index);
-  JobState& state = jobs_[job];
-  watchers_[block].push_back(Watcher{job, mi, &state});
+void LocalityIndex::index_map(JobId job, JobState& state,
+                              std::uint32_t map_index, BlockId block) {
+  state.watched.set(map_index, true);
+  watchers_[block].push_back(Watcher{job, map_index, &state});
   const auto it = block_nodes_.find(block);
   if (it == block_nodes_.end()) return;  // block has no live replica
   for (NodeId n : it->second) {
-    state.by_node.insert(static_cast<std::uint32_t>(n), mi);
+    add_candidate(state.by_node, static_cast<std::uint32_t>(n), map_index);
     ++node_epoch_[static_cast<std::size_t>(n)];
   }
   // One rack-candidate entry per distinct rack holding a replica.
   for_each_distinct_rack(it->second, [&](RackId rack) {
-    state.by_rack.insert(static_cast<std::uint32_t>(rack), mi);
+    add_candidate(state.by_rack, static_cast<std::uint32_t>(rack), map_index);
     ++rack_epoch_[static_cast<std::size_t>(rack)];
   });
+}
+
+LocalityIndex::JobState* LocalityIndex::admit_job(
+    JobId job, const std::vector<MapTaskSpec>& maps) {
+  const auto [it, admitted] = jobs_.try_emplace(job);
+  DARE_INVARIANT(admitted, "LocalityIndex: job " + std::to_string(job) +
+                               " admitted twice");
+  JobState& state = it->second;
+  // Size each table for every entry the watches below insert, so each is
+  // allocated once instead of doubling its way there.
+  std::size_t node_entries = 0;
+  std::size_t rack_entries = 0;
+  for (const MapTaskSpec& map : maps) {
+    const auto it = block_nodes_.find(map.block);
+    if (it == block_nodes_.end()) continue;
+    node_entries += it->second.size();
+    for_each_distinct_rack(it->second, [&](RackId) { ++rack_entries; });
+  }
+  reserve(state.by_node, node_entries);
+  reserve(state.by_rack, rack_entries);
+  state.watched.resize(maps.size());
+  for (std::size_t i = 0; i < maps.size(); ++i) {
+    index_map(job, state, static_cast<std::uint32_t>(i), maps[i].block);
+  }
+  return &state;
+}
+
+void LocalityIndex::watch_map(JobId job, std::size_t map_index,
+                              BlockId block) {
+  const auto mi = static_cast<std::uint32_t>(map_index);
+  JobState& state = jobs_[job];
+  state.watched.resize(map_index + 1);
+  DARE_INVARIANT(!state.watched.test(mi),
+                 "LocalityIndex: watch of a watched map (job " +
+                     std::to_string(job) + ", map " + std::to_string(mi) +
+                     ")");
+  // The entries the map left at its launch describe its block's replicas
+  // then, not now.
+  work_.candidate_erases +=
+      state.by_node.erase_map(mi) + state.by_rack.erase_map(mi);
+  index_map(job, state, mi, block);
 }
 
 void LocalityIndex::unwatch_map(JobId job, std::size_t map_index,
@@ -195,26 +288,16 @@ void LocalityIndex::unwatch_map(JobId job, std::size_t map_index,
                  "LocalityIndex: unwatch of an unwatched map (job " +
                      std::to_string(job) + ", map " + std::to_string(mi) +
                      ")");
-  JobState& state = *pos->state;
+  pos->state->watched.set(mi, false);
   *pos = watchers.back();
   watchers.pop_back();
   if (watchers.empty()) watchers_.erase(wit);
-
-  const auto bit = block_nodes_.find(block);
-  if (bit == block_nodes_.end()) return;
-  for (NodeId n : bit->second) {
-    drop_candidate(state.by_node, static_cast<std::uint32_t>(n), mi);
-  }
-  for_each_distinct_rack(bit->second, [&](RackId rack) {
-    drop_candidate(state.by_rack, static_cast<std::uint32_t>(rack), mi);
-  });
 }
 
 void LocalityIndex::job_retired(JobId job) {
   const auto it = jobs_.find(job);
   if (it == jobs_.end()) return;  // never had candidates
-  DARE_INVARIANT(it->second.by_node.size() == 0 &&
-                     it->second.by_rack.size() == 0,
+  DARE_INVARIANT(it->second.watched.none(),
                  "LocalityIndex: job " + std::to_string(job) +
                      " retired with live candidates");
   jobs_.erase(it);
@@ -227,7 +310,7 @@ std::vector<std::uint32_t> LocalityIndex::node_candidates(JobId job,
   }
   const auto it = jobs_.find(job);
   if (it == jobs_.end()) return {};
-  return sorted_candidates(it->second.by_node,
+  return sorted_candidates(it->second, it->second.by_node,
                            static_cast<std::uint32_t>(node));
 }
 
@@ -239,8 +322,13 @@ std::vector<std::uint32_t> LocalityIndex::rack_candidates(JobId job,
   const auto it = jobs_.find(job);
   if (it == jobs_.end()) return {};
   const RackId rack = node_rack_[static_cast<std::size_t>(node)];
-  return sorted_candidates(it->second.by_rack,
+  return sorted_candidates(it->second, it->second.by_rack,
                            static_cast<std::uint32_t>(rack));
+}
+
+const LocalityIndex::JobState* LocalityIndex::job_state(JobId job) const {
+  const auto it = jobs_.find(job);
+  return it == jobs_.end() ? nullptr : &it->second;
 }
 
 std::size_t LocalityIndex::replica_count(BlockId block) const {

@@ -8,17 +8,25 @@
 // misses into hits. This index inverts the relationship and maintains it
 // incrementally:
 //
-//   by_node[job] holds (node, map) for each pending map of `job` whose
-//                block has a visible replica on `node`
-//   by_rack[job] holds (rack, map) for each pending map whose block has
-//                >= 1 visible replica anywhere in `rack`
+//   by_node[job] holds (node, map) for each map of `job` whose block had a
+//                visible replica on `node` while the map was watched
+//   by_rack[job] holds (rack, map) for each map whose block had >= 1
+//                visible replica anywhere in `rack` while it was watched
 //
-// Two event streams keep it current:
+// A map is watched while it is pending. Two event streams keep the watched
+// maps' entries current:
 //  * replica deltas from the NameNode (static placement at file create,
 //    dynamic DARE replicas appearing/evicting via heartbeat, node death
 //    dropping every replica on the node, rejoin re-adoption, repair copies);
 //  * watch/unwatch calls from the JobTable as maps enter and leave the
-//    pending set (job arrival, launch, failure requeue, job kill).
+//    pending set (job admission, launch, failure requeue, job kill).
+//
+// A launch (unwatch) only clears the map's watch flag and drops its
+// watcher: its entries stay in the tables, and every query skips the
+// entries of unwatched maps. A re-watch (requeue) first drops the map's
+// left-over entries, which describe its block's replicas at launch, then
+// indexes the current ones; job_retired frees the job's whole state. So
+// queries see exactly the watched maps' current candidates.
 //
 // Equivalence with the linear scan: the scan returns the *first* pending
 // position whose block matches, so JobTable answers queries by taking the
@@ -28,19 +36,25 @@
 // even though replica deltas can arrive in unordered-map order from
 // NameNode::node_failed.
 //
-// Cost per pending map is linear in its block's replica count R: watch and
-// unwatch touch one node entry per replica and one rack entry per distinct
-// rack, found in one pass with a rack-sized stamp array. DARE's adoptions
-// push R into the hundreds for hot blocks, so nothing here may be O(R^2).
+// Cost: admitting a job allocates each of its two tables once, sized from
+// its blocks' replica sets, and inserts one node entry per replica and one
+// rack entry per distinct rack (found in one pass with a rack-sized stamp
+// array). A launch is O(watchers of its block), whatever the replica count
+// R; a requeue is O(table) to drop the left-over entries plus O(R). DARE's
+// adoptions push R into the hundreds for hot blocks, so nothing here may be
+// O(R^2), and nothing per launch may be O(R).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/types.h"
+#include "sched/job.h"
 
 namespace dare::sched {
 
@@ -51,9 +65,10 @@ namespace dare::sched {
 /// linear probing, so every entry of a key lies on that key's probe chain
 /// (home slot to the next empty slot). A query walks the chain and reports
 /// each matching map index; erase pulls later chain entries back into the
-/// hole (backward shift), so the table needs no tombstones. The array grows
-/// by doubling and is never allocated per key: under DARE a hot block sits
-/// on dozens of nodes, so one job's candidates span hundreds of keys, and a
+/// hole (backward shift), so the table needs no tombstones. The array is
+/// sized once by reserve() and doubles when an insert would fill it past
+/// half; it is never allocated per key: under DARE a hot block sits on
+/// dozens of nodes, so one job's candidates span hundreds of keys, and a
 /// list per key would cost a heap allocation and a vector header for each.
 /// Keys are Fibonacci-hashed: node and rack ids are dense small integers,
 /// and an identity hash would pile every key's run into the low slots.
@@ -63,26 +78,26 @@ class CandidateMap {
   template <typename Fn>
   void for_each(std::uint32_t key, Fn&& fn) const {
     if (size_ == 0) return;
-    const std::size_t mask = entries_.size() - 1;
+    const std::size_t mask = capacity() - 1;
     for (std::size_t i = home(key); entries_[i].key != kEmptyKey;
          i = (i + 1) & mask) {
       if (entries_[i].key == key) fn(entries_[i].map_index);
     }
   }
 
-  /// Calls fn(key) for every entry, in no fixed order (a key repeats once
-  /// per entry under it).
+  /// Calls fn(key, map_index) for every entry, in no fixed order.
   template <typename Fn>
-  void for_each_key(Fn&& fn) const {
+  void for_each_entry(Fn&& fn) const {
     if (size_ == 0) return;
-    for (const Entry& e : entries_) {
-      if (e.key != kEmptyKey) fn(e.key);
+    const Entry* const end = entries_.get() + capacity();
+    for (const Entry* e = entries_.get(); e != end; ++e) {
+      if (e->key != kEmptyKey) fn(e->key, e->map_index);
     }
   }
 
   /// Adds one (key, map_index) entry. `key` must differ from kEmptyKey.
   void insert(std::uint32_t key, std::uint32_t map_index) {
-    if ((size_ + 1) * 2 > entries_.size()) grow();
+    if ((std::size_t{size_} + 1) * 2 > capacity()) grow();
     place(Entry{key, map_index});
     ++size_;
   }
@@ -91,8 +106,18 @@ class CandidateMap {
   /// unchanged, when no such entry exists.
   bool erase(std::uint32_t key, std::uint32_t map_index);
 
+  /// Removes every entry of `map_index`, in one pass over the array.
+  /// Returns how many it removed.
+  std::size_t erase_map(std::uint32_t map_index);
+
+  /// Makes room for `entries` entries in all, so that they fit without a
+  /// doubling: at most one allocation, none when they already fit.
+  void reserve(std::size_t entries);
+
   std::size_t size() const { return size_; }
-  std::size_t capacity() const { return entries_.size(); }
+  std::size_t capacity() const {
+    return entries_ ? std::size_t{1} << (64 - shift_) : 0;
+  }
   /// Slot where `key`'s probe chain starts; requires capacity() > 0.
   std::size_t home(std::uint32_t key) const {
     return static_cast<std::size_t>(
@@ -109,16 +134,52 @@ class CandidateMap {
 
   /// Stores `e` in the first empty slot of its chain (capacity is ensured).
   void place(Entry e) {
-    const std::size_t mask = entries_.size() - 1;
+    const std::size_t mask = capacity() - 1;
     std::size_t i = home(e.key);
     while (entries_[i].key != kEmptyKey) i = (i + 1) & mask;
     entries_[i] = e;
   }
-  void grow();
+  /// Empties occupied slot `hole`, backward-shifting its chain.
+  void erase_at(std::size_t hole);
+  void grow() { rehash(entries_ ? capacity() * 2 : 8); }
+  /// Moves every entry into a fresh array of `capacity` (a power of two).
+  void rehash(std::size_t capacity);
 
-  std::vector<Entry> entries_;  // power-of-two size, at most half full
-  std::size_t size_ = 0;
-  unsigned shift_ = 0;  // 64 - log2(entries_.size())
+  // Two words with the array pointer: every active job holds two tables.
+  std::unique_ptr<Entry[]> entries_;  // capacity() slots, at most half full
+  std::uint32_t size_ = 0;
+  std::uint32_t shift_ = 0;  // 64 - log2(capacity())
+};
+
+/// One watch flag per map of a job. The first 64 flags are one inline word,
+/// so a job of up to 64 maps (every job of the wl2 stream) adds no heap
+/// allocation to its state for them; flags past 64 are words beside it.
+class WatchFlags {
+ public:
+  /// Makes room for flags 0 .. maps - 1; flags it adds are clear.
+  void resize(std::size_t maps) {
+    if (maps > 64) spill_.resize(std::max(spill_.size(), (maps - 1) / 64));
+  }
+  bool test(std::uint32_t map_index) const {
+    return ((map_index < 64 ? inline_ : spill_[(map_index >> 6) - 1]) >>
+            (map_index & 63)) &
+           1u;
+  }
+  void set(std::uint32_t map_index, bool watched) {
+    std::uint64_t& word =
+        map_index < 64 ? inline_ : spill_[(map_index >> 6) - 1];
+    const std::uint64_t bit = std::uint64_t{1} << (map_index & 63);
+    word = watched ? (word | bit) : (word & ~bit);
+  }
+  bool none() const {
+    return inline_ == 0 &&
+           std::all_of(spill_.begin(), spill_.end(),
+                       [](std::uint64_t word) { return word == 0; });
+  }
+
+ private:
+  std::uint64_t inline_ = 0;
+  std::vector<std::uint64_t> spill_;  // flags 64 onwards, 64 per word
 };
 
 class LocalityIndex {
@@ -127,10 +188,26 @@ class LocalityIndex {
   /// addresses are stable for the job's lifetime; the JobTable caches a
   /// pointer in JobRuntime and queries through it without any hash lookup.
   struct JobState {
-    /// (node, pending map index) per replica of the map's block.
+    /// (node, map index) per replica of the map's block.
     CandidateMap by_node;
-    /// (rack, pending map index) per rack holding >= 1 of those replicas.
+    /// (rack, map index) per rack holding >= 1 of those replicas.
     CandidateMap by_rack;
+    /// Set while the map is watched. Entries of an unwatched map are
+    /// left-overs that every query skips.
+    WatchFlags watched;
+  };
+
+  /// Deterministic upkeep counters (RunResult::work carries them).
+  struct Work {
+    /// Entries inserted by a watch or by the replica-added fan-out.
+    std::uint64_t candidate_inserts = 0;
+    /// Entries erased by a re-watch or by the replica-removed fan-out.
+    std::uint64_t candidate_erases = 0;
+    /// Table allocations: one per reserve() that allocates, one per
+    /// doubling.
+    std::uint64_t candidate_allocations = 0;
+    /// Watchers visited by replica deltas.
+    std::uint64_t watcher_visits = 0;
   };
 
   /// `node_rack[n]` is the rack of node n; `num_racks` bounds its values.
@@ -145,37 +222,50 @@ class LocalityIndex {
   void replica_removed(BlockId block, NodeId node);
 
   /// --- pending-map lifecycle (JobTable) ----------------------------------
-  /// Map `map_index` of `job` (reading `block`) entered the pending set.
+  /// Job `job` arrived with every map pending (map i reads maps[i].block):
+  /// sizes both of its tables once and watches every map. Returns its
+  /// state, stable until job_retired(job).
+  JobState* admit_job(JobId job, const std::vector<MapTaskSpec>& maps);
+  /// Map `map_index` of `job` (reading `block`) re-entered the pending set
+  /// (a requeue). Drops the entries it left at its launch, then indexes its
+  /// block's current replicas.
   void watch_map(JobId job, std::size_t map_index, BlockId block);
-  /// ... left the pending set (launched, or dropped by a job kill).
+  /// ... left the pending set (launched, or dropped by a job kill). Its
+  /// entries stay until a re-watch or job_retired.
   void unwatch_map(JobId job, std::size_t map_index, BlockId block);
-  /// The job left the active list with no pending maps; frees its state.
+  /// The job left the active list with no watched maps; frees its state.
   void job_retired(JobId job);
 
   /// --- queries ------------------------------------------------------------
   /// Hash-free queries over a cached JobState (the scheduling hot path: the
   /// Fair scheduler probes every active job per slot offer, so a map lookup
   /// per probe showed up in large-run profiles). Call fn(map_index) for each
-  /// pending map of the job whose block is on `node` / in `node`'s rack.
+  /// watched map of the job whose block is on `node` / in `node`'s rack.
   template <typename Fn>
   void for_each_node_candidate(const JobState& state, NodeId node,
                                Fn&& fn) const {
-    state.by_node.for_each(static_cast<std::uint32_t>(node), fn);
+    state.by_node.for_each(static_cast<std::uint32_t>(node),
+                           [&](std::uint32_t mi) {
+                             if (state.watched.test(mi)) fn(mi);
+                           });
   }
   template <typename Fn>
   void for_each_rack_candidate(const JobState& state, NodeId node,
                                Fn&& fn) const {
     state.by_rack.for_each(
         static_cast<std::uint32_t>(node_rack_[static_cast<std::size_t>(node)]),
-        fn);
+        [&](std::uint32_t mi) {
+          if (state.watched.test(mi)) fn(mi);
+        });
   }
 
-  /// Calls fn(rack) for each rack in which the job has a rack candidate (a
-  /// rack may repeat).
+  /// Calls fn(rack) for each rack in which a watched map of the job has a
+  /// rack candidate (a rack repeats once per such map).
   template <typename Fn>
   void for_each_candidate_rack(const JobState& state, Fn&& fn) const {
-    state.by_rack.for_each_key(
-        [&](std::uint32_t rack) { fn(static_cast<RackId>(rack)); });
+    state.by_rack.for_each_entry([&](std::uint32_t rack, std::uint32_t mi) {
+      if (state.watched.test(mi)) fn(static_cast<RackId>(rack));
+    });
   }
 
   /// --- candidate epochs ---------------------------------------------------
@@ -193,16 +283,15 @@ class LocalityIndex {
   }
   std::size_t num_nodes() const { return num_nodes_; }
   std::size_t num_racks() const { return num_racks_; }
-
-  /// Create-or-get the job's candidate state. The returned pointer is
-  /// stable until job_retired(job).
-  JobState* job_state_ptr(JobId job) { return &jobs_[job]; }
+  const Work& work() const { return work_; }
 
   /// --- introspection (tests / validate) -----------------------------------
-  /// Sorted pending map indices of `job` whose block is on `node` / in
+  /// Sorted watched map indices of `job` whose block is on `node` / in
   /// `node`'s rack; empty for unknown jobs.
   std::vector<std::uint32_t> node_candidates(JobId job, NodeId node) const;
   std::vector<std::uint32_t> rack_candidates(JobId job, NodeId node) const;
+  /// The job's state, or null when the index does not track it.
+  const JobState* job_state(JobId job) const;
   std::size_t tracked_job_count() const { return jobs_.size(); }
   std::size_t replica_count(BlockId block) const;
   /// True iff the mirror believes `node` holds a replica of `block`.
@@ -222,8 +311,15 @@ class LocalityIndex {
   /// Calls fn(rack) once per distinct rack of `nodes`, in one pass.
   template <typename Fn>
   void for_each_distinct_rack(const std::vector<NodeId>& nodes, Fn&& fn);
-  static void drop_candidate(CandidateMap& candidates, std::uint32_t key,
-                             std::uint32_t map_index);
+  /// Marks map `map_index` watched and inserts its block's current
+  /// candidates; the map must own no entries.
+  void index_map(JobId job, JobState& state, std::uint32_t map_index,
+                 BlockId block);
+  void reserve(CandidateMap& candidates, std::size_t entries);
+  void add_candidate(CandidateMap& candidates, std::uint32_t key,
+                     std::uint32_t map_index);
+  void drop_candidate(CandidateMap& candidates, std::uint32_t key,
+                      std::uint32_t map_index);
 
   std::size_t num_nodes_;
   std::size_t num_racks_;
@@ -234,6 +330,7 @@ class LocalityIndex {
   /// Insert counters behind candidate_epoch().
   std::vector<std::uint64_t> node_epoch_;
   std::vector<std::uint64_t> rack_epoch_;
+  Work work_;
 
   /// Slab-backed maps (watcher and job nodes churn at task / job rate).
   template <typename K, typename V>
@@ -243,7 +340,7 @@ class LocalityIndex {
 
   /// Mirror of NameNode::locations, maintained from deltas.
   IndexMap<BlockId, std::vector<NodeId>> block_nodes_;
-  /// block -> pending maps reading it (a job may appear more than once if
+  /// block -> watched maps reading it (a job may appear more than once if
   /// several of its maps share a block).
   IndexMap<BlockId, std::vector<Watcher>> watchers_;
   IndexMap<JobId, JobState> jobs_;

@@ -17,6 +17,7 @@ NameNode::NameNode(std::size_t data_nodes, const net::Topology* topology,
       placement_(placement ? std::move(placement)
                            : default_placement(data_nodes, topology)),
       node_alive_(data_nodes, true),
+      live_nodes_(data_nodes),
       last_heartbeat_(data_nodes, 0) {
   if (data_nodes_ == 0) {
     throw std::invalid_argument("NameNode: need at least one data node");
@@ -42,7 +43,8 @@ FileId NameNode::create_file(const std::string& name, std::size_t num_blocks,
   for (std::size_t i = 0; i < num_blocks; ++i) {
     const BlockId bid = next_block_++;
     blocks_[bid] = BlockMeta{bid, info.id, block_size};
-    auto placement = placement_->place(replication, node_alive_, rng_);
+    auto placement =
+        placement_->place(replication, node_alive_, live_nodes_, rng_);
     // Placement contract: distinct live nodes only.
     for (std::size_t a = 0; a < placement.size(); ++a) {
       DARE_INVARIANT(placement[a] >= 0 &&
@@ -156,14 +158,6 @@ bool NameNode::is_node_alive(NodeId node) const {
   return node_alive_[static_cast<std::size_t>(node)];
 }
 
-std::size_t NameNode::live_node_count() const {
-  std::size_t live = 0;
-  for (bool alive : node_alive_) {
-    if (alive) ++live;
-  }
-  return live;
-}
-
 void NameNode::heartbeat_received(NodeId node, SimTime now) {
   if (node < 0 || static_cast<std::size_t>(node) >= node_alive_.size()) {
     throw std::out_of_range("NameNode: bad node id");
@@ -202,6 +196,7 @@ std::vector<BlockId> NameNode::node_failed(NodeId node) {
   // kill racing a stochastic one, or a repeated declaration, is a no-op).
   if (!node_alive_[static_cast<std::size_t>(node)]) return {};
   node_alive_[static_cast<std::size_t>(node)] = false;
+  --live_nodes_;
   if (tracer_ != nullptr) tracer_->node_declared_dead(node);
 
   std::vector<BlockId> under_replicated;
@@ -257,6 +252,7 @@ NameNode::RejoinReport NameNode::node_rejoined(
     throw std::logic_error("NameNode: rejoin of a node never declared dead");
   }
   node_alive_[static_cast<std::size_t>(node)] = true;
+  ++live_nodes_;
   if (tracer_ != nullptr) {
     tracer_->node_rejoined(node, /*full_reregistration=*/true);
   }

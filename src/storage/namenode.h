@@ -116,7 +116,8 @@ class NameNode {
 
   /// Whether a node has been declared failed.
   bool is_node_alive(NodeId node) const;
-  std::size_t live_node_count() const;
+  /// Nodes currently alive: a counter kept by node_failed/node_rejoined.
+  std::size_t live_node_count() const { return live_nodes_; }
 
   /// Result of reconciling a rejoining node's full block report.
   struct RejoinReport {
@@ -202,6 +203,7 @@ class NameNode {
   MetaMap<BlockId, std::vector<NodeId>> locations_;
   std::vector<FileId> file_order_;
   std::vector<bool> node_alive_;
+  std::size_t live_nodes_;  ///< true entries of node_alive_
   std::vector<SimTime> last_heartbeat_;
   FileId next_file_ = 0;
   BlockId next_block_ = 0;

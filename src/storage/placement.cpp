@@ -2,17 +2,21 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+
+#include "common/invariant.h"
 
 namespace dare::storage {
 
 namespace {
 
-std::size_t live_count(const std::vector<bool>& alive) {
-  std::size_t live = 0;
-  for (bool a : alive) {
-    if (a) ++live;
-  }
-  return live;
+/// Audits the caller's live count (O(nodes), so invariant builds only).
+void audit_live(const std::vector<bool>& alive, std::size_t live) {
+  DARE_INVARIANT(
+      static_cast<std::size_t>(std::count(alive.begin(), alive.end(), true)) ==
+          live,
+      "placement: live count " + std::to_string(live) +
+          " disagrees with the alive vector");
 }
 
 /// Draw a uniformly random live node not already in `chosen`.
@@ -33,11 +37,11 @@ NodeId draw_fresh_live(const std::vector<bool>& alive,
 
 std::vector<NodeId> RandomPlacement::place(int replication,
                                            const std::vector<bool>& alive,
-                                           Rng& rng) {
+                                           std::size_t live, Rng& rng) {
   if (alive.size() != nodes_) {
     throw std::invalid_argument("RandomPlacement: alive vector size mismatch");
   }
-  const std::size_t live = live_count(alive);
+  audit_live(alive, live);
   if (live == 0) {
     throw std::logic_error("RandomPlacement: no live nodes");
   }
@@ -53,12 +57,12 @@ std::vector<NodeId> RandomPlacement::place(int replication,
 
 std::vector<NodeId> RackAwarePlacement::place(int replication,
                                               const std::vector<bool>& alive,
-                                              Rng& rng) {
+                                              std::size_t live, Rng& rng) {
   if (alive.size() != topology_->node_count()) {
     throw std::invalid_argument(
         "RackAwarePlacement: alive vector size mismatch");
   }
-  const std::size_t live = live_count(alive);
+  audit_live(alive, live);
   if (live == 0) {
     throw std::logic_error("RackAwarePlacement: no live nodes");
   }

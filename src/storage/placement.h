@@ -23,11 +23,13 @@ class PlacementPolicy {
   virtual ~PlacementPolicy() = default;
 
   /// Choose distinct nodes for `replication` copies of one block.
-  /// `alive(node)` filters placement targets; implementations must return
-  /// between 1 and min(replication, live nodes) distinct live nodes.
+  /// `alive(node)` filters placement targets and `live` is its number of
+  /// true entries (the caller keeps it, so no call counts them);
+  /// implementations must return between 1 and min(replication, live)
+  /// distinct live nodes.
   virtual std::vector<NodeId> place(int replication,
                                     const std::vector<bool>& alive,
-                                    Rng& rng) = 0;
+                                    std::size_t live, Rng& rng) = 0;
 
   virtual std::string name() const = 0;
 };
@@ -38,7 +40,7 @@ class RandomPlacement final : public PlacementPolicy {
   explicit RandomPlacement(std::size_t nodes) : nodes_(nodes) {}
 
   std::vector<NodeId> place(int replication, const std::vector<bool>& alive,
-                            Rng& rng) override;
+                            std::size_t live, Rng& rng) override;
   std::string name() const override { return "random"; }
 
  private:
@@ -57,7 +59,7 @@ class RackAwarePlacement final : public PlacementPolicy {
       : topology_(&topology) {}
 
   std::vector<NodeId> place(int replication, const std::vector<bool>& alive,
-                            Rng& rng) override;
+                            std::size_t live, Rng& rng) override;
   std::string name() const override { return "rack-aware"; }
 
  private:

@@ -137,6 +137,57 @@ TEST_F(LocalityIndexTest, UnwatchDropsAllCandidateEntries) {
   EXPECT_TRUE(index_.rack_candidates(1, 2).empty());
 }
 
+/// Map indices reported by the scheduler's query path (not the sorted
+/// introspection copy) for `job` on `node`.
+Candidates queried_node(const LocalityIndex& index, JobId job, NodeId node) {
+  Candidates out;
+  index.for_each_node_candidate(*index.job_state(job), node,
+                                [&](std::uint32_t mi) { out.push_back(mi); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+Candidates queried_rack(const LocalityIndex& index, JobId job, NodeId node) {
+  Candidates out;
+  index.for_each_rack_candidate(*index.job_state(job), node,
+                                [&](std::uint32_t mi) { out.push_back(mi); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// A requeued map's candidates are its block's replicas at the re-watch:
+/// the entries its launch left behind (replica on A) must never answer,
+/// even after the map is watched again.
+TEST_F(LocalityIndexTest, RewatchReportsCurrentReplicasOnly) {
+  constexpr NodeId kA = 0;  // rack 0
+  constexpr NodeId kB = 2;  // rack 1
+  index_.replica_added(7, kA);
+  index_.watch_map(1, 0, 7);
+  EXPECT_EQ(queried_node(index_, 1, kA), Candidates{0});
+  index_.unwatch_map(1, 0, 7);  // launch
+  EXPECT_TRUE(queried_node(index_, 1, kA).empty());
+  EXPECT_TRUE(queried_rack(index_, 1, kA).empty());
+
+  index_.replica_removed(7, kA);  // A loses the replica while the map runs
+  index_.replica_added(7, kB);    // and B gains one
+  EXPECT_TRUE(queried_node(index_, 1, kB).empty());
+
+  index_.watch_map(1, 0, 7);  // requeue
+  for (NodeId n = 0; n < 4; ++n) {
+    const Candidates want = n == kB ? Candidates{0} : Candidates{};
+    EXPECT_EQ(queried_node(index_, 1, n), want) << "node " << n;
+    EXPECT_EQ(index_.node_candidates(1, n), want) << "node " << n;
+    const Candidates want_rack =
+        index_.rack_of(n) == index_.rack_of(kB) ? Candidates{0}
+                                                : Candidates{};
+    EXPECT_EQ(queried_rack(index_, 1, n), want_rack) << "node " << n;
+    EXPECT_EQ(index_.rack_candidates(1, n), want_rack) << "node " << n;
+  }
+  const LocalityIndex::JobState& state = *index_.job_state(1);
+  EXPECT_EQ(state.by_node.size(), 1u);
+  EXPECT_EQ(state.by_rack.size(), 1u);
+}
+
 TEST_F(LocalityIndexTest, JobRetirementFreesState) {
   index_.replica_added(7, 0);
   index_.watch_map(1, 0, 7);
@@ -311,8 +362,17 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
   Rng rng(4242);
   JobId next_job = 0;
   std::vector<JobId> live_jobs;
-  // Launched (job, map_index) pairs eligible for requeue/complete.
-  std::vector<std::pair<JobId, std::size_t>> running;
+  // Launched maps eligible for requeue/complete. A launched map's index
+  // entries stay behind; `moved` records a replica delta on its block since
+  // the launch, after which those entries are stale and a requeue must not
+  // let them answer.
+  struct Running {
+    JobId job;
+    std::size_t map_index;
+    bool moved;
+  };
+  std::vector<Running> running;
+  int stale_requeues = 0;
 
   const auto random_block = [&]() {
     return static_cast<BlockId>(rng.uniform_int(0, kBlocks - 1));
@@ -334,6 +394,9 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
         replicas[b].insert(n);
         index.replica_added(b, n);
       }
+      for (Running& r : running) {
+        if (table.job(r.job).spec.maps[r.map_index].block == b) r.moved = true;
+      }
     } else if (action == 2 && live_jobs.size() < 12) {  // new job
       std::vector<BlockId> blocks;
       const int maps = rng.uniform_int(1, 6);
@@ -344,13 +407,14 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
     } else if (action == 3 && !running.empty()) {  // requeue a running map
       const auto pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(running.size()) - 1));
-      const auto [job, mi] = running[pick];
+      const Running r = running[pick];
       running.erase(running.begin() + static_cast<std::ptrdiff_t>(pick));
-      table.requeue_running_map(job, mi, Locality::kOffRack);
+      table.requeue_running_map(r.job, r.map_index, Locality::kOffRack);
+      if (r.moved) ++stale_requeues;
     } else if (action == 4 && !running.empty()) {  // complete a running map
       const auto pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(running.size()) - 1));
-      const auto [job, mi] = running[pick];
+      const JobId job = running[pick].job;
       running.erase(running.begin() + static_cast<std::ptrdiff_t>(pick));
       table.complete_map(job, step);
       if (!table.has_job(job) || !table.job(job).active) {
@@ -365,7 +429,7 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
       table.fail_job(job, step);
       live_jobs.erase(live_jobs.begin() + static_cast<std::ptrdiff_t>(pick));
       for (std::size_t r = running.size(); r-- > 0;) {
-        if (running[r].first == job) {
+        if (running[r].job == job) {
           running.erase(running.begin() + static_cast<std::ptrdiff_t>(r));
         }
       }
@@ -387,13 +451,18 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
 
       const auto chosen = local ? local : rack;
       if (chosen) {
-        running.emplace_back(
-            job, table.launch_map(job, *chosen,
-                                  local ? Locality::kNodeLocal
-                                        : Locality::kRackLocal));
+        running.push_back(Running{
+            job,
+            table.launch_map(job, *chosen,
+                             local ? Locality::kNodeLocal
+                                   : Locality::kRackLocal),
+            false});
       }
     }
   }
+  // The schedule must keep exercising requeues whose launch-time entries
+  // went stale.
+  EXPECT_GE(stale_requeues, 50);
 }
 
 [[noreturn]] void throwing_handler(const InvariantViolation& violation) {
@@ -441,7 +510,7 @@ TEST(LocalityIndexManyReplicasTest, OneRackEntryPerMapAcrossManyReplicas) {
   ASSERT_GE(holders.size(), 64u);
 
   index.watch_map(1, 0, kBlock);
-  const LocalityIndex::JobState& state = *index.job_state_ptr(1);
+  const LocalityIndex::JobState& state = *index.job_state(1);
   EXPECT_EQ(state.by_node.size(), holders.size());
   EXPECT_EQ(state.by_rack.size(), kRacks);
   for (std::size_t r = 0; r < kRacks; ++r) {
@@ -467,9 +536,112 @@ TEST(LocalityIndexManyReplicasTest, OneRackEntryPerMapAcrossManyReplicas) {
   EXPECT_EQ(index.rack_candidates(1, 1), Candidates{0});
   EXPECT_EQ(index.rack_candidates(1, 2), Candidates{0});
 
+  // A launch leaves the map's entries in the tables, but no query reports
+  // them.
   index.unwatch_map(1, 0, kBlock);
-  EXPECT_EQ(state.by_node.size(), 0u);
-  EXPECT_EQ(state.by_rack.size(), 0u);
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    EXPECT_TRUE(index.node_candidates(1, static_cast<NodeId>(n)).empty())
+        << "node " << n;
+    EXPECT_TRUE(index.rack_candidates(1, static_cast<NodeId>(n)).empty())
+        << "node " << n;
+  }
+  std::size_t racks_visited = 0;
+  index.for_each_candidate_rack(state, [&](RackId) { ++racks_visited; });
+  EXPECT_EQ(racks_visited, 0u);
+
+  // While the map runs, rack 0 regains its replicas and rack 1 loses all of
+  // its own; a re-watch (requeue) reports exactly the holders of that time.
+  for (NodeId n : rack0) index.replica_added(kBlock, n);
+  std::set<NodeId> current;
+  for (NodeId n : holders) {
+    if (node_rack[static_cast<std::size_t>(n)] == 1) {
+      index.replica_removed(kBlock, n);
+    } else {
+      current.insert(n);
+    }
+  }
+  index.watch_map(1, 0, kBlock);
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    const auto node = static_cast<NodeId>(n);
+    EXPECT_EQ(index.node_candidates(1, node),
+              current.count(node) ? Candidates{0} : Candidates{})
+        << "node " << n;
+    EXPECT_EQ(index.rack_candidates(1, node),
+              node_rack[n] == 1 ? Candidates{} : Candidates{0})
+        << "node " << n;
+  }
+  EXPECT_EQ(state.by_node.size(), current.size());
+  EXPECT_EQ(state.by_rack.size(), kRacks - 1);
+
+  // Retirement frees the whole state, left-over entries included.
+  index.unwatch_map(1, 0, kBlock);
+  index.job_retired(1);
+  EXPECT_EQ(index.job_state(1), nullptr);
+  EXPECT_EQ(index.tracked_job_count(), 0u);
+}
+
+/// WatchFlags against a vector<bool> model: random sets and clears across
+/// the inline word and the spilled words, growth that keeps every flag,
+/// and none() after each step.
+TEST(WatchFlagsTest, MatchesModelAcrossTheInlineWord) {
+  WatchFlags flags;
+  std::vector<bool> model;
+  Rng rng(64);
+  for (int step = 0; step < 20000; ++step) {
+    if (step % 500 == 0) {
+      const auto maps = model.size() + static_cast<std::size_t>(
+                                           rng.uniform_int(0, 40));
+      flags.resize(maps);
+      model.resize(maps, false);
+    }
+    if (model.empty()) continue;
+    const auto mi = static_cast<std::uint32_t>(
+        rng.uniform_int(0, static_cast<int>(model.size()) - 1));
+    const bool on = rng.uniform_int(0, 2) != 0;
+    flags.set(mi, on);
+    model[mi] = on;
+    ASSERT_EQ(flags.test(mi), on) << "step " << step;
+    ASSERT_EQ(flags.none(),
+              std::find(model.begin(), model.end(), true) == model.end())
+        << "step " << step;
+    if (step % 97 == 0) {
+      for (std::uint32_t i = 0; i < model.size(); ++i) {
+        ASSERT_EQ(flags.test(i), model[i]) << "step " << step << " map " << i;
+      }
+    }
+  }
+  ASSERT_GT(model.size(), 600u);  // well past the inline word
+}
+
+/// A job past the inline word: launched maps at either side of map 64 stop
+/// answering, and a requeued one answers again.
+TEST(JobTableIndexTest, JobWithMoreMapsThanTheInlineWord) {
+  constexpr std::size_t kMaps = 150;
+  LocalityIndex index(4, {0, 0, 1, 1}, 2);
+  JobTable table;
+  table.attach_locality_index(&index);
+  std::vector<BlockId> blocks;
+  for (std::size_t i = 0; i < kMaps; ++i) {
+    blocks.push_back(static_cast<BlockId>(i));
+    index.replica_added(static_cast<BlockId>(i),
+                        static_cast<NodeId>(i % 4));
+  }
+  table.add_job(make_job(1, blocks));
+  const JobRuntime& rt = table.job(1);
+  // Launch every map on node 2 (maps 2, 6, ..., 146), front to back.
+  std::vector<std::size_t> launched;
+  while (const auto sel = table.find_local_map(rt, 2)) {
+    launched.push_back(table.launch_map(1, *sel, Locality::kNodeLocal));
+  }
+  EXPECT_EQ(launched.size(), 37u);
+  EXPECT_TRUE(index.node_candidates(1, 2).empty());
+  EXPECT_EQ(index.node_candidates(1, 3).size(), 37u);
+  // Rack 1 still has node 3's maps, none of node 2's.
+  for (std::uint32_t mi : index.rack_candidates(1, 2)) EXPECT_EQ(mi % 4, 3u);
+  table.requeue_running_map(1, 130, Locality::kNodeLocal);
+  EXPECT_EQ(index.node_candidates(1, 2), Candidates{130});
+  table.requeue_running_map(1, 2, Locality::kNodeLocal);
+  EXPECT_EQ(index.node_candidates(1, 2), (Candidates{2, 130}));
 }
 
 /// Every (key, map) pair stored under `key`, sorted.
@@ -525,6 +697,80 @@ TEST(CandidateMapTest, ChainWrappingPastTheLastSlot) {
   EXPECT_FALSE(map.erase(wrap, 10));
   EXPECT_FALSE(map.erase(0, 11));
   expect_same(map, model, keys);
+}
+
+/// erase_map drops every entry of one map index in one pass, including the
+/// entries of a chain that wraps past the last slot, and leaves every other
+/// entry reachable.
+TEST(CandidateMapTest, EraseMapAcrossAWrappedChain) {
+  CandidateMap map;
+  Model model;
+  map.insert(0, 3);
+  model.emplace(0, 3);
+  ASSERT_EQ(map.capacity(), 8u);
+  std::uint32_t wrap = 1;
+  while (map.home(wrap) != map.capacity() - 1) ++wrap;
+  // Homed at the last slot: the chain runs 7, 0/1, 2, ... across the wrap,
+  // mixing map 1's entries with map 2's.
+  for (std::uint32_t mi : {1u, 2u, 1u}) {
+    map.insert(wrap, mi);
+    model.emplace(wrap, mi);
+  }
+  ASSERT_EQ(map.capacity(), 8u);
+  EXPECT_EQ(map.erase_map(1), 2u);
+  model.erase(std::find_if(model.begin(), model.end(), [&](const auto& e) {
+    return e.first == wrap && e.second == 1;
+  }));
+  model.erase(std::find_if(model.begin(), model.end(), [&](const auto& e) {
+    return e.first == wrap && e.second == 1;
+  }));
+  expect_same(map, model, {0, wrap});
+  EXPECT_EQ(map.erase_map(1), 0u);
+  EXPECT_EQ(map.erase_map(2), 1u);
+  EXPECT_EQ(map.erase_map(3), 1u);
+  EXPECT_EQ(map.size(), 0u);
+}
+
+/// Random rounds against the model: reserve() for the round's inserts, then
+/// no insert of the round may double the table; then erase_map of random
+/// map indices, each reporting exactly the model's count.
+TEST(CandidateMapTest, ReserveAndEraseMapMatchModel) {
+  std::vector<std::uint32_t> keys;
+  for (std::uint32_t k = 0; k < 24; ++k) keys.push_back(k);
+  CandidateMap map;
+  Model model;
+  Rng rng(20261019);
+  std::size_t erased_total = 0;
+  for (int round = 0; round < 300; ++round) {
+    const auto inserts = static_cast<std::size_t>(rng.uniform_int(0, 60));
+    map.reserve(map.size() + inserts);
+    const std::size_t capacity = map.capacity();
+    ASSERT_GE(capacity, 2 * (map.size() + inserts)) << "round " << round;
+    for (std::size_t i = 0; i < inserts; ++i) {
+      const auto key = keys[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(keys.size()) - 1))];
+      const auto mi = static_cast<std::uint32_t>(rng.uniform_int(0, 15));
+      map.insert(key, mi);
+      model.emplace(key, mi);
+    }
+    ASSERT_EQ(map.capacity(), capacity) << "round " << round;
+    for (int e = rng.uniform_int(0, 3); e > 0; --e) {
+      const auto mi = static_cast<std::uint32_t>(rng.uniform_int(0, 15));
+      std::size_t want = 0;
+      for (auto it = model.begin(); it != model.end();) {
+        if (it->second == mi) {
+          it = model.erase(it);
+          ++want;
+        } else {
+          ++it;
+        }
+      }
+      ASSERT_EQ(map.erase_map(mi), want) << "round " << round;
+      erased_total += want;
+      expect_same(map, model, keys);
+    }
+  }
+  EXPECT_GE(erased_total, 1000u);
 }
 
 /// Randomized model check against std::multimap: inserts with heavy key

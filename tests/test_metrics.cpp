@@ -94,6 +94,10 @@ TEST(Fingerprint, IgnoresOfferWorkCounters) {
   b.work.job_probes = 17;
   b.work.memo_answers = 19;
   b.work.select_reduce_calls = 37;
+  b.work.candidate_inserts = 41;
+  b.work.candidate_erases = 43;
+  b.work.candidate_allocations = 47;
+  b.work.watcher_visits = 53;
   b.work.events[0] = 23;
   b.work.events[1] = 29;
   b.work.events[b.work.events.size() - 1] = 31;

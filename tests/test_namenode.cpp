@@ -49,6 +49,33 @@ TEST_F(NameNodeTest, ReplicationClampedToClusterSize) {
   EXPECT_EQ(nn.locations(nn.file(f).blocks[0]).size(), 2u);
 }
 
+TEST_F(NameNodeTest, LiveNodeCountTracksFailRejoinAndDoubleFail) {
+  NameNode nn(5, nullptr, rng_);
+  const FileId f = nn.create_file("a", 3, kMiB, 3, 0);
+  EXPECT_EQ(nn.live_node_count(), 5u);
+  nn.node_failed(1);
+  EXPECT_EQ(nn.live_node_count(), 4u);
+  nn.node_failed(1);  // a repeated declaration is a no-op
+  EXPECT_EQ(nn.live_node_count(), 4u);
+  nn.node_failed(3);
+  EXPECT_EQ(nn.live_node_count(), 3u);
+  nn.node_rejoined(1, {}, {});
+  EXPECT_EQ(nn.live_node_count(), 4u);
+  // Placement sees the count: with one node down, a factor-5 file still
+  // lands on the 4 live nodes only.
+  const FileId g = nn.create_file("b", 2, kMiB, 5, 0);
+  for (BlockId b : nn.file(g).blocks) {
+    const auto& locs = nn.locations(b);
+    EXPECT_EQ(locs.size(), 4u);
+    EXPECT_EQ(std::count(locs.begin(), locs.end(), 3), 0);
+  }
+  // A block that lost a replica is under-replicated against the live count.
+  for (BlockId b : nn.file(f).blocks) {
+    EXPECT_EQ(nn.is_under_replicated(b), nn.static_locations(b).size() < 3)
+        << "block " << b;
+  }
+}
+
 TEST_F(NameNodeTest, RackAwarePlacementCoversTwoRacks) {
   net::TopologyOptions topo_opts;
   topo_opts.kind = net::TopologyKind::kMultiTier;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 namespace dare::storage {
@@ -9,12 +10,18 @@ namespace {
 
 std::vector<bool> all_alive(std::size_t n) { return std::vector<bool>(n, true); }
 
+/// The live count the name node keeps beside its alive vector.
+std::size_t live(const std::vector<bool>& alive) {
+  return static_cast<std::size_t>(
+      std::count(alive.begin(), alive.end(), true));
+}
+
 TEST(RandomPlacement, DistinctLiveNodes) {
   Rng rng(1);
   RandomPlacement policy(10);
   const auto alive = all_alive(10);
   for (int i = 0; i < 200; ++i) {
-    const auto nodes = policy.place(3, alive, rng);
+    const auto nodes = policy.place(3, alive, live(alive), rng);
     ASSERT_EQ(nodes.size(), 3u);
     std::set<NodeId> unique(nodes.begin(), nodes.end());
     EXPECT_EQ(unique.size(), 3u);
@@ -31,7 +38,7 @@ TEST(RandomPlacement, ClampsToLiveNodeCount) {
   auto alive = all_alive(4);
   alive[1] = false;
   alive[3] = false;
-  const auto nodes = policy.place(3, alive, rng);
+  const auto nodes = policy.place(3, alive, live(alive), rng);
   EXPECT_EQ(nodes.size(), 2u);
   for (NodeId n : nodes) {
     EXPECT_TRUE(n == 0 || n == 2);
@@ -44,7 +51,7 @@ TEST(RandomPlacement, SkipsDeadNodes) {
   auto alive = all_alive(8);
   alive[5] = false;
   for (int i = 0; i < 200; ++i) {
-    for (NodeId n : policy.place(3, alive, rng)) {
+    for (NodeId n : policy.place(3, alive, live(alive), rng)) {
       EXPECT_NE(n, 5);
     }
   }
@@ -53,8 +60,8 @@ TEST(RandomPlacement, SkipsDeadNodes) {
 TEST(RandomPlacement, ErrorsOnBadInput) {
   Rng rng(4);
   RandomPlacement policy(4);
-  EXPECT_THROW(policy.place(3, all_alive(5), rng), std::invalid_argument);
-  EXPECT_THROW(policy.place(3, std::vector<bool>(4, false), rng),
+  EXPECT_THROW(policy.place(3, all_alive(5), 5, rng), std::invalid_argument);
+  EXPECT_THROW(policy.place(3, std::vector<bool>(4, false), 0, rng),
                std::logic_error);
 }
 
@@ -65,7 +72,7 @@ TEST(RandomPlacement, ApproximatelyUniform) {
   std::vector<int> counts(10, 0);
   const int trials = 5000;
   for (int i = 0; i < trials; ++i) {
-    for (NodeId n : policy.place(3, alive, rng)) {
+    for (NodeId n : policy.place(3, alive, live(alive), rng)) {
       ++counts[static_cast<std::size_t>(n)];
     }
   }
@@ -95,7 +102,7 @@ TEST_F(RackAwareTest, SecondReplicaPrefersAnotherRack) {
   int off_rack_seconds = 0;
   const int trials = 300;
   for (int i = 0; i < trials; ++i) {
-    const auto nodes = policy.place(3, alive, rng);
+    const auto nodes = policy.place(3, alive, live(alive), rng);
     ASSERT_EQ(nodes.size(), 3u);
     if (!topo_->same_rack(nodes[0], nodes[1])) ++off_rack_seconds;
   }
@@ -109,7 +116,7 @@ TEST_F(RackAwareTest, PlacementsAreDistinct) {
   RackAwarePlacement policy(*topo_);
   const auto alive = all_alive(12);
   for (int i = 0; i < 300; ++i) {
-    const auto nodes = policy.place(4, alive, rng);
+    const auto nodes = policy.place(4, alive, live(alive), rng);
     std::set<NodeId> unique(nodes.begin(), nodes.end());
     EXPECT_EQ(unique.size(), nodes.size());
   }
@@ -120,7 +127,7 @@ TEST_F(RackAwareTest, CoversTwoRacksForAvailability) {
   RackAwarePlacement policy(*topo_);
   const auto alive = all_alive(12);
   for (int i = 0; i < 300; ++i) {
-    const auto nodes = policy.place(3, alive, rng);
+    const auto nodes = policy.place(3, alive, live(alive), rng);
     std::set<RackId> racks;
     for (NodeId n : nodes) racks.insert(topo_->rack_of(n));
     EXPECT_GE(racks.size(), 2u);
@@ -132,7 +139,7 @@ TEST_F(RackAwareTest, SurvivesDeadNodes) {
   RackAwarePlacement policy(*topo_);
   auto alive = all_alive(12);
   for (NodeId n = 0; n < 8; ++n) alive[static_cast<std::size_t>(n)] = false;
-  const auto nodes = policy.place(3, alive, rng);
+  const auto nodes = policy.place(3, alive, live(alive), rng);
   EXPECT_LE(nodes.size(), 4u);
   for (NodeId n : nodes) EXPECT_GE(n, 8);
 }

@@ -172,9 +172,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Deterministic work counters (RunResult::work), pinned exactly, with the
 /// fingerprint of the run they count: a change in how many events the run
-/// executes, or in how much work the sweep, the selection or the Fair
-/// decline memo does, fails here on any machine, where a CPU budget could
-/// not tell.
+/// executes, or in how much work the sweep, the selection, the Fair
+/// decline memo or the locality index's upkeep does, fails here on any
+/// machine, where a CPU budget could not tell.
 struct OfferWorkCase {
   SchedulerKind scheduler;
   PolicyKind policy;
@@ -187,6 +187,10 @@ struct OfferWorkCase {
   std::uint64_t select_reduce_calls;
   std::uint64_t job_probes;
   std::uint64_t memo_answers;
+  std::uint64_t candidate_inserts;
+  std::uint64_t candidate_erases;
+  std::uint64_t candidate_allocations;
+  std::uint64_t watcher_visits;
 };
 
 class OfferWorkCounters : public ::testing::TestWithParam<OfferWorkCase> {};
@@ -208,6 +212,10 @@ TEST_P(OfferWorkCounters, MatchRecorded) {
   EXPECT_EQ(result.work.select_reduce_calls, c.select_reduce_calls);
   EXPECT_EQ(result.work.job_probes, c.job_probes);
   EXPECT_EQ(result.work.memo_answers, c.memo_answers);
+  EXPECT_EQ(result.work.candidate_inserts, c.candidate_inserts);
+  EXPECT_EQ(result.work.candidate_erases, c.candidate_erases);
+  EXPECT_EQ(result.work.candidate_allocations, c.candidate_allocations);
+  EXPECT_EQ(result.work.watcher_visits, c.watcher_visits);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -215,10 +223,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         OfferWorkCase{SchedulerKind::kFair, PolicyKind::kVanilla,
                       0xf496d732b1f866aeULL, 1635, 923, 512, 3624, 3546,
-                      1093, 2136, 2748},
+                      200, 2136, 2748, 1003, 0, 400, 0},
         OfferWorkCase{SchedulerKind::kFifo, PolicyKind::kElephantTrap,
-                      0xd20ad4751f25f07fULL, 1172, 511, 461, 494, 307, 360,
-                      0, 0}),
+                      0xd20ad4751f25f07fULL, 1172, 511, 461, 494, 307, 200,
+                      0, 0, 2119, 0, 427, 72}),
     [](const ::testing::TestParamInfo<OfferWorkCase>& info) {
       std::string name = std::string(scheduler_name(info.param.scheduler)) +
                          "_" + policy_name(info.param.policy);

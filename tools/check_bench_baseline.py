@@ -5,9 +5,10 @@ Every row carries every field: `point` (paper, 1k or 10k), `profile`,
 `nodes`, `jobs`, `scheduler`, `policy`, `cpu_ms`, `peak_rss_kb`,
 `allocations`, `fingerprint`, and `work`, the run's deterministic work
 counters (`sweeps`, `node_visits`, `select_map_calls`,
-`select_reduce_calls`, `job_probes`, `memo_answers`, and `events`, the
-nonzero executed-event counts by kind). A row missing a field makes the
-file unusable (exit 2).
+`select_reduce_calls`, `job_probes`, `memo_answers`, the locality index's
+`candidate_inserts`, `candidate_erases`, `candidate_allocations` and
+`watcher_visits`, and `events`, the nonzero executed-event counts by kind).
+A row missing a field makes the file unusable (exit 2).
 
 Checks, in order of severity (every failure names the judged field):
 
@@ -40,12 +41,16 @@ row whose scale fields match no baseline key but whose point and
 configuration do is a refusal (exit 2): timings at different scales are not
 comparable. With --allow-subset the fresh run may leave out whole scale
 points (CI's smoke run has no 10k cells) and the `mode` fields may differ;
-a point it does run must still have every baseline row.
+a point it does run must still have every baseline row. With --exact-only
+only checks 1 and 2 (and the row check) are judged: CPU, RSS and
+allocation budgets mean nothing in Debug and sanitizer builds, whose
+fingerprints and counters are still exact.
 
 Usage:
   python3 tools/check_bench_baseline.py \\
       --baseline BENCH_PR8.json --fresh build/BENCH_FRESH.json \\
       [--cpu-tolerance 0.05] [--rss-tolerance 0.25] [--allow-subset]
+      [--exact-only]
   python3 tools/check_bench_baseline.py --self-test
 
 Exit codes: 0 ok, 1 check failed, 2 inputs unusable.
@@ -60,7 +65,9 @@ import sys
 FIELDS = ("point", "profile", "nodes", "jobs", "scheduler", "policy",
           "cpu_ms", "peak_rss_kb", "allocations", "fingerprint", "work")
 WORK_FIELDS = ("sweeps", "node_visits", "select_map_calls",
-               "select_reduce_calls", "job_probes", "memo_answers", "events")
+               "select_reduce_calls", "job_probes", "memo_answers",
+               "candidate_inserts", "candidate_erases",
+               "candidate_allocations", "watcher_visits", "events")
 
 
 def load(path: str) -> dict:
@@ -118,7 +125,8 @@ def sum_check(name: str, base_rows: dict, fresh_rows: dict, keys: list,
 
 
 def compare(baseline: dict, fresh: dict, cpu_tolerance: float,
-            rss_tolerance: float, allow_subset: bool) -> int:
+            rss_tolerance: float, allow_subset: bool,
+            exact_only: bool = False) -> int:
     for name, doc in (("baseline", baseline), ("fresh run", fresh)):
         if not doc.get("results"):
             print(f"error: {name} has no results", file=sys.stderr)
@@ -180,18 +188,21 @@ def compare(baseline: dict, fresh: dict, cpu_tolerance: float,
         print(f"note: {label(k)}: new configuration not in baseline "
               f"(not judged)")
 
-    sum_check("cpu_ms", base_rows, fresh_rows, common, cpu_tolerance,
-              failures)
-    for name in ("peak_rss_kb", "allocations"):
-        sum_check(name, base_rows, fresh_rows, common, rss_tolerance,
+    if not exact_only:
+        sum_check("cpu_ms", base_rows, fresh_rows, common, cpu_tolerance,
                   failures)
+        for name in ("peak_rss_kb", "allocations"):
+            sum_check(name, base_rows, fresh_rows, common, rss_tolerance,
+                      failures)
 
     if failures:
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)
         return 1
     print(f"ok: {len(common)} cells match the baseline fingerprints and "
-          f"work counters; resources within budget")
+          f"work counters; "
+          + ("resources not judged (--exact-only)" if exact_only
+             else "resources within budget"))
     return 0
 
 
@@ -200,6 +211,8 @@ def compare(baseline: dict, fresh: dict, cpu_tolerance: float,
 def _work(**overrides) -> dict:
     work = {"sweeps": 100, "node_visits": 900, "select_map_calls": 800,
             "select_reduce_calls": 50, "job_probes": 0, "memo_answers": 0,
+            "candidate_inserts": 700, "candidate_erases": 30,
+            "candidate_allocations": 40, "watcher_visits": 60,
             "events": {"job_arrival": 20, "heartbeat": 300}}
     work.update(overrides)
     return work
@@ -230,8 +243,11 @@ def _subset(mode: str, indices: list) -> dict:
 def self_test() -> int:
     no_allocs = _fixture()
     del no_allocs["results"][1]["allocations"]
+    no_visits = _fixture()
+    del no_visits["results"][2]["work"]["watcher_visits"]
     cases = [
-        # (name, baseline, fresh, allow_subset, expected exit, expected text)
+        # (name, baseline, fresh, allow_subset, expected exit, expected text
+        #  [, exact_only])
         ("identical ok",
          _fixture(), _fixture(), False, 0, None),
         ("fingerprint mismatch fails hard",
@@ -268,6 +284,23 @@ def self_test() -> int:
          "[allocations] point paper"),
         ("row missing a field is unusable",
          _fixture(), no_allocs, False, 2, "lacks allocations"),
+        ("row missing an upkeep counter is unusable",
+         _fixture(), no_visits, False, 2, "lacks work.watcher_visits"),
+        ("upkeep counter off by one fails exactly",
+         _fixture(), _fixture(work=_work(candidate_allocations=41)), False, 1,
+         "[work.candidate_allocations] paper/cct/20x600/FIFO/vanilla"),
+        ("exact-only skips every resource budget",
+         _fixture(), _fixture(cpu_ms=40.0, peak_rss_kb=13000,
+                              allocations=0), True, 0, None, True),
+        ("exact-only still fails on a fingerprint mismatch",
+         _fixture(), _fixture(fingerprint="9999"), True, 1, "[fingerprint]",
+         True),
+        ("exact-only still fails on a counter off by one",
+         _fixture(), _fixture(work=_work(candidate_erases=31)), True, 1,
+         "[work.candidate_erases] paper/cct/20x600/FIFO/vanilla", True),
+        ("exact-only still fails on a missing paper row",
+         _fixture(), _subset("smoke", [1, 2]), True, 1,
+         "[row] paper/cct/20x600/FIFO/vanilla", True),
         ("missing row fails without subset",
          _fixture(), _subset("full", [0, 1, 2]), False, 1, "[row]"),
         ("smoke run ok with --allow-subset",
@@ -283,11 +316,11 @@ def self_test() -> int:
     import contextlib
     import io
     bad = 0
-    for name, base, fresh, subset, want_rc, want_text in cases:
+    for name, base, fresh, subset, want_rc, want_text, *exact in cases:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = compare(base, fresh, cpu_tolerance=0.05, rss_tolerance=0.25,
-                         allow_subset=subset)
+                         allow_subset=subset, exact_only=bool(exact))
         ok = rc == want_rc and (want_text is None or
                                 want_text in err.getvalue())
         if not ok:
@@ -315,6 +348,10 @@ def main() -> int:
     parser.add_argument("--allow-subset", action="store_true",
                         help="fresh run may leave out whole scale points "
                              "(CI smoke runs)")
+    parser.add_argument("--exact-only", action="store_true",
+                        help="judge fingerprints, work counters and rows "
+                             "only; skip the CPU/RSS/allocation budgets "
+                             "(Debug and sanitizer builds)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the built-in fixture cases and exit")
     args = parser.parse_args()
@@ -326,7 +363,8 @@ def main() -> int:
     return compare(load(args.baseline), load(args.fresh),
                    cpu_tolerance=args.cpu_tolerance,
                    rss_tolerance=args.rss_tolerance,
-                   allow_subset=args.allow_subset)
+                   allow_subset=args.allow_subset,
+                   exact_only=args.exact_only)
 
 
 if __name__ == "__main__":
