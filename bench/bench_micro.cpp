@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/distributions.h"
@@ -135,6 +136,16 @@ constexpr std::size_t kNodes = 50;
 constexpr std::size_t kRacks = 5;
 constexpr int kReplication = 3;
 
+/// Each block's holders, served as a LocalityIndex's locations source (the
+/// name node's role in a cluster). A block never filled has none.
+using HolderMap = std::unordered_map<BlockId, std::vector<NodeId>>;
+
+LocalityIndex::Locations holders_of(HolderMap& holders) {
+  return [&holders](BlockId b) -> const std::vector<NodeId>& {
+    return holders[b];
+  };
+}
+
 std::vector<RackId> node_racks() {
   std::vector<RackId> racks(kNodes);
   for (std::size_t n = 0; n < kNodes; ++n) {
@@ -178,10 +189,11 @@ JobSpec pending_heavy_job(JobId id, std::size_t maps) {
 
 void BM_FindLocalMap(benchmark::State& state) {
   const auto maps = static_cast<std::size_t>(state.range(0));
-  LocalityIndex index(kNodes, node_racks(), kRacks);
+  HolderMap holders;
   for (BlockId b = 0; b < static_cast<BlockId>(maps); ++b) {
-    for (NodeId n : replica_nodes(b)) index.replica_added(b, n);
+    holders[b] = replica_nodes(b);
   }
+  LocalityIndex index(kNodes, node_racks(), kRacks, holders_of(holders));
   JobTable table;
   table.attach_locality_index(&index);
   table.add_job(pending_heavy_job(1, maps));
@@ -203,7 +215,8 @@ void BM_FindLocalMap(benchmark::State& state) {
 /// declined offer in steady state).
 void BM_FairSelect(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
-  LocalityIndex index(kNodes, node_racks(), kRacks);
+  HolderMap holders;
+  LocalityIndex index(kNodes, node_racks(), kRacks, holders_of(holders));
   JobTable table;
   table.attach_locality_index(&index);
   for (std::size_t j = 0; j < jobs; ++j) {
@@ -239,15 +252,16 @@ void BM_WatchUnwatch(benchmark::State& state) {
   for (std::size_t n = 0; n < kWideNodes; ++n) {
     racks[n] = static_cast<RackId>(n / 2);
   }
-  LocalityIndex index(kWideNodes, racks, kWideNodes / 2);
   const BlockId block = 0;
+  HolderMap holders;
   for (std::size_t r = 0; r < replicas; ++r) {
-    index.replica_added(block,
-                        static_cast<NodeId>(r * (kWideNodes / replicas)));
+    holders[block].push_back(static_cast<NodeId>(r * (kWideNodes / replicas)));
   }
+  LocalityIndex index(kWideNodes, racks, kWideNodes / 2, holders_of(holders));
+  LocalityIndex::JobState job;
   for (auto _ : state) {
-    index.watch_map(1, 0, block);
-    index.unwatch_map(1, 0, block);
+    index.watch_map(job, 0, block);
+    index.unwatch_map(job, 0, block);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

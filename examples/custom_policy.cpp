@@ -1,6 +1,10 @@
 // Extending DARE: writing your own replication policy against the public
 // `core::ReplicationPolicy` interface and evaluating it inside the
-// simulator's storage layer.
+// simulator's storage layer. A policy that adopts remote reads under a
+// byte budget and evicts to make room should derive from
+// `core::BudgetedPolicy` (core/budgeted_policy.h) instead and supply only
+// its hooks (sample, refresh, make_room, track); the naive policy below
+// stays on the bare interface because it never evicts.
 //
 // The example implements a naive "first-K" policy — replicate the first K
 // distinct remotely-read blocks and never evict — and compares it with the

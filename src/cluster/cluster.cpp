@@ -141,7 +141,6 @@ Cluster::Cluster(const ClusterOptions& options)
     node_rack_[i] = topology_->rack_of(static_cast<NodeId>(i));
   }
   const std::size_t racks = topology_->rack_count();
-  rack_partitioned_.assign(racks, false);
   rack_partition_start_.assign(racks, 0);
   partition_event_.resize(racks);
   link_event_.resize(racks);
@@ -163,23 +162,24 @@ Cluster::Cluster(const ClusterOptions& options)
                           !options_.corruption_events.empty() ||
                           netfault_active_;
   locality_index_ = std::make_unique<sched::LocalityIndex>(
-      workers, node_rack_, topology_->rack_count());
+      workers, node_rack_, topology_->rack_count(),
+      [nn = name_node_.get()](BlockId block) -> const std::vector<NodeId>& {
+        return nn->locations(block);
+      });
   jobs_.attach_locality_index(locality_index_.get());
   // Release each job's runtime as it retires: the observer snapshots its
   // metrics (on_job_retired) and the table's residency stays O(active jobs)
   // instead of O(all jobs ever submitted).
   jobs_.set_retire_observer(
       [this](const sched::JobRuntime& rt) { on_job_retired(rt); });
-  // Attach before load_files so the index mirror sees the static
-  // placements. One observer serves the index and the unavailability
-  // windows (the name node supports a single one); on_replica_delta fans
-  // out.
+  // Attach before load_files so the index sees the static placements. One
+  // observer serves the index and the unavailability windows (the name
+  // node supports a single one); on_replica_delta fans out.
   name_node_->set_replica_observer(
       [this](BlockId block, NodeId node, bool added) {
         on_replica_delta(block, node, added);
       });
   dead_.assign(workers, false);
-  declared_dead_.assign(workers, false);
   death_time_.assign(workers, 0);
   death_kind_.assign(workers, faults::FaultKind::kTransient);
   fault_epoch_.assign(workers, 0);
@@ -1345,14 +1345,13 @@ void Cluster::detection_tick() {
 
 void Cluster::declare_node_dead(NodeId worker) {
   const auto w = static_cast<std::size_t>(worker);
-  if (declared_dead_[w]) return;
+  if (!name_node_->is_node_alive(worker)) return;
   // A node may be declared while physically alive when its rack is
   // partitioned: the beats are sent but never delivered, which from the
   // master's chair is indistinguishable from a dead tracker.
   DARE_INVARIANT(dead_[w] || node_partitioned(w),
                  "Cluster: declaring a physically live, reachable node dead "
                  "(node " + std::to_string(w) + ")");
-  declared_dead_[w] = true;
   ++result_.failures_detected;
   detection_latency_total_ +=
       sim_.now() -
@@ -1436,7 +1435,8 @@ void Cluster::recover_node(NodeId worker, std::uint64_t epoch) {
   obs::PhaseScope prof(profiler_, obs::Phase::kChurn);
   dead_[w] = false;
   ++fault_epoch_[w];
-  if (declared_dead_[w] && node_partitioned(w)) {
+  const bool declared_dead = !name_node_->is_node_alive(worker);
+  if (declared_dead && node_partitioned(w)) {
     // The node rebooted behind a still-partitioned uplink: the master
     // cannot see it, so reconciliation waits for the heal (end_partition
     // finds the node declared and re-registers it then). Only the local
@@ -1445,7 +1445,7 @@ void Cluster::recover_node(NodeId worker, std::uint64_t epoch) {
     if (fault_process_) schedule_stochastic_failure(worker, fault_epoch_[w]);
     return;
   }
-  if (declared_dead_[w]) {
+  if (declared_dead) {
     reregister_node(worker);
   } else {
     ++result_.node_rejoins;
@@ -1468,7 +1468,6 @@ void Cluster::recover_node(NodeId worker, std::uint64_t epoch) {
 void Cluster::reregister_node(NodeId worker) {
   const auto w = static_cast<std::size_t>(worker);
   auto& dn = *data_nodes_[w];
-  declared_dead_[w] = false;
   ++result_.node_rejoins;
   // Full re-registration: anything the tracker had queued for its next
   // block report is stale (a dead process lost it; a partitioned one may
@@ -1609,20 +1608,19 @@ void Cluster::begin_partition(RackId rack, SimDuration duration) {
   const auto r = static_cast<std::size_t>(rack);
   // Already partitioned (a scripted event overlapping the stochastic chain):
   // the existing episode's heal event stands, and the new onset is absorbed.
-  if (run_finished() || rack_partitioned_[r]) return;
+  if (run_finished() || network_->rack_partitioned(rack)) return;
   // The cluster always keeps a connected side with the master: an onset
   // that would cut off the last connected rack is absorbed (the chain
   // continues, the episode just doesn't happen).
   std::size_t connected = 0;
-  for (const bool partitioned : rack_partitioned_) {
-    if (!partitioned) ++connected;
+  for (std::size_t other = 0; other < topology_->rack_count(); ++other) {
+    if (!network_->rack_partitioned(static_cast<RackId>(other))) ++connected;
   }
   if (connected <= 1) {
     if (netfault_process_ != nullptr) schedule_partition_onset(rack);
     return;
   }
   obs::PhaseScope prof(profiler_, obs::Phase::kChurn);
-  rack_partitioned_[r] = true;
   rack_partition_start_[r] = sim_.now();
   network_->set_rack_partitioned(rack, true);
   ++result_.partition_episodes;
@@ -1634,10 +1632,8 @@ void Cluster::begin_partition(RackId rack, SimDuration duration) {
 }
 
 void Cluster::end_partition(RackId rack) {
-  const auto r = static_cast<std::size_t>(rack);
-  if (!rack_partitioned_[r]) return;
+  if (!network_->rack_partitioned(rack)) return;
   obs::PhaseScope prof(profiler_, obs::Phase::kChurn);
-  rack_partitioned_[r] = false;
   network_->set_rack_partitioned(rack, false);
   ++result_.partitions_healed;
   if (tracer_ != nullptr) tracer_->partition_healed(rack);
@@ -1646,7 +1642,7 @@ void Cluster::end_partition(RackId rack) {
     // Physically dead nodes reconcile on their own recovery path (which
     // defers to the heal only while the uplink is down — not any more).
     if (dead_[w]) continue;
-    if (declared_dead_[w]) {
+    if (!name_node_->is_node_alive(static_cast<NodeId>(w))) {
       // The detector declared this node during the outage and the master
       // re-replicated around it; rejoin prunes the surplus exactly once.
       reregister_node(static_cast<NodeId>(w));
@@ -2084,7 +2080,7 @@ void Cluster::on_repair_landed(std::uint32_t flight) {
     retry_repair(e);
     return;
   }
-  if (dead_[d] || declared_dead_[d] || node_partitioned(d)) {
+  if (dead_[d] || !name_node_->is_node_alive(dst) || node_partitioned(d)) {
     // Destination died (or was declared dead / cut off) mid-copy; the copy
     // is void. Retry elsewhere.
     retry_repair(e);
@@ -2253,7 +2249,8 @@ void Cluster::validate() const {
     // A partitioned node the detector declared dead was cleared from the
     // ledger (the master stopped scheduling on it) even though it is
     // physically alive; it must not advertise slots until the heal.
-    if (!dead_[w] && declared_dead_[w] && node_partitioned(w) &&
+    if (!dead_[w] && !name_node_->is_node_alive(static_cast<NodeId>(w)) &&
+        node_partitioned(w) &&
         (slots_.free_maps(w) != 0 || slots_.free_reduces(w) != 0)) {
       fail("declared-dead partitioned node " + std::to_string(w) +
            " advertises free slots");
@@ -2295,7 +2292,7 @@ void Cluster::validate() const {
         // down but not yet *declared* dead — the name node only learns of
         // deaths through missed heartbeats. A declared-dead node, though,
         // must have been scrubbed from every location list.
-        if (declared_dead_[n]) {
+        if (!name_node_->is_node_alive(node)) {
           fail("block " + std::to_string(bid) +
                " location references declared-dead node " + std::to_string(n));
         }
@@ -2416,26 +2413,9 @@ void Cluster::validate() const {
          std::to_string(running_clones_) + ")");
   }
 
-  // Locality index <-> name node agreement: the replica mirror must match
-  // the location map exactly, and for every active job's pending map the
-  // index's answer must match the name node's locations on every node.
-  for (FileId fid : name_node_->all_files()) {
-    for (BlockId bid : name_node_->file(fid).blocks) {
-      const auto& locs = name_node_->locations(bid);
-      if (locality_index_->replica_count(bid) != locs.size()) {
-        fail("locality index mirrors " +
-             std::to_string(locality_index_->replica_count(bid)) +
-             " replicas of block " + std::to_string(bid) + ", name node has " +
-             std::to_string(locs.size()));
-      }
-      for (NodeId node : locs) {
-        if (!locality_index_->mirrors_replica(bid, node)) {
-          fail("locality index misses replica of block " +
-               std::to_string(bid) + " on node " + std::to_string(node));
-        }
-      }
-    }
-  }
+  // Locality index <-> name node agreement: for every active job's pending
+  // map the index's answer must match the name node's locations on every
+  // node.
   for (const auto& rt : jobs_.active_jobs()) {
     const JobId id = rt.spec.id;
     for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
@@ -2447,11 +2427,13 @@ void Cluster::validate() const {
         if (is_local(node, block)) ++expected_node;
         if (is_rack_local(node, block)) ++expected_rack;
       }
-      if (locality_index_->node_candidates(id, node).size() != expected_node) {
+      if (locality_index_->node_candidates(rt.locality, node).size() !=
+          expected_node) {
         fail("node-candidate count diverges for job " + std::to_string(id) +
              " on node " + std::to_string(w));
       }
-      if (locality_index_->rack_candidates(id, node).size() != expected_rack) {
+      if (locality_index_->rack_candidates(rt.locality, node).size() !=
+          expected_rack) {
         fail("rack-candidate count diverges for job " + std::to_string(id) +
              " on node " + std::to_string(w));
       }

@@ -191,7 +191,6 @@ class Cluster {
   /// Urgency of repairing `block` now: critical when at most one live
   /// reachable replica remains, bulk otherwise.
   RepairClass classify_repair(BlockId block) const;
-  bool node_alive(std::size_t worker) const { return !dead_[worker]; }
   bool node_usable(std::size_t worker) const {
     return !dead_[worker] && !blacklisted_[worker];
   }
@@ -217,8 +216,7 @@ class Cluster {
   /// policy, reset the blacklist. Shared by recover_node and end_partition.
   void reregister_node(NodeId worker);
   bool node_partitioned(std::size_t worker) const {
-    return netfault_active_ &&
-           rack_partitioned_[static_cast<std::size_t>(node_rack_[worker])];
+    return netfault_active_ && network_->rack_partitioned(node_rack_[worker]);
   }
 
   /// --- map attempts: one launcher and one kill path for all three kinds ---
@@ -425,11 +423,10 @@ class Cluster {
   bool ran_ = false;
 
   /// Fault-injection state. `dead_` is physical truth (the node's process
-  /// is down); `declared_dead_` is the name node's belief, which lags by
+  /// is down); the name node's is_node_alive is its belief, which lags by
   /// the heartbeat-detection latency. A transient blip shorter than the
-  /// detection timeout never flips `declared_dead_` at all.
+  /// detection timeout never flips that belief at all.
   std::vector<bool> dead_;
-  std::vector<bool> declared_dead_;
   std::vector<SimTime> death_time_;
   std::vector<faults::FaultKind> death_kind_;
   /// Bumped on every death *and* every recovery; pending failure/recovery
@@ -506,13 +503,11 @@ class Cluster {
   /// (reachability filters, heartbeat loss, the declare-partitioned
   /// relaxation) and is true when either the stochastic process or scripted
   /// partition events are configured; the forked process itself exists only
-  /// when options_.netfault.enabled. `rack_partitioned_` is physical truth
-  /// about the interconnect, mirrored into net::Network for transfer
-  /// modeling.
+  /// when options_.netfault.enabled. net::Network owns which racks are
+  /// partitioned (physical truth about the interconnect).
   std::unique_ptr<faults::NetworkFaultProcess> netfault_process_;
   bool netfault_active_ = false;
   std::vector<RackId> node_rack_;  ///< cached topology_->rack_of per node
-  std::vector<bool> rack_partitioned_;
   std::vector<SimTime> rack_partition_start_;
   /// Pending onset *or* end event of each rack's partition / link chains
   /// (one in flight per rack per chain); cancelled once the run finishes.

@@ -1,6 +1,6 @@
 // Clang thread-safety annotations and the annotated mutex wrappers the
 // repo's mutex-protected structures use (ThreadPool, EmpiricalCdf's
-// lazy-sort mutex, the logging sink, the experiment farm's journal).
+// lazy-sort mutex, the experiment farm's journal).
 //
 // The macros expand to clang's capability attributes so that building with
 //   -Wthread-safety -Werror=thread-safety   (the `analyze` CMake preset)

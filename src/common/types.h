@@ -33,9 +33,6 @@ constexpr SimTime from_millis(double ms) {
   return static_cast<SimTime>(ms * 1e3);
 }
 
-/// Convert SimTime microseconds to milliseconds.
-constexpr double to_millis(SimTime t) { return static_cast<double>(t) / 1e3; }
-
 /// Bytes of data. 64-bit: block sizes are up to 256 MB, files span terabytes.
 using Bytes = std::int64_t;
 

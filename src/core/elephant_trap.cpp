@@ -7,20 +7,11 @@
 
 namespace dare::core {
 
-namespace {
-double budget_occupancy(const storage::DataNode& node, Bytes budget) {
-  return budget ? static_cast<double>(node.dynamic_bytes()) /
-                      static_cast<double>(budget)
-                : 0.0;
-}
-}  // namespace
-
 ElephantTrapPolicy::ElephantTrapPolicy(storage::DataNode& node,
                                        Bytes budget_bytes,
                                        const ElephantTrapParams& params,
                                        Rng& rng)
-    : node_(&node),
-      budget_(budget_bytes),
+    : BudgetedPolicy(node, budget_bytes),
       params_(params),
       rng_(rng.fork()),
       eviction_pointer_(ring_.end()) {}
@@ -103,83 +94,21 @@ bool ElephantTrapPolicy::mark_block_for_deletion(
   return true;
 }
 
-bool ElephantTrapPolicy::on_map_task(const storage::BlockMeta& block,
-                                     bool local) {
-  // The single coin gates everything: replication of non-local reads and
-  // count refreshes of local reads (probabilistic aging, Section IV-B).
-  // Tracing must never add draws — the emitters below only observe the
-  // outcome of this one bernoulli.
-  if (!rng_.bernoulli(params_.p)) {
-    if (tracer_ != nullptr && !local) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kCoinFailed,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
+bool ElephantTrapPolicy::refresh(BlockId block) {
+  const auto it = index_.find(block);
+  if (it == index_.end()) return false;
+  ++it->second->count;
+  return true;
+}
 
-  if (local) {
-    const auto it = index_.find(block.id);
-    if (it != index_.end()) ++it->second->count;
-    return false;
+bool ElephantTrapPolicy::make_room(const storage::BlockMeta& incoming) {
+  while (!fits(incoming)) {
+    if (!mark_block_for_deletion(incoming)) return false;
   }
+  return true;
+}
 
-  if (node_->is_quarantined(block.id)) {
-    // A checksum failure burned this node's copy; adoption stays banned
-    // until a fresh authoritative copy arrives via re-replication. Checked
-    // after the coin so the draw sequence is independent of quarantines.
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kQuarantined,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-
-  if (const auto it = index_.find(block.id); it != index_.end()) {
-    // Already trapped here (replica exists but was not yet visible to the
-    // scheduler); count the access instead of re-inserting.
-    ++it->second->count;
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kAlreadyPresent,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  if (block.size > budget_) {
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kTooLarge,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-
-  while (node_->dynamic_bytes() + block.size > budget_) {
-    if (!mark_block_for_deletion(block)) {
-      if (tracer_ != nullptr) {
-        tracer_->replica_skipped(node_->id(), block.id,
-                                 obs::SkipReason::kNoVictim,
-                                 budget_occupancy(*node_, budget_));
-      }
-      return false;
-    }
-  }
-  if (!node_->insert_dynamic(block)) {
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kAlreadyPresent,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  DARE_INVARIANT(node_->dynamic_bytes() <= budget_,
-                 "ElephantTrap: budget exceeded after insert on node " +
-                     std::to_string(node_->id()));
-
-  // Insert right before the eviction pointer: the freshly trapped block is
-  // the last the aging scan will reach, giving it time to prove popularity.
+void ElephantTrapPolicy::track(const storage::BlockMeta& block) {
   Ring::iterator pos;
   if (ring_.empty()) {
     pos = ring_.insert(ring_.end(), Entry{block, 0});
@@ -188,12 +117,6 @@ bool ElephantTrapPolicy::on_map_task(const storage::BlockMeta& block,
     pos = ring_.insert(eviction_pointer_, Entry{block, 0});
   }
   index_[block.id] = pos;
-  ++created_;
-  if (tracer_ != nullptr) {
-    tracer_->replica_adopted(node_->id(), block.id,
-                             budget_occupancy(*node_, budget_));
-  }
-  return true;
 }
 
 }  // namespace dare::core

@@ -21,7 +21,7 @@
 #include <unordered_map>
 
 #include "common/rng.h"
-#include "core/replication_policy.h"
+#include "core/budgeted_policy.h"
 
 namespace dare::core {
 
@@ -30,12 +30,10 @@ struct ElephantTrapParams {
   std::uint32_t threshold = 1;  ///< eviction threshold on the aged count
 };
 
-class ElephantTrapPolicy final : public ReplicationPolicy {
+class ElephantTrapPolicy final : public BudgetedPolicy {
  public:
   ElephantTrapPolicy(storage::DataNode& node, Bytes budget_bytes,
                      const ElephantTrapParams& params, Rng& rng);
-
-  bool on_map_task(const storage::BlockMeta& block, bool local) override;
 
   /// Crash recovery: re-ring the surviving replicas with zeroed counts and
   /// reset the eviction pointer (aging state is lost with the process).
@@ -46,9 +44,7 @@ class ElephantTrapPolicy final : public ReplicationPolicy {
   void on_replica_dropped(BlockId block) override;
 
   std::string name() const override { return "elephant-trap"; }
-  std::uint64_t replicas_created() const override { return created_; }
 
-  Bytes budget_bytes() const { return budget_; }
   const ElephantTrapParams& params() const { return params_; }
   std::size_t tracked_blocks() const { return ring_.size(); }
 
@@ -62,6 +58,18 @@ class ElephantTrapPolicy final : public ReplicationPolicy {
   };
   using Ring = std::list<Entry>;
 
+  /// The coin with probability p: it gates both replication of non-local
+  /// reads and count refreshes of local reads.
+  bool sample() override { return rng_.bernoulli(params_.p); }
+  /// Counts a read of a trapped block.
+  bool refresh(BlockId block) override;
+  /// Runs markBlockForDeletion until `incoming` fits.
+  bool make_room(const storage::BlockMeta& incoming) override;
+  /// Inserts right before the eviction pointer: the freshly trapped block
+  /// is the last the aging scan will reach, giving it time to prove
+  /// popularity.
+  void track(const storage::BlockMeta& block) override;
+
   /// markBlockForDeletion(evicting): circular scan with count halving.
   /// Returns true if a victim was marked; false -> do not replicate.
   bool mark_block_for_deletion(const storage::BlockMeta& evicting);
@@ -69,14 +77,11 @@ class ElephantTrapPolicy final : public ReplicationPolicy {
   /// Advance an iterator circularly.
   Ring::iterator advance(Ring::iterator it);
 
-  storage::DataNode* node_;
-  Bytes budget_;
   ElephantTrapParams params_;
   Rng rng_;
   Ring ring_;
   std::unordered_map<BlockId, Ring::iterator> index_;
   Ring::iterator eviction_pointer_;
-  std::uint64_t created_ = 0;
 };
 
 }  // namespace dare::core

@@ -1,27 +1,22 @@
 #include "core/greedy_lru.h"
 
-#include <string>
-
-#include "common/invariant.h"
 #include "obs/trace_collector.h"
 
 namespace dare::core {
 
-namespace {
-double budget_occupancy(const storage::DataNode& node, Bytes budget) {
-  return budget ? static_cast<double>(node.dynamic_bytes()) /
-                      static_cast<double>(budget)
-                : 0.0;
-}
-}  // namespace
-
 GreedyLruPolicy::GreedyLruPolicy(storage::DataNode& node, Bytes budget_bytes)
-    : node_(&node), budget_(budget_bytes) {}
+    : BudgetedPolicy(node, budget_bytes) {}
 
-void GreedyLruPolicy::touch(BlockId block) {
+bool GreedyLruPolicy::refresh(BlockId block) {
   const auto it = index_.find(block);
-  if (it == index_.end()) return;
+  if (it == index_.end()) return false;
   order_.splice(order_.end(), order_, it->second);
+  return true;
+}
+
+void GreedyLruPolicy::track(const storage::BlockMeta& block) {
+  order_.push_back(block);
+  index_[block.id] = std::prev(order_.end());
 }
 
 void GreedyLruPolicy::rebuild(
@@ -29,9 +24,7 @@ void GreedyLruPolicy::rebuild(
   order_.clear();
   index_.clear();
   for (const auto& meta : live_dynamic) {
-    if (node_->is_quarantined(meta.id)) continue;
-    order_.push_back(meta);
-    index_[meta.id] = std::prev(order_.end());
+    if (!node_->is_quarantined(meta.id)) track(meta);
   }
 }
 
@@ -47,8 +40,7 @@ bool GreedyLruPolicy::make_room(const storage::BlockMeta& incoming) {
   // evicts or rotates, and we stop after examining every entry once.
   std::size_t examined = 0;
   const std::size_t limit = order_.size();
-  while (node_->dynamic_bytes() + incoming.size > budget_ &&
-         examined < limit) {
+  while (!fits(incoming) && examined < limit) {
     ++examined;
     const storage::BlockMeta victim = order_.front();
     if (victim.file == incoming.file) {
@@ -64,72 +56,7 @@ bool GreedyLruPolicy::make_room(const storage::BlockMeta& incoming) {
       tracer_->replica_evicted(node_->id(), victim.id, 0.0, examined);
     }
   }
-  return node_->dynamic_bytes() + incoming.size <= budget_;
-}
-
-bool GreedyLruPolicy::on_map_task(const storage::BlockMeta& block,
-                                  bool local) {
-  if (local) {
-    // The usage queue is refreshed on every read.
-    touch(block.id);
-    return false;
-  }
-  if (node_->is_quarantined(block.id)) {
-    // A checksum failure burned this node's copy; adoption stays banned
-    // until a fresh authoritative copy arrives via re-replication.
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kQuarantined,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  if (block.size > budget_) {  // can never fit
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kTooLarge,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  if (index_.count(block.id) != 0) {
-    // Already dynamically replicated here (e.g. replica not yet visible to
-    // the scheduler); just refresh its recency.
-    touch(block.id);
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kAlreadyPresent,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  if (!make_room(block)) {
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kNoVictim,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  if (!node_->insert_dynamic(block)) {
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kAlreadyPresent,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  DARE_INVARIANT(node_->dynamic_bytes() <= budget_,
-                 "GreedyLRU: budget exceeded after insert on node " +
-                     std::to_string(node_->id()));
-  order_.push_back(block);
-  index_[block.id] = std::prev(order_.end());
-  ++created_;
-  if (tracer_ != nullptr) {
-    tracer_->replica_adopted(node_->id(), block.id,
-                             budget_occupancy(*node_, budget_));
-  }
-  return true;
+  return fits(incoming);
 }
 
 }  // namespace dare::core

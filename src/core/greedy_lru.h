@@ -12,17 +12,15 @@
 #include <list>
 #include <unordered_map>
 
-#include "core/replication_policy.h"
+#include "core/budgeted_policy.h"
 
 namespace dare::core {
 
-class GreedyLruPolicy final : public ReplicationPolicy {
+class GreedyLruPolicy final : public BudgetedPolicy {
  public:
   /// `node` must outlive the policy. `budget_bytes` caps the total size of
   /// live dynamic replicas on this node.
   GreedyLruPolicy(storage::DataNode& node, Bytes budget_bytes);
-
-  bool on_map_task(const storage::BlockMeta& block, bool local) override;
 
   /// Crash recovery: repopulate the LRU queue from the surviving replicas
   /// (recency is lost; the given order — block id — becomes the new LRU
@@ -33,27 +31,23 @@ class GreedyLruPolicy final : public ReplicationPolicy {
   void on_replica_dropped(BlockId block) override;
 
   std::string name() const override { return "greedy-lru"; }
-  std::uint64_t replicas_created() const override { return created_; }
 
-  Bytes budget_bytes() const { return budget_; }
   std::size_t tracked_blocks() const { return order_.size(); }
 
  private:
+  /// Moves a tracked block to the MRU end of the queue.
+  bool refresh(BlockId block) override;
   /// Evict LRU victims until `incoming` fits in the budget. Same-file
   /// victims are rotated to the MRU end rather than evicted. Returns false
   /// when no eviction could free enough space (every candidate shares the
   /// incoming block's file).
-  bool make_room(const storage::BlockMeta& incoming);
+  bool make_room(const storage::BlockMeta& incoming) override;
+  /// Enqueues a new replica at the MRU end.
+  void track(const storage::BlockMeta& block) override;
 
-  /// Move a block to the MRU end of the queue.
-  void touch(BlockId block);
-
-  storage::DataNode* node_;
-  Bytes budget_;
   /// LRU queue: front = least recently used, back = most recently used.
   std::list<storage::BlockMeta> order_;
   std::unordered_map<BlockId, std::list<storage::BlockMeta>::iterator> index_;
-  std::uint64_t created_ = 0;
 };
 
 }  // namespace dare::core

@@ -4,20 +4,23 @@
 
 namespace dare::core {
 
-namespace {
-double budget_occupancy(const storage::DataNode& node, Bytes budget) {
-  return budget ? static_cast<double>(node.dynamic_bytes()) /
-                      static_cast<double>(budget)
-                : 0.0;
-}
-}  // namespace
-
 GreedyLfuPolicy::GreedyLfuPolicy(storage::DataNode& node, Bytes budget_bytes)
-    : node_(&node), budget_(budget_bytes) {}
+    : BudgetedPolicy(node, budget_bytes) {}
 
 std::uint64_t GreedyLfuPolicy::frequency(BlockId block) const {
   const auto it = entries_.find(block);
   return it == entries_.end() ? 0 : it->second.count;
+}
+
+bool GreedyLfuPolicy::refresh(BlockId block) {
+  const auto it = entries_.find(block);
+  if (it == entries_.end()) return false;
+  ++it->second.count;
+  return true;
+}
+
+void GreedyLfuPolicy::track(const storage::BlockMeta& block) {
+  entries_[block.id] = Entry{block, 1, tie_counter_++};
 }
 
 void GreedyLfuPolicy::rebuild(
@@ -34,7 +37,7 @@ void GreedyLfuPolicy::on_replica_dropped(BlockId block) {
 }
 
 bool GreedyLfuPolicy::make_room(const storage::BlockMeta& incoming) {
-  while (node_->dynamic_bytes() + incoming.size > budget_) {
+  while (!fits(incoming)) {
     // Linear victim scan: the per-node dynamic set is small (budget-bounded),
     // so O(n) keeps the structure simple and allocation-free.
     const Entry* victim = nullptr;
@@ -57,61 +60,6 @@ bool GreedyLfuPolicy::make_room(const storage::BlockMeta& incoming) {
     }
     node_->mark_for_deletion(victim_id);
     entries_.erase(victim_id);
-  }
-  return true;
-}
-
-bool GreedyLfuPolicy::on_map_task(const storage::BlockMeta& block,
-                                  bool local) {
-  if (const auto it = entries_.find(block.id); it != entries_.end()) {
-    ++it->second.count;
-    if (tracer_ != nullptr && !local) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kAlreadyPresent,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  if (local) return false;
-  if (node_->is_quarantined(block.id)) {
-    // A checksum failure burned this node's copy; adoption stays banned
-    // until a fresh authoritative copy arrives via re-replication.
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kQuarantined,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  if (block.size > budget_) {
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kTooLarge,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  if (!make_room(block)) {
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kNoVictim,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  if (!node_->insert_dynamic(block)) {
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kAlreadyPresent,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  entries_[block.id] = Entry{block, 1, tie_counter_++};
-  ++created_;
-  if (tracer_ != nullptr) {
-    tracer_->replica_adopted(node_->id(), block.id,
-                             budget_occupancy(*node_, budget_));
   }
   return true;
 }

@@ -9,18 +9,15 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 
-#include "core/replication_policy.h"
+#include "core/budgeted_policy.h"
 
 namespace dare::core {
 
-class GreedyLfuPolicy final : public ReplicationPolicy {
+class GreedyLfuPolicy final : public BudgetedPolicy {
  public:
   GreedyLfuPolicy(storage::DataNode& node, Bytes budget_bytes);
-
-  bool on_map_task(const storage::BlockMeta& block, bool local) override;
 
   /// Crash recovery: re-track the surviving replicas with zeroed counts
   /// (frequency history is lost with the process). Quarantined blocks are
@@ -31,7 +28,6 @@ class GreedyLfuPolicy final : public ReplicationPolicy {
   void on_replica_dropped(BlockId block) override;
 
   std::string name() const override { return "greedy-lfu"; }
-  std::uint64_t replicas_created() const override { return created_; }
 
   std::size_t tracked_blocks() const { return entries_.size(); }
   std::uint64_t frequency(BlockId block) const;
@@ -43,12 +39,15 @@ class GreedyLfuPolicy final : public ReplicationPolicy {
     std::uint64_t tie = 0;  ///< insertion order; older evicts first on ties
   };
 
-  bool make_room(const storage::BlockMeta& incoming);
+  /// Counts a read of a tracked block.
+  bool refresh(BlockId block) override;
+  /// Evicts the least-frequently-used block of another file until
+  /// `incoming` fits.
+  bool make_room(const storage::BlockMeta& incoming) override;
+  /// Tracks a new replica with one read counted.
+  void track(const storage::BlockMeta& block) override;
 
-  storage::DataNode* node_;
-  Bytes budget_;
   std::unordered_map<BlockId, Entry> entries_;
-  std::uint64_t created_ = 0;
   std::uint64_t tie_counter_ = 0;
 };
 

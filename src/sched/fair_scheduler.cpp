@@ -83,7 +83,7 @@ void FairScheduler::stop_clock(const ShareKey& key) {
 }
 
 void FairScheduler::invalidate_racks(const JobRuntime& rt) {
-  index_->for_each_candidate_rack(*rt.locality, [&](RackId rack) {
+  index_->for_each_candidate_rack(rt.locality, [&](RackId rack) {
     ++delay_epoch_[static_cast<std::size_t>(rack)];
   });
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/invariant.h"
@@ -47,14 +48,12 @@ void JobTable::attach_locality_index(LocalityIndex* index) {
   index_ = index;
 }
 
-void JobTable::watch_pending(JobId id, const JobRuntime& rt,
-                             std::size_t map_index) {
-  index_->watch_map(id, map_index, rt.spec.maps[map_index].block);
+void JobTable::watch_pending(JobRuntime& rt, std::size_t map_index) {
+  index_->watch_map(rt.locality, map_index, rt.spec.maps[map_index].block);
 }
 
-void JobTable::unwatch_pending(JobId id, const JobRuntime& rt,
-                               std::size_t map_index) {
-  index_->unwatch_map(id, map_index, rt.spec.maps[map_index].block);
+void JobTable::unwatch_pending(JobRuntime& rt, std::size_t map_index) {
+  index_->unwatch_map(rt.locality, map_index, rt.spec.maps[map_index].block);
 }
 
 void JobTable::mark_fair_dirty(JobId id, JobRuntime& rt) {
@@ -127,8 +126,12 @@ void JobTable::retire_active(JobId id, JobRuntime& rt) {
   rt.active_next = nullptr;
   --active_count_;
   mark_fair_dirty(id, rt);
-  index_->job_retired(id);
-  rt.locality = nullptr;
+  DARE_INVARIANT(rt.locality.watched.none(),
+                 "JobTable: job " + std::to_string(id) +
+                     " retired with live candidates");
+  // Free the tables now: the runtime may stay resident (no retire
+  // observer, or clones still draining), and its maps never pend again.
+  rt.locality = LocalityIndex::JobState{};
   if (retire_observer_) {
     retire_observer_(rt);
     // A job can retire while losing clone attempts are still in flight
@@ -185,7 +188,7 @@ void JobTable::add_job(const JobSpec& spec) {
 
   mark_fair_dirty(spec.id, stored);
   update_map_ready(stored);
-  stored.locality = index_->admit_job(spec.id, stored.spec.maps);
+  index_->admit_job(stored.locality, stored.spec.maps);
 }
 
 JobRuntime& JobTable::job(JobId id) {
@@ -204,18 +207,15 @@ bool JobTable::has_job(JobId id) const { return jobs_.count(id) != 0; }
 
 std::optional<std::size_t> JobTable::find_local_map(const JobRuntime& rt,
                                                     NodeId node) const {
-  // A retired job has no candidate state, and no pending maps either.
-  if (rt.locality == nullptr) return std::nullopt;
   EarliestPending earliest(rt);
-  index_->for_each_node_candidate(*rt.locality, node, earliest);
+  index_->for_each_node_candidate(rt.locality, node, earliest);
   return earliest.result();
 }
 
 std::optional<std::size_t> JobTable::find_rack_local_map(const JobRuntime& rt,
                                                          NodeId node) const {
-  if (rt.locality == nullptr) return std::nullopt;
   EarliestPending earliest(rt);
-  index_->for_each_rack_candidate(*rt.locality, node, earliest);
+  index_->for_each_rack_candidate(rt.locality, node, earliest);
   return earliest.result();
 }
 
@@ -226,7 +226,7 @@ std::size_t JobTable::launch_map(JobId id, std::size_t pending_index,
     throw std::out_of_range("JobTable: bad pending map index");
   }
   const std::size_t map_index = rt.pending_maps[pending_index];
-  unwatch_pending(id, rt, map_index);
+  unwatch_pending(rt, map_index);
   // Swap-erase: pending order is not semantically meaningful.
   const std::size_t moved = rt.pending_maps.back();
   rt.pending_maps[pending_index] = moved;
@@ -281,7 +281,7 @@ void JobTable::requeue_running_map(JobId id, std::size_t map_index,
   mark_fair_dirty(id, rt);
   // 0 -> 1 pending: the job re-enters the map-ready set.
   if (rt.pending_maps.size() == 1) update_map_ready(rt);
-  watch_pending(id, rt, map_index);
+  watch_pending(rt, map_index);
 }
 
 void JobTable::launch_clone(JobId id) {
@@ -391,7 +391,7 @@ void JobTable::fail_job(JobId id, SimTime now) {
   total_pending_reduces_ -= rt.pending_reduces;
   total_running_ -= rt.running_maps + rt.running_reduces;
   for (std::size_t map_index : rt.pending_maps) {
-    unwatch_pending(id, rt, map_index);
+    unwatch_pending(rt, map_index);
     rt.pending_pos[map_index] = JobRuntime::kNotPending;
   }
   rt.pending_maps.clear();

@@ -104,10 +104,10 @@ struct JobRuntime {
   /// Dedup flag for the fair-share change journal.
   bool fair_dirty = false;
 
-  /// Cached pointer to this job's LocalityIndex candidate lists (null after
-  /// retirement). Lets the find_*_map hot path read candidates directly
-  /// instead of hashing the JobId per probe.
-  LocalityIndex::JobState* locality = nullptr;
+  /// This job's LocalityIndex candidate tables (emptied at retirement).
+  /// The find_*_map hot path reads them directly instead of hashing the
+  /// JobId per probe.
+  LocalityIndex::JobState locality;
 
   bool maps_done() const {
     return pending_maps.empty() && running_maps == 0;
@@ -329,8 +329,8 @@ class JobTable {
   /// Recompute `rt`'s map_ready_ membership after a pending-set transition.
   void update_map_ready(JobRuntime& rt);
   /// Publish a pending-set entry/exit to the locality index.
-  void watch_pending(JobId id, const JobRuntime& rt, std::size_t map_index);
-  void unwatch_pending(JobId id, const JobRuntime& rt, std::size_t map_index);
+  void watch_pending(JobRuntime& rt, std::size_t map_index);
+  void unwatch_pending(JobRuntime& rt, std::size_t map_index);
 
   /// Slab-backed: a released JobRuntime node is recycled by a later arrival
   /// instead of round-tripping through the heap, so under release-on-retire

@@ -89,10 +89,11 @@ std::vector<std::uint32_t> sorted_candidates(
 
 LocalityIndex::LocalityIndex(std::size_t num_nodes,
                              std::vector<RackId> node_rack,
-                             std::size_t num_racks)
+                             std::size_t num_racks, Locations locations)
     : num_nodes_(num_nodes),
       num_racks_(num_racks),
       node_rack_(std::move(node_rack)),
+      locations_(std::move(locations)),
       rack_stamp_(num_racks, 0),
       node_epoch_(num_nodes, 0),
       rack_epoch_(num_racks, 0) {
@@ -107,13 +108,14 @@ LocalityIndex::LocalityIndex(std::size_t num_nodes,
       throw std::invalid_argument("LocalityIndex: rack id out of range");
     }
   }
+  if (!locations_) {
+    throw std::invalid_argument("LocalityIndex: null locations source");
+  }
 }
 
 std::size_t LocalityIndex::rack_replicas(BlockId block, RackId rack) const {
-  const auto it = block_nodes_.find(block);
-  if (it == block_nodes_.end()) return 0;
   std::size_t count = 0;
-  for (NodeId n : it->second) {
+  for (NodeId n : locations_(block)) {
     if (node_rack_[static_cast<std::size_t>(n)] == rack) ++count;
   }
   return count;
@@ -164,12 +166,6 @@ void LocalityIndex::replica_added(BlockId block, NodeId node) {
   if (node < 0 || static_cast<std::size_t>(node) >= num_nodes_) {
     throw std::out_of_range("LocalityIndex: bad node id");
   }
-  auto& nodes = block_nodes_[block];
-  DARE_INVARIANT(std::find(nodes.begin(), nodes.end(), node) == nodes.end(),
-                 "LocalityIndex: duplicate replica delta for block " +
-                     std::to_string(block));
-  nodes.push_back(node);
-
   const auto wit = watchers_.find(block);
   if (wit == watchers_.end()) return;
   const RackId rack = node_rack_[static_cast<std::size_t>(node)];
@@ -188,17 +184,6 @@ void LocalityIndex::replica_added(BlockId block, NodeId node) {
 }
 
 void LocalityIndex::replica_removed(BlockId block, NodeId node) {
-  const auto it = block_nodes_.find(block);
-  DARE_INVARIANT(it != block_nodes_.end(),
-                 "LocalityIndex: removal delta for unmirrored block " +
-                     std::to_string(block));
-  auto& nodes = it->second;
-  const auto pos = std::find(nodes.begin(), nodes.end(), node);
-  DARE_INVARIANT(pos != nodes.end(),
-                 "LocalityIndex: removal delta for absent replica of block " +
-                     std::to_string(block));
-  nodes.erase(pos);
-
   const auto wit = watchers_.find(block);
   if (wit == watchers_.end()) return;
   const RackId rack = node_rack_[static_cast<std::size_t>(node)];
@@ -214,65 +199,57 @@ void LocalityIndex::replica_removed(BlockId block, NodeId node) {
   }
 }
 
-void LocalityIndex::index_map(JobId job, JobState& state,
-                              std::uint32_t map_index, BlockId block) {
+void LocalityIndex::index_map(JobState& state, std::uint32_t map_index,
+                              BlockId block) {
   state.watched.set(map_index, true);
-  watchers_[block].push_back(Watcher{job, map_index, &state});
-  const auto it = block_nodes_.find(block);
-  if (it == block_nodes_.end()) return;  // block has no live replica
-  for (NodeId n : it->second) {
+  watchers_[block].push_back(Watcher{&state, map_index});
+  const std::vector<NodeId>& holders = locations_(block);
+  for (NodeId n : holders) {
     add_candidate(state.by_node, static_cast<std::uint32_t>(n), map_index);
     ++node_epoch_[static_cast<std::size_t>(n)];
   }
   // One rack-candidate entry per distinct rack holding a replica.
-  for_each_distinct_rack(it->second, [&](RackId rack) {
+  for_each_distinct_rack(holders, [&](RackId rack) {
     add_candidate(state.by_rack, static_cast<std::uint32_t>(rack), map_index);
     ++rack_epoch_[static_cast<std::size_t>(rack)];
   });
 }
 
-LocalityIndex::JobState* LocalityIndex::admit_job(
-    JobId job, const std::vector<MapTaskSpec>& maps) {
-  const auto [it, admitted] = jobs_.try_emplace(job);
-  DARE_INVARIANT(admitted, "LocalityIndex: job " + std::to_string(job) +
-                               " admitted twice");
-  JobState& state = it->second;
+void LocalityIndex::admit_job(JobState& state,
+                              const std::vector<MapTaskSpec>& maps) {
   // Size each table for every entry the watches below insert, so each is
   // allocated once instead of doubling its way there.
   std::size_t node_entries = 0;
   std::size_t rack_entries = 0;
   for (const MapTaskSpec& map : maps) {
-    const auto it = block_nodes_.find(map.block);
-    if (it == block_nodes_.end()) continue;
-    node_entries += it->second.size();
-    for_each_distinct_rack(it->second, [&](RackId) { ++rack_entries; });
+    const std::vector<NodeId>& holders = locations_(map.block);
+    node_entries += holders.size();
+    for_each_distinct_rack(holders, [&](RackId) { ++rack_entries; });
   }
   reserve(state.by_node, node_entries);
   reserve(state.by_rack, rack_entries);
   state.watched.resize(maps.size());
   for (std::size_t i = 0; i < maps.size(); ++i) {
-    index_map(job, state, static_cast<std::uint32_t>(i), maps[i].block);
+    index_map(state, static_cast<std::uint32_t>(i), maps[i].block);
   }
-  return &state;
 }
 
-void LocalityIndex::watch_map(JobId job, std::size_t map_index,
+void LocalityIndex::watch_map(JobState& state, std::size_t map_index,
                               BlockId block) {
   const auto mi = static_cast<std::uint32_t>(map_index);
-  JobState& state = jobs_[job];
   state.watched.resize(map_index + 1);
   DARE_INVARIANT(!state.watched.test(mi),
-                 "LocalityIndex: watch of a watched map (job " +
-                     std::to_string(job) + ", map " + std::to_string(mi) +
+                 "LocalityIndex: watch of a watched map (map " +
+                     std::to_string(mi) + ", block " + std::to_string(block) +
                      ")");
   // The entries the map left at its launch describe its block's replicas
   // then, not now.
   work_.candidate_erases +=
       state.by_node.erase_map(mi) + state.by_rack.erase_map(mi);
-  index_map(job, state, mi, block);
+  index_map(state, mi, block);
 }
 
-void LocalityIndex::unwatch_map(JobId job, std::size_t map_index,
+void LocalityIndex::unwatch_map(JobState& state, std::size_t map_index,
                                 BlockId block) {
   const auto mi = static_cast<std::uint32_t>(map_index);
   const auto wit = watchers_.find(block);
@@ -282,65 +259,34 @@ void LocalityIndex::unwatch_map(JobId job, std::size_t map_index,
   auto& watchers = wit->second;
   const auto pos =
       std::find_if(watchers.begin(), watchers.end(), [&](const Watcher& w) {
-        return w.job == job && w.map_index == mi;
+        return w.state == &state && w.map_index == mi;
       });
   DARE_INVARIANT(pos != watchers.end(),
-                 "LocalityIndex: unwatch of an unwatched map (job " +
-                     std::to_string(job) + ", map " + std::to_string(mi) +
+                 "LocalityIndex: unwatch of an unwatched map (map " +
+                     std::to_string(mi) + ", block " + std::to_string(block) +
                      ")");
-  pos->state->watched.set(mi, false);
+  state.watched.set(mi, false);
   *pos = watchers.back();
   watchers.pop_back();
   if (watchers.empty()) watchers_.erase(wit);
 }
 
-void LocalityIndex::job_retired(JobId job) {
-  const auto it = jobs_.find(job);
-  if (it == jobs_.end()) return;  // never had candidates
-  DARE_INVARIANT(it->second.watched.none(),
-                 "LocalityIndex: job " + std::to_string(job) +
-                     " retired with live candidates");
-  jobs_.erase(it);
-}
-
-std::vector<std::uint32_t> LocalityIndex::node_candidates(JobId job,
-                                                          NodeId node) const {
+std::vector<std::uint32_t> LocalityIndex::node_candidates(
+    const JobState& state, NodeId node) const {
   if (node < 0 || static_cast<std::size_t>(node) >= num_nodes_) {
     throw std::out_of_range("LocalityIndex: bad node id");
   }
-  const auto it = jobs_.find(job);
-  if (it == jobs_.end()) return {};
-  return sorted_candidates(it->second, it->second.by_node,
+  return sorted_candidates(state, state.by_node,
                            static_cast<std::uint32_t>(node));
 }
 
-std::vector<std::uint32_t> LocalityIndex::rack_candidates(JobId job,
-                                                          NodeId node) const {
+std::vector<std::uint32_t> LocalityIndex::rack_candidates(
+    const JobState& state, NodeId node) const {
   if (node < 0 || static_cast<std::size_t>(node) >= num_nodes_) {
     throw std::out_of_range("LocalityIndex: bad node id");
   }
-  const auto it = jobs_.find(job);
-  if (it == jobs_.end()) return {};
-  const RackId rack = node_rack_[static_cast<std::size_t>(node)];
-  return sorted_candidates(it->second, it->second.by_rack,
-                           static_cast<std::uint32_t>(rack));
-}
-
-const LocalityIndex::JobState* LocalityIndex::job_state(JobId job) const {
-  const auto it = jobs_.find(job);
-  return it == jobs_.end() ? nullptr : &it->second;
-}
-
-std::size_t LocalityIndex::replica_count(BlockId block) const {
-  const auto it = block_nodes_.find(block);
-  return it == block_nodes_.end() ? 0 : it->second.size();
-}
-
-bool LocalityIndex::mirrors_replica(BlockId block, NodeId node) const {
-  const auto it = block_nodes_.find(block);
-  if (it == block_nodes_.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), node) !=
-         it->second.end();
+  return sorted_candidates(state, state.by_rack,
+                           static_cast<std::uint32_t>(rack_of(node)));
 }
 
 }  // namespace dare::sched

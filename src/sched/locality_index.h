@@ -6,12 +6,12 @@
 // map — O(pending maps) per job per scheduling opportunity, and the DARE
 // policies make the question *more* frequent by creating replicas that turn
 // misses into hits. This index inverts the relationship and maintains it
-// incrementally:
+// incrementally. Each job's JobState (held by its JobRuntime) keeps
 //
-//   by_node[job] holds (node, map) for each map of `job` whose block had a
+//   by_node      (node, map) for each map of the job whose block had a
 //                visible replica on `node` while the map was watched
-//   by_rack[job] holds (rack, map) for each map whose block had >= 1
-//                visible replica anywhere in `rack` while it was watched
+//   by_rack      (rack, map) for each map whose block had >= 1 visible
+//                replica anywhere in `rack` while it was watched
 //
 // A map is watched while it is pending. Two event streams keep the watched
 // maps' entries current:
@@ -21,12 +21,17 @@
 //  * watch/unwatch calls from the JobTable as maps enter and leave the
 //    pending set (job admission, launch, failure requeue, job kill).
 //
+// The index stores no replica locations of its own: it reads a block's
+// holders from its locations source (NameNode::locations in a cluster).
+// The name node applies each mutation before notifying it, so at every
+// delta the source already lists the new holder set.
+//
 // A launch (unwatch) only clears the map's watch flag and drops its
 // watcher: its entries stay in the tables, and every query skips the
 // entries of unwatched maps. A re-watch (requeue) first drops the map's
 // left-over entries, which describe its block's replicas at launch, then
-// indexes the current ones; job_retired frees the job's whole state. So
-// queries see exactly the watched maps' current candidates.
+// indexes the current ones; the JobTable empties a job's tables when it
+// retires. So queries see exactly the watched maps' current candidates.
 //
 // Equivalence with the linear scan: the scan returns the *first* pending
 // position whose block matches, so JobTable answers queries by taking the
@@ -48,6 +53,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -184,9 +190,9 @@ class WatchFlags {
 
 class LocalityIndex {
  public:
-  /// Per-job candidate tables. Nodes live inside an unordered_map, so their
-  /// addresses are stable for the job's lifetime; the JobTable caches a
-  /// pointer in JobRuntime and queries through it without any hash lookup.
+  /// One job's candidate tables, held by value in the job's JobRuntime
+  /// (whose address is stable for the job's lifetime), so the find_*_map
+  /// hot path reads them without any hash lookup.
   struct JobState {
     /// (node, map index) per replica of the map's block.
     CandidateMap by_node;
@@ -210,34 +216,36 @@ class LocalityIndex {
     std::uint64_t watcher_visits = 0;
   };
 
+  /// The visible holders of a block, in the name node's order.
+  using Locations = std::function<const std::vector<NodeId>&(BlockId)>;
+
   /// `node_rack[n]` is the rack of node n; `num_racks` bounds its values.
+  /// `locations` answers every holder query; the index stores none.
   LocalityIndex(std::size_t num_nodes, std::vector<RackId> node_rack,
-                std::size_t num_racks);
+                std::size_t num_racks, Locations locations);
 
   /// --- replica deltas (NameNode observer) --------------------------------
-  /// A visible replica of `block` appeared / disappeared on `node`. Must
-  /// mirror the name node's location map exactly: one call per actual
-  /// mutation, never a repeat.
+  /// A visible replica of `block` appeared on / disappeared from `node`.
+  /// One call per actual mutation, made after `locations(block)` already
+  /// reflects it.
   void replica_added(BlockId block, NodeId node);
   void replica_removed(BlockId block, NodeId node);
 
   /// --- pending-map lifecycle (JobTable) ----------------------------------
-  /// Job `job` arrived with every map pending (map i reads maps[i].block):
-  /// sizes both of its tables once and watches every map. Returns its
-  /// state, stable until job_retired(job).
-  JobState* admit_job(JobId job, const std::vector<MapTaskSpec>& maps);
-  /// Map `map_index` of `job` (reading `block`) re-entered the pending set
-  /// (a requeue). Drops the entries it left at its launch, then indexes its
-  /// block's current replicas.
-  void watch_map(JobId job, std::size_t map_index, BlockId block);
+  /// A job arrived with every map pending (map i reads maps[i].block):
+  /// sizes both of `state`'s tables once and watches every map. `state`
+  /// must stay at its address until none of its maps is watched.
+  void admit_job(JobState& state, const std::vector<MapTaskSpec>& maps);
+  /// Map `map_index` (reading `block`) of the job owning `state` re-entered
+  /// the pending set (a requeue). Drops the entries it left at its launch,
+  /// then indexes its block's current replicas.
+  void watch_map(JobState& state, std::size_t map_index, BlockId block);
   /// ... left the pending set (launched, or dropped by a job kill). Its
-  /// entries stay until a re-watch or job_retired.
-  void unwatch_map(JobId job, std::size_t map_index, BlockId block);
-  /// The job left the active list with no watched maps; frees its state.
-  void job_retired(JobId job);
+  /// entries stay until a re-watch or the job's retirement.
+  void unwatch_map(JobState& state, std::size_t map_index, BlockId block);
 
   /// --- queries ------------------------------------------------------------
-  /// Hash-free queries over a cached JobState (the scheduling hot path: the
+  /// Hash-free queries over a job's JobState (the scheduling hot path: the
   /// Fair scheduler probes every active job per slot offer, so a map lookup
   /// per probe showed up in large-run profiles). Call fn(map_index) for each
   /// watched map of the job whose block is on `node` / in `node`'s rack.
@@ -286,35 +294,29 @@ class LocalityIndex {
   const Work& work() const { return work_; }
 
   /// --- introspection (tests / validate) -----------------------------------
-  /// Sorted watched map indices of `job` whose block is on `node` / in
-  /// `node`'s rack; empty for unknown jobs.
-  std::vector<std::uint32_t> node_candidates(JobId job, NodeId node) const;
-  std::vector<std::uint32_t> rack_candidates(JobId job, NodeId node) const;
-  /// The job's state, or null when the index does not track it.
-  const JobState* job_state(JobId job) const;
-  std::size_t tracked_job_count() const { return jobs_.size(); }
-  std::size_t replica_count(BlockId block) const;
-  /// True iff the mirror believes `node` holds a replica of `block`.
-  bool mirrors_replica(BlockId block, NodeId node) const;
+  /// Sorted watched map indices of the job whose block is on `node` / in
+  /// `node`'s rack.
+  std::vector<std::uint32_t> node_candidates(const JobState& state,
+                                             NodeId node) const;
+  std::vector<std::uint32_t> rack_candidates(const JobState& state,
+                                             NodeId node) const;
 
  private:
   /// One pending map waiting on a block's replica set. Carries the owning
-  /// job's state pointer so replica deltas touch no hash table per watcher.
+  /// job's state so replica deltas touch no hash table per watcher.
   struct Watcher {
-    JobId job;
-    std::uint32_t map_index;
     JobState* state;
+    std::uint32_t map_index;
   };
 
-  /// Replicas of `block` currently in `rack` (per the mirror).
+  /// Replicas of `block` currently in `rack`.
   std::size_t rack_replicas(BlockId block, RackId rack) const;
   /// Calls fn(rack) once per distinct rack of `nodes`, in one pass.
   template <typename Fn>
   void for_each_distinct_rack(const std::vector<NodeId>& nodes, Fn&& fn);
   /// Marks map `map_index` watched and inserts its block's current
   /// candidates; the map must own no entries.
-  void index_map(JobId job, JobState& state, std::uint32_t map_index,
-                 BlockId block);
+  void index_map(JobState& state, std::uint32_t map_index, BlockId block);
   void reserve(CandidateMap& candidates, std::size_t entries);
   void add_candidate(CandidateMap& candidates, std::uint32_t key,
                      std::uint32_t map_index);
@@ -324,6 +326,7 @@ class LocalityIndex {
   std::size_t num_nodes_;
   std::size_t num_racks_;
   std::vector<RackId> node_rack_;
+  Locations locations_;
   /// rack -> last for_each_distinct_rack pass that visited it.
   std::vector<std::uint32_t> rack_stamp_;
   std::uint32_t stamp_ = 0;
@@ -332,18 +335,14 @@ class LocalityIndex {
   std::vector<std::uint64_t> rack_epoch_;
   Work work_;
 
-  /// Slab-backed maps (watcher and job nodes churn at task / job rate).
-  template <typename K, typename V>
-  using IndexMap =
-      std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
-                         common::SlabAllocator<std::pair<const K, V>>>;
-
-  /// Mirror of NameNode::locations, maintained from deltas.
-  IndexMap<BlockId, std::vector<NodeId>> block_nodes_;
   /// block -> watched maps reading it (a job may appear more than once if
-  /// several of its maps share a block).
-  IndexMap<BlockId, std::vector<Watcher>> watchers_;
-  IndexMap<JobId, JobState> jobs_;
+  /// several of its maps share a block). Slab-backed: watcher nodes churn
+  /// at task rate.
+  std::unordered_map<BlockId, std::vector<Watcher>, std::hash<BlockId>,
+                     std::equal_to<BlockId>,
+                     common::SlabAllocator<
+                         std::pair<const BlockId, std::vector<Watcher>>>>
+      watchers_;
 };
 
 }  // namespace dare::sched

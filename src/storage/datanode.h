@@ -56,7 +56,6 @@ class DataNode {
   /// auditing hook: once set, the invariant layer checks that live dynamic
   /// bytes never exceed it after any insertion. Negative clears the audit.
   void set_audited_budget(Bytes budget_bytes) { audited_budget_ = budget_bytes; }
-  Bytes audited_budget() const { return audited_budget_; }
 
   /// Insert a dynamically replicated block. Returns false (no-op) if the
   /// block is already stored here, statically or dynamically (including

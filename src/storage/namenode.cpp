@@ -22,7 +22,6 @@ NameNode::NameNode(std::size_t data_nodes, const net::Topology* topology,
   if (data_nodes_ == 0) {
     throw std::invalid_argument("NameNode: need at least one data node");
   }
-  placement_name_ = placement_->name();
 }
 
 FileId NameNode::create_file(const std::string& name, std::size_t num_blocks,
@@ -59,8 +58,14 @@ FileId NameNode::create_file(const std::string& name, std::size_t num_blocks,
                            std::to_string(bid));
       }
     }
-    locations_[bid] = placement;
-    for (NodeId n : placement) notify_replica(bid, n, /*added=*/true);
+    // One node at a time: each notification sees exactly the placements
+    // notified so far.
+    auto& locs = locations_[bid];
+    locs.reserve(placement.size());
+    for (NodeId n : placement) {
+      locs.push_back(n);
+      notify_replica(bid, n, /*added=*/true);
+    }
     static_locations_[bid] = std::move(placement);
     info.blocks.push_back(bid);
   }
@@ -75,8 +80,6 @@ const FileInfo& NameNode::file(FileId id) const {
   if (it == files_.end()) throw std::out_of_range("NameNode: unknown file");
   return it->second;
 }
-
-bool NameNode::has_file(FileId id) const { return files_.count(id) != 0; }
 
 const BlockMeta& NameNode::block(BlockId id) const {
   const auto it = blocks_.find(id);
@@ -167,13 +170,6 @@ void NameNode::heartbeat_received(NodeId node, SimTime now) {
                      std::to_string(node) + ") without a rejoin");
   last_heartbeat_[static_cast<std::size_t>(node)] = now;
   if (tracer_ != nullptr) tracer_->heartbeat(node);
-}
-
-SimTime NameNode::last_heartbeat(NodeId node) const {
-  if (node < 0 || static_cast<std::size_t>(node) >= node_alive_.size()) {
-    throw std::out_of_range("NameNode: bad node id");
-  }
-  return last_heartbeat_[static_cast<std::size_t>(node)];
 }
 
 std::vector<NodeId> NameNode::overdue_nodes(SimTime now,

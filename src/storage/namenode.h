@@ -41,21 +41,21 @@ class NameNode {
   NameNode(std::size_t data_nodes, const net::Topology* topology, Rng& rng,
            std::unique_ptr<PlacementPolicy> placement = nullptr);
 
-  /// Name of the placement policy in effect.
-  const std::string& placement_name() const { return placement_name_; }
-
   /// Replica-delta observer: called once per actual mutation of a block's
   /// visible location list — static placement at create time, dynamic
   /// replicas registered/evicted via heartbeat, node death dropping every
-  /// replica on the node, rejoin re-adoption, and repair copies.
-  /// `added` is true when `node` gained a visible replica of `block`,
-  /// false when it lost one. Exactly-once: a report that changes nothing
-  /// (duplicate add, missing remove) does not fire. The locality index
-  /// mirrors the location map from this stream.
+  /// replica on the node, rejoin re-adoption, repair copies, and bad-block
+  /// quarantine. `added` is true when `node` gained a visible replica of
+  /// `block`, false when it lost one. Exactly-once: a report that changes
+  /// nothing (duplicate add, missing remove) does not fire. Each call comes
+  /// after its mutation and before the next one, so locations(block)
+  /// reflects exactly the mutations notified so far (create_file registers
+  /// a placement one node at a time). The locality index relies on this: it
+  /// reads holders through locations() and keeps no copy.
   using ReplicaObserver = std::function<void(BlockId, NodeId, bool added)>;
 
   /// Install the observer (replacing any previous one). Pass before files
-  /// are created so the mirror sees the initial placements.
+  /// are created so the observer sees the initial placements.
   void set_replica_observer(ReplicaObserver observer) {
     replica_observer_ = std::move(observer);
   }
@@ -72,7 +72,6 @@ class NameNode {
 
   const FileInfo& file(FileId id) const;
   const BlockMeta& block(BlockId id) const;
-  bool has_file(FileId id) const;
   std::size_t file_count() const { return files_.size(); }
   std::size_t block_count() const { return blocks_.size(); }
 
@@ -98,9 +97,6 @@ class NameNode {
   /// never observes deaths directly — it only ever *infers* them from the
   /// heartbeats that stop arriving (see overdue_nodes).
   void heartbeat_received(NodeId node, SimTime now);
-
-  /// Last recorded heartbeat time of a node (0 before the first one).
-  SimTime last_heartbeat(NodeId node) const;
 
   /// Nodes currently considered alive whose last heartbeat is *strictly*
   /// older than `timeout` (a live node heartbeating every interval is never
@@ -188,7 +184,6 @@ class NameNode {
   const net::Topology* topology_;
   Rng rng_;
   std::unique_ptr<PlacementPolicy> placement_;
-  std::string placement_name_;
   /// Metadata maps are slab-backed: a hyperscale catalog holds 10^5..10^6
   /// block records, and packing their nodes into arena chunks keeps them
   /// cache-adjacent (they are created together and scanned together) while

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "obs/trace_collector.h"
+#include "fake_block_map.h"
 #include "sched/locality_index.h"
 
 namespace dare::sched {
@@ -36,10 +37,11 @@ class FairTest : public ::testing::Test {
  protected:
   FairTest() { jobs_.attach_locality_index(&index_); }
   void add_replica(NodeId node, BlockId block) {
-    index_.replica_added(block, node);
+    blocks_.add(index_, block, node);
   }
 
-  LocalityIndex index_{4, {0, 1, 2, 3}, 4};
+  FakeBlockMap blocks_;
+  LocalityIndex index_{4, {0, 1, 2, 3}, 4, blocks_.source()};
   JobTable jobs_;
 };
 
@@ -77,10 +79,11 @@ TEST_F(FairTest, DelaysNonLocalLaunchUntilWindowExpires) {
 TEST(FairScheduler, RackLocalAcceptedAfterFirstDelayLevel) {
   // Nodes 0 and 1 share a rack; block 100 lives on node 1, so it is in
   // node 0's rack but not on node 0 itself.
-  LocalityIndex index(2, {0, 0}, 1);
+  FakeBlockMap blocks;
+  LocalityIndex index(2, {0, 0}, 1, blocks.source());
   JobTable jobs;
   jobs.attach_locality_index(&index);
-  index.replica_added(100, 1);
+  blocks.add(index, 100, 1);
   FairScheduler sched(from_seconds(2.0), from_seconds(50.0));
   jobs.add_job(make_job(1, 1, 100));
   EXPECT_FALSE(sched.select_map(0, from_seconds(1.0), jobs));
@@ -250,10 +253,11 @@ TEST(FairOrderOracleTest, OfferOrderMatchesStableSortByFairShare) {
   constexpr int kSteps = 3000;
   constexpr NodeId kProbe = 0;
   constexpr std::size_t kBlocks = 24;
-  LocalityIndex index(4, {0, 1, 2, 3}, 4);
+  FakeBlockMap blocks;
+  LocalityIndex index(4, {0, 1, 2, 3}, 4, blocks.source());
   for (std::size_t b = 0; b < kBlocks; ++b) {
-    index.replica_added(static_cast<BlockId>(b),
-                        static_cast<NodeId>(1 + b % 3));  // never kProbe
+    blocks.add(index, static_cast<BlockId>(b),
+               static_cast<NodeId>(1 + b % 3));  // never kProbe
   }
   JobTable jobs;
   jobs.attach_locality_index(&index);
@@ -429,10 +433,11 @@ class FullWalkFair {
 /// One job table with its index and tracer; the memo oracle drives two.
 struct Twin {
   Twin(const std::vector<RackId>& racks, std::size_t num_racks)
-      : index(racks.size(), racks, num_racks) {
+      : index(racks.size(), racks, num_racks, blocks.source()) {
     jobs.attach_locality_index(&index);
     jobs.set_retire_observer([](const JobRuntime&) {});
   }
+  FakeBlockMap blocks;
   LocalityIndex index;
   JobTable jobs;
   obs::TraceCollector tracer;
@@ -488,8 +493,8 @@ std::uint64_t run_memo_oracle(const MemoCase& c, std::uint64_t seed) {
   std::vector<std::vector<bool>> holds(kBlocks, std::vector<bool>(kNodes));
   const auto add_replica = [&](BlockId b, NodeId n) {
     holds[static_cast<std::size_t>(b)][static_cast<std::size_t>(n)] = true;
-    memo.index.replica_added(b, n);
-    full.index.replica_added(b, n);
+    memo.blocks.add(memo.index, b, n);
+    full.blocks.add(full.index, b, n);
   };
   for (std::size_t b = 0; b < kBlocks; ++b) {
     add_replica(static_cast<BlockId>(b), static_cast<NodeId>(pick(kNodes)));
@@ -579,8 +584,8 @@ std::uint64_t run_memo_oracle(const MemoCase& c, std::uint64_t seed) {
       if (holds[static_cast<std::size_t>(b)][static_cast<std::size_t>(n)]) {
         holds[static_cast<std::size_t>(b)][static_cast<std::size_t>(n)] =
             false;
-        memo.index.replica_removed(b, n);
-        full.index.replica_removed(b, n);
+        memo.blocks.remove(memo.index, b, n);
+        full.blocks.remove(full.index, b, n);
       }
     } else if (action == 7 && !live.empty() && pick(4) == 0) {
       // A launch no selection made: the job keeps its delay clock.

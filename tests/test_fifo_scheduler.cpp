@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fake_block_map.h"
 #include "sched/locality_index.h"
 
 namespace dare::sched {
@@ -26,11 +27,12 @@ class FifoTest : public ::testing::Test {
  protected:
   FifoTest() { jobs_.attach_locality_index(&index_); }
   void add_replica(NodeId node, BlockId block) {
-    index_.replica_added(block, node);
+    blocks_.add(index_, block, node);
   }
 
   FifoScheduler sched_;
-  LocalityIndex index_{4, {0, 1, 2, 3}, 4};
+  FakeBlockMap blocks_;
+  LocalityIndex index_{4, {0, 1, 2, 3}, 4, blocks_.source()};
   JobTable jobs_;
 };
 

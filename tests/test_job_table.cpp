@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "fake_block_map.h"
 #include "sched/locality_index.h"
 
 namespace dare::sched {
@@ -27,7 +28,8 @@ JobSpec make_job(JobId id, std::size_t maps, std::size_t reduces = 1,
 class JobTableTest : public ::testing::Test {
  protected:
   JobTableTest() { table.attach_locality_index(&index); }
-  LocalityIndex index{4, {0, 1, 2, 3}, 4};
+  FakeBlockMap blocks;
+  LocalityIndex index{4, {0, 1, 2, 3}, 4, blocks.source()};
   JobTable table;
 };
 
@@ -151,7 +153,7 @@ TEST_F(JobTableTest, ReduceReadyTracksTransitions) {
 
 TEST_F(JobTableTest, FindLocalMapUsesIndex) {
   table.add_job(make_job(1, 3, 1, /*first_block=*/100));
-  index.replica_added(101, 0);
+  blocks.add(index, 101, 0);
   const auto& rt = table.job(1);
   const auto found = table.find_local_map(rt, 0);
   ASSERT_TRUE(found.has_value());
@@ -161,7 +163,7 @@ TEST_F(JobTableTest, FindLocalMapUsesIndex) {
 
 TEST_F(JobTableTest, FindLocalMapReturnsNulloptWhenNoneLocal) {
   table.add_job(make_job(1, 3, 1, 100));
-  index.replica_added(999, 0);
+  blocks.add(index, 999, 0);
   EXPECT_FALSE(table.find_local_map(table.job(1), 0).has_value());
 }
 

@@ -1,13 +1,13 @@
 // LocalityIndex unit tests plus a randomized equivalence oracle.
 //
 // The unit tests pin the incremental-maintenance contract for each event
-// the index must absorb: replica create/evict, node death and rejoin
-// reconciliation (via a live NameNode with the observer attached), map
-// launch/requeue, and job failure. The oracle drives an indexed JobTable
-// through a randomized schedule and asserts every answer matches a
-// front-to-back scan of the job's pending maps over the test's own replica
-// map. The CandidateMap tests check the flat (key, map) table against a
-// std::multimap model.
+// the index must absorb: replica create/evict, map launch/requeue, and job
+// failure, with a FakeBlockMap standing in for the name node's locations
+// (test_namenode pins the name node's side of that contract). The oracle
+// drives an indexed JobTable through a randomized schedule and asserts
+// every answer matches a front-to-back scan of the job's pending maps over
+// the test's own replica map. The CandidateMap tests check the flat
+// (key, map) table against a std::multimap model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,15 +16,13 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/invariant.h"
 #include "common/rng.h"
+#include "fake_block_map.h"
 #include "sched/job_table.h"
 #include "sched/locality_index.h"
-#include "storage/namenode.h"
 
 namespace dare::sched {
 namespace {
@@ -76,80 +74,87 @@ std::optional<std::size_t> scan_rack_local(
   });
 }
 
-/// 4 nodes in 2 racks: nodes 0,1 in rack 0; nodes 2,3 in rack 1.
+/// 4 nodes in 2 racks: nodes 0,1 in rack 0; nodes 2,3 in rack 1. `job_`
+/// is the candidate state of the one job the tests watch maps of.
 class LocalityIndexTest : public ::testing::Test {
  protected:
-  LocalityIndexTest() : index_(4, {0, 0, 1, 1}, 2) {}
-  LocalityIndex index_;
+  FakeBlockMap blocks_;
+  LocalityIndex index_{4, {0, 0, 1, 1}, 2, blocks_.source()};
+  LocalityIndex::JobState job_;
 };
 
 TEST_F(LocalityIndexTest, RejectsBadConstruction) {
-  EXPECT_THROW(LocalityIndex(0, {}, 1), std::invalid_argument);
-  EXPECT_THROW(LocalityIndex(2, {0}, 1), std::invalid_argument);
-  EXPECT_THROW(LocalityIndex(2, {0, 5}, 2), std::invalid_argument);
+  EXPECT_THROW(LocalityIndex(0, {}, 1, blocks_.source()),
+               std::invalid_argument);
+  EXPECT_THROW(LocalityIndex(2, {0}, 1, blocks_.source()),
+               std::invalid_argument);
+  EXPECT_THROW(LocalityIndex(2, {0, 5}, 2, blocks_.source()),
+               std::invalid_argument);
+  EXPECT_THROW(LocalityIndex(2, {0, 0}, 1, nullptr), std::invalid_argument);
 }
 
 TEST_F(LocalityIndexTest, WatchAfterReplicaSeesExistingLocations) {
-  index_.replica_added(7, 0);
-  index_.replica_added(7, 2);
-  index_.watch_map(1, 0, 7);
-  EXPECT_EQ(index_.node_candidates(1, 0), Candidates{0});
-  EXPECT_EQ(index_.node_candidates(1, 1), Candidates{});
-  EXPECT_EQ(index_.node_candidates(1, 2), Candidates{0});
+  blocks_.add(index_, 7, 0);
+  blocks_.add(index_, 7, 2);
+  index_.watch_map(job_, 0, 7);
+  EXPECT_EQ(index_.node_candidates(job_, 0), Candidates{0});
+  EXPECT_EQ(index_.node_candidates(job_, 1), Candidates{});
+  EXPECT_EQ(index_.node_candidates(job_, 2), Candidates{0});
   // Rack candidates: rack 0 via node 0, rack 1 via node 2.
-  EXPECT_EQ(index_.rack_candidates(1, 1), Candidates{0});  // node 1 -> rack 0
-  EXPECT_EQ(index_.rack_candidates(1, 3), Candidates{0});  // node 3 -> rack 1
+  EXPECT_EQ(index_.rack_candidates(job_, 1), Candidates{0});  // rack 0
+  EXPECT_EQ(index_.rack_candidates(job_, 3), Candidates{0});  // rack 1
 }
 
 TEST_F(LocalityIndexTest, ReplicaAfterWatchReachesCandidates) {
-  index_.watch_map(1, 0, 7);
-  EXPECT_TRUE(index_.node_candidates(1, 0).empty());
-  index_.replica_added(7, 0);
-  EXPECT_EQ(index_.node_candidates(1, 0), Candidates{0});
-  EXPECT_EQ(index_.rack_candidates(1, 1), Candidates{0});
+  index_.watch_map(job_, 0, 7);
+  EXPECT_TRUE(index_.node_candidates(job_, 0).empty());
+  blocks_.add(index_, 7, 0);
+  EXPECT_EQ(index_.node_candidates(job_, 0), Candidates{0});
+  EXPECT_EQ(index_.rack_candidates(job_, 1), Candidates{0});
 }
 
 TEST_F(LocalityIndexTest, EvictionRemovesCandidateAndRackEntryAtZero) {
-  index_.watch_map(1, 0, 7);
-  index_.replica_added(7, 0);
-  index_.replica_added(7, 1);  // second replica in rack 0
-  EXPECT_EQ(index_.rack_candidates(1, 0), Candidates{0});
-  index_.replica_removed(7, 0);  // rack 0 still holds one replica
-  EXPECT_TRUE(index_.node_candidates(1, 0).empty());
-  EXPECT_EQ(index_.node_candidates(1, 1), Candidates{0});
-  EXPECT_EQ(index_.rack_candidates(1, 0), Candidates{0});
-  index_.replica_removed(7, 1);  // rack is now empty
-  EXPECT_TRUE(index_.rack_candidates(1, 0).empty());
-  EXPECT_EQ(index_.replica_count(7), 0u);
+  index_.watch_map(job_, 0, 7);
+  blocks_.add(index_, 7, 0);
+  blocks_.add(index_, 7, 1);  // second replica in rack 0
+  EXPECT_EQ(index_.rack_candidates(job_, 0), Candidates{0});
+  blocks_.remove(index_, 7, 0);  // rack 0 still holds one replica
+  EXPECT_TRUE(index_.node_candidates(job_, 0).empty());
+  EXPECT_EQ(index_.node_candidates(job_, 1), Candidates{0});
+  EXPECT_EQ(index_.rack_candidates(job_, 0), Candidates{0});
+  blocks_.remove(index_, 7, 1);  // rack is now empty
+  EXPECT_TRUE(index_.rack_candidates(job_, 0).empty());
 }
 
 TEST_F(LocalityIndexTest, UnwatchDropsAllCandidateEntries) {
-  index_.replica_added(7, 0);
-  index_.replica_added(7, 3);
-  index_.watch_map(1, 0, 7);
-  index_.watch_map(1, 1, 7);  // two maps of the same job reading block 7
-  EXPECT_EQ(index_.node_candidates(1, 0), (Candidates{0, 1}));
-  index_.unwatch_map(1, 0, 7);
-  EXPECT_EQ(index_.node_candidates(1, 0), Candidates{1});
-  EXPECT_EQ(index_.rack_candidates(1, 2), Candidates{1});
-  index_.unwatch_map(1, 1, 7);
-  EXPECT_TRUE(index_.node_candidates(1, 0).empty());
-  EXPECT_TRUE(index_.rack_candidates(1, 2).empty());
+  blocks_.add(index_, 7, 0);
+  blocks_.add(index_, 7, 3);
+  index_.watch_map(job_, 0, 7);
+  index_.watch_map(job_, 1, 7);  // two maps of the same job reading block 7
+  EXPECT_EQ(index_.node_candidates(job_, 0), (Candidates{0, 1}));
+  index_.unwatch_map(job_, 0, 7);
+  EXPECT_EQ(index_.node_candidates(job_, 0), Candidates{1});
+  EXPECT_EQ(index_.rack_candidates(job_, 2), Candidates{1});
+  index_.unwatch_map(job_, 1, 7);
+  EXPECT_TRUE(index_.node_candidates(job_, 0).empty());
+  EXPECT_TRUE(index_.rack_candidates(job_, 2).empty());
 }
 
 /// Map indices reported by the scheduler's query path (not the sorted
 /// introspection copy) for `job` on `node`.
-Candidates queried_node(const LocalityIndex& index, JobId job, NodeId node) {
+Candidates queried_node(const LocalityIndex& index,
+                        const LocalityIndex::JobState& job, NodeId node) {
   Candidates out;
-  index.for_each_node_candidate(*index.job_state(job), node,
+  index.for_each_node_candidate(job, node,
                                 [&](std::uint32_t mi) { out.push_back(mi); });
   std::sort(out.begin(), out.end());
   return out;
 }
 
-Candidates queried_rack(const LocalityIndex& index, JobId job, NodeId node) {
+Candidates queried_rack(const LocalityIndex& index,
+                        const LocalityIndex::JobState& job, NodeId node) {
   Candidates out;
-  index.for_each_rack_candidate(*index.job_state(job), node,
+  index.for_each_rack_candidate(job, node,
                                 [&](std::uint32_t mi) { out.push_back(mi); });
   std::sort(out.begin(), out.end());
   return out;
@@ -161,42 +166,30 @@ Candidates queried_rack(const LocalityIndex& index, JobId job, NodeId node) {
 TEST_F(LocalityIndexTest, RewatchReportsCurrentReplicasOnly) {
   constexpr NodeId kA = 0;  // rack 0
   constexpr NodeId kB = 2;  // rack 1
-  index_.replica_added(7, kA);
-  index_.watch_map(1, 0, 7);
-  EXPECT_EQ(queried_node(index_, 1, kA), Candidates{0});
-  index_.unwatch_map(1, 0, 7);  // launch
-  EXPECT_TRUE(queried_node(index_, 1, kA).empty());
-  EXPECT_TRUE(queried_rack(index_, 1, kA).empty());
+  blocks_.add(index_, 7, kA);
+  index_.watch_map(job_, 0, 7);
+  EXPECT_EQ(queried_node(index_, job_, kA), Candidates{0});
+  index_.unwatch_map(job_, 0, 7);  // launch
+  EXPECT_TRUE(queried_node(index_, job_, kA).empty());
+  EXPECT_TRUE(queried_rack(index_, job_, kA).empty());
 
-  index_.replica_removed(7, kA);  // A loses the replica while the map runs
-  index_.replica_added(7, kB);    // and B gains one
-  EXPECT_TRUE(queried_node(index_, 1, kB).empty());
+  blocks_.remove(index_, 7, kA);  // A loses the replica while the map runs
+  blocks_.add(index_, 7, kB);    // and B gains one
+  EXPECT_TRUE(queried_node(index_, job_, kB).empty());
 
-  index_.watch_map(1, 0, 7);  // requeue
+  index_.watch_map(job_, 0, 7);  // requeue
   for (NodeId n = 0; n < 4; ++n) {
     const Candidates want = n == kB ? Candidates{0} : Candidates{};
-    EXPECT_EQ(queried_node(index_, 1, n), want) << "node " << n;
-    EXPECT_EQ(index_.node_candidates(1, n), want) << "node " << n;
+    EXPECT_EQ(queried_node(index_, job_, n), want) << "node " << n;
+    EXPECT_EQ(index_.node_candidates(job_, n), want) << "node " << n;
     const Candidates want_rack =
         index_.rack_of(n) == index_.rack_of(kB) ? Candidates{0}
                                                 : Candidates{};
-    EXPECT_EQ(queried_rack(index_, 1, n), want_rack) << "node " << n;
-    EXPECT_EQ(index_.rack_candidates(1, n), want_rack) << "node " << n;
+    EXPECT_EQ(queried_rack(index_, job_, n), want_rack) << "node " << n;
+    EXPECT_EQ(index_.rack_candidates(job_, n), want_rack) << "node " << n;
   }
-  const LocalityIndex::JobState& state = *index_.job_state(1);
-  EXPECT_EQ(state.by_node.size(), 1u);
-  EXPECT_EQ(state.by_rack.size(), 1u);
-}
-
-TEST_F(LocalityIndexTest, JobRetirementFreesState) {
-  index_.replica_added(7, 0);
-  index_.watch_map(1, 0, 7);
-  index_.unwatch_map(1, 0, 7);
-  EXPECT_EQ(index_.tracked_job_count(), 1u);
-  index_.job_retired(1);
-  EXPECT_EQ(index_.tracked_job_count(), 0u);
-  // Unknown jobs answer empty, not throw.
-  EXPECT_TRUE(index_.node_candidates(1, 0).empty());
+  EXPECT_EQ(job_.by_node.size(), 1u);
+  EXPECT_EQ(job_.by_rack.size(), 1u);
 }
 
 /// JobTable + index integration: the index answer must equal the reference
@@ -205,13 +198,14 @@ TEST(JobTableIndexTest, LaunchRequeueFailKeepCandidatesExact) {
   ReplicaMap replicas;
   const std::vector<RackId> node_rack{0, 0, 1, 1};
 
-  LocalityIndex index(4, node_rack, 2);
+  FakeBlockMap blocks;
+  LocalityIndex index(4, node_rack, 2, blocks.source());
   JobTable table;
   table.attach_locality_index(&index);
 
   const auto add_replica = [&](BlockId b, NodeId n) {
     replicas[b].insert(n);
-    index.replica_added(b, n);
+    blocks.add(index, b, n);
   };
   add_replica(10, 0);
   add_replica(10, 2);
@@ -242,103 +236,19 @@ TEST(JobTableIndexTest, LaunchRequeueFailKeepCandidatesExact) {
 
   // Node death drops the replica; requeue puts the map back.
   replicas[10].erase(2);
-  index.replica_removed(10, 2);
+  blocks.remove(index, 10, 2);
   table.requeue_running_map(1, launched, Locality::kNodeLocal);
   expect_equal_everywhere();
   EXPECT_TRUE(table.find_local_map(rt, 0).has_value());
   EXPECT_FALSE(table.find_local_map(rt, 2).has_value());
 
-  // Job failure drops every pending map from the index.
+  // Job failure drops every pending map from the index, and retirement
+  // frees the job's tables (the runtime stays resident: no retire
+  // observer).
   table.fail_job(1, 100);
-  EXPECT_TRUE(index.node_candidates(1, 0).empty());
-  EXPECT_EQ(index.tracked_job_count(), 0u);
-}
-
-/// NameNode-driven reconciliation: the observer stream through death,
-/// rejoin (with re-adoption and pruning), dynamic reports, and repair
-/// copies keeps the index mirror identical to locations().
-TEST(LocalityIndexNameNodeTest, ObserverMirrorsEveryTransition) {
-  Rng rng(99);
-  storage::NameNode nn(4, nullptr, rng);
-  LocalityIndex index(4, {0, 0, 1, 1}, 2);
-  nn.set_replica_observer([&](BlockId b, NodeId n, bool added) {
-    if (added) {
-      index.replica_added(b, n);
-    } else {
-      index.replica_removed(b, n);
-    }
-  });
-
-  const auto expect_mirrored = [&]() {
-    for (FileId fid : nn.all_files()) {
-      for (BlockId bid : nn.file(fid).blocks) {
-        const auto& locs = nn.locations(bid);
-        ASSERT_EQ(index.replica_count(bid), locs.size()) << "block " << bid;
-        for (NodeId n : locs) {
-          EXPECT_TRUE(index.mirrors_replica(bid, n))
-              << "block " << bid << " node " << n;
-        }
-      }
-    }
-  };
-
-  const FileId fid = nn.create_file("f", 3, 1024, 2, 0);
-  expect_mirrored();
-  const BlockId b0 = nn.file(fid).blocks[0];
-
-  // Dynamic replica lifecycle on a node that does not hold b0 statically.
-  NodeId dyn_node = kInvalidNode;
-  for (NodeId n = 0; n < 4; ++n) {
-    const auto& locs = nn.locations(b0);
-    if (std::find(locs.begin(), locs.end(), n) == locs.end()) {
-      dyn_node = n;
-      break;
-    }
-  }
-  ASSERT_NE(dyn_node, kInvalidNode);
-  nn.report_dynamic_added(dyn_node, {b0});
-  nn.report_dynamic_added(dyn_node, {b0});  // duplicate: no delta
-  expect_mirrored();
-  nn.report_dynamic_removed(dyn_node, {b0});
-  nn.report_dynamic_removed(dyn_node, {b0});  // missing: no delta
-  expect_mirrored();
-
-  // Death drops every replica on the victim from the mirror.
-  const NodeId victim = nn.locations(b0).front();
-  std::vector<BlockId> victim_statics;
-  for (FileId f : nn.all_files()) {
-    for (BlockId b : nn.file(f).blocks) {
-      const auto& statics = nn.static_locations(b);
-      if (std::find(statics.begin(), statics.end(), victim) !=
-          statics.end()) {
-        victim_statics.push_back(b);
-      }
-    }
-  }
-  nn.node_failed(victim);
-  expect_mirrored();
-  EXPECT_FALSE(index.mirrors_replica(b0, victim));
-
-  // Repair one block, then rejoin: the repaired block's stale copy is
-  // pruned (no delta), the rest are re-adopted (delta per block).
-  NodeId repair_node = kInvalidNode;
-  for (NodeId n = 0; n < 4; ++n) {
-    if (n == victim || !nn.is_node_alive(n)) continue;
-    const auto& locs = nn.locations(b0);
-    if (std::find(locs.begin(), locs.end(), n) == locs.end()) {
-      repair_node = n;
-      break;
-    }
-  }
-  ASSERT_NE(repair_node, kInvalidNode);
-  ASSERT_TRUE(nn.add_repair_replica(b0, repair_node));
-  expect_mirrored();
-
-  const auto report = nn.node_rejoined(victim, victim_statics, {});
-  expect_mirrored();
-  EXPECT_EQ(report.pruned_static.size(), 1u);
-  EXPECT_EQ(report.pruned_static[0], b0);
-  EXPECT_FALSE(index.mirrors_replica(b0, victim));
+  EXPECT_TRUE(index.node_candidates(rt.locality, 0).empty());
+  EXPECT_EQ(rt.locality.by_node.capacity(), 0u);
+  EXPECT_EQ(rt.locality.by_rack.capacity(), 0u);
 }
 
 /// Randomized oracle: an indexed table driven through a random schedule
@@ -355,7 +265,8 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
   }
   ReplicaMap replicas;
 
-  LocalityIndex index(kNodes, node_rack, kRacks);
+  FakeBlockMap blocks;
+  LocalityIndex index(kNodes, node_rack, kRacks, blocks.source());
   JobTable table;
   table.attach_locality_index(&index);
 
@@ -389,10 +300,10 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
       const NodeId n = random_node();
       if (replicas[b].count(n)) {
         replicas[b].erase(n);
-        index.replica_removed(b, n);
+        blocks.remove(index, b, n);
       } else {
         replicas[b].insert(n);
-        index.replica_added(b, n);
+        blocks.add(index, b, n);
       }
       for (Running& r : running) {
         if (table.job(r.job).spec.maps[r.map_index].block == b) r.moved = true;
@@ -465,30 +376,6 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
   EXPECT_GE(stale_requeues, 50);
 }
 
-[[noreturn]] void throwing_handler(const InvariantViolation& violation) {
-  throw std::logic_error(std::string(violation.condition) + ": " +
-                         violation.message);
-}
-
-/// Installs the throwing invariant handler for one scope.
-struct ThrowingInvariants {
-  ThrowingInvariants() { set_invariant_handler(&throwing_handler); }
-  ~ThrowingInvariants() { set_invariant_handler(nullptr); }
-};
-
-TEST_F(LocalityIndexTest, RetiringAJobWithLiveCandidatesTripsTheAudit) {
-  if (!DARE_INVARIANTS_ENABLED) {
-    GTEST_SKIP() << "DARE_INVARIANT is compiled out in this build";
-  }
-  const ThrowingInvariants guard;
-  index_.replica_added(7, 0);
-  index_.watch_map(1, 0, 7);  // still pending: one node and one rack entry
-  EXPECT_THROW(index_.job_retired(1), std::logic_error);
-  index_.unwatch_map(1, 0, 7);
-  EXPECT_NO_THROW(index_.job_retired(1));
-  EXPECT_EQ(index_.tracked_job_count(), 0u);
-}
-
 /// A block adopted onto many nodes (as DARE does with hot blocks): each
 /// rack holds exactly one entry per map however many replicas it has, and
 /// the rack entry leaves exactly when the rack's last replica does.
@@ -499,26 +386,28 @@ TEST(LocalityIndexManyReplicasTest, OneRackEntryPerMapAcrossManyReplicas) {
   for (std::size_t n = 0; n < kNodes; ++n) {
     node_rack[n] = static_cast<RackId>(n % kRacks);
   }
-  LocalityIndex index(kNodes, node_rack, kRacks);
+  FakeBlockMap blocks;
+  LocalityIndex index(kNodes, node_rack, kRacks, blocks.source());
+  LocalityIndex::JobState state;
   constexpr BlockId kBlock = 5;
   std::vector<NodeId> holders;
   for (std::size_t n = 0; n < kNodes; ++n) {
     if (n % 10 == 9) continue;  // leave some nodes without a replica
     holders.push_back(static_cast<NodeId>(n));
-    index.replica_added(kBlock, static_cast<NodeId>(n));
+    blocks.add(index, kBlock, static_cast<NodeId>(n));
   }
   ASSERT_GE(holders.size(), 64u);
 
-  index.watch_map(1, 0, kBlock);
-  const LocalityIndex::JobState& state = *index.job_state(1);
+  index.watch_map(state, 0, kBlock);
   EXPECT_EQ(state.by_node.size(), holders.size());
   EXPECT_EQ(state.by_rack.size(), kRacks);
   for (std::size_t r = 0; r < kRacks; ++r) {
-    EXPECT_EQ(index.rack_candidates(1, static_cast<NodeId>(r)), Candidates{0})
+    EXPECT_EQ(index.rack_candidates(state, static_cast<NodeId>(r)),
+              Candidates{0})
         << "rack " << r;
   }
   for (NodeId n : holders) {
-    EXPECT_EQ(index.node_candidates(1, n), Candidates{0}) << "node " << n;
+    EXPECT_EQ(index.node_candidates(state, n), Candidates{0}) << "node " << n;
   }
 
   // Empty rack 0 replica by replica: its entry stays until the last one.
@@ -527,22 +416,22 @@ TEST(LocalityIndexManyReplicasTest, OneRackEntryPerMapAcrossManyReplicas) {
     if (node_rack[static_cast<std::size_t>(n)] == 0) rack0.push_back(n);
   }
   for (std::size_t i = 0; i < rack0.size(); ++i) {
-    index.replica_removed(kBlock, rack0[i]);
+    blocks.remove(index, kBlock, rack0[i]);
     const bool last = i + 1 == rack0.size();
-    EXPECT_EQ(index.rack_candidates(1, 0).empty(), last) << "after " << i;
+    EXPECT_EQ(index.rack_candidates(state, 0).empty(), last) << "after " << i;
   }
   EXPECT_EQ(state.by_rack.size(), kRacks - 1);
   EXPECT_EQ(state.by_node.size(), holders.size() - rack0.size());
-  EXPECT_EQ(index.rack_candidates(1, 1), Candidates{0});
-  EXPECT_EQ(index.rack_candidates(1, 2), Candidates{0});
+  EXPECT_EQ(index.rack_candidates(state, 1), Candidates{0});
+  EXPECT_EQ(index.rack_candidates(state, 2), Candidates{0});
 
   // A launch leaves the map's entries in the tables, but no query reports
   // them.
-  index.unwatch_map(1, 0, kBlock);
+  index.unwatch_map(state, 0, kBlock);
   for (std::size_t n = 0; n < kNodes; ++n) {
-    EXPECT_TRUE(index.node_candidates(1, static_cast<NodeId>(n)).empty())
+    EXPECT_TRUE(index.node_candidates(state, static_cast<NodeId>(n)).empty())
         << "node " << n;
-    EXPECT_TRUE(index.rack_candidates(1, static_cast<NodeId>(n)).empty())
+    EXPECT_TRUE(index.rack_candidates(state, static_cast<NodeId>(n)).empty())
         << "node " << n;
   }
   std::size_t racks_visited = 0;
@@ -551,33 +440,27 @@ TEST(LocalityIndexManyReplicasTest, OneRackEntryPerMapAcrossManyReplicas) {
 
   // While the map runs, rack 0 regains its replicas and rack 1 loses all of
   // its own; a re-watch (requeue) reports exactly the holders of that time.
-  for (NodeId n : rack0) index.replica_added(kBlock, n);
+  for (NodeId n : rack0) blocks.add(index, kBlock, n);
   std::set<NodeId> current;
   for (NodeId n : holders) {
     if (node_rack[static_cast<std::size_t>(n)] == 1) {
-      index.replica_removed(kBlock, n);
+      blocks.remove(index, kBlock, n);
     } else {
       current.insert(n);
     }
   }
-  index.watch_map(1, 0, kBlock);
+  index.watch_map(state, 0, kBlock);
   for (std::size_t n = 0; n < kNodes; ++n) {
     const auto node = static_cast<NodeId>(n);
-    EXPECT_EQ(index.node_candidates(1, node),
+    EXPECT_EQ(index.node_candidates(state, node),
               current.count(node) ? Candidates{0} : Candidates{})
         << "node " << n;
-    EXPECT_EQ(index.rack_candidates(1, node),
+    EXPECT_EQ(index.rack_candidates(state, node),
               node_rack[n] == 1 ? Candidates{} : Candidates{0})
         << "node " << n;
   }
   EXPECT_EQ(state.by_node.size(), current.size());
   EXPECT_EQ(state.by_rack.size(), kRacks - 1);
-
-  // Retirement frees the whole state, left-over entries included.
-  index.unwatch_map(1, 0, kBlock);
-  index.job_retired(1);
-  EXPECT_EQ(index.job_state(1), nullptr);
-  EXPECT_EQ(index.tracked_job_count(), 0u);
 }
 
 /// WatchFlags against a vector<bool> model: random sets and clears across
@@ -617,16 +500,16 @@ TEST(WatchFlagsTest, MatchesModelAcrossTheInlineWord) {
 /// answering, and a requeued one answers again.
 TEST(JobTableIndexTest, JobWithMoreMapsThanTheInlineWord) {
   constexpr std::size_t kMaps = 150;
-  LocalityIndex index(4, {0, 0, 1, 1}, 2);
+  FakeBlockMap blocks;
+  LocalityIndex index(4, {0, 0, 1, 1}, 2, blocks.source());
   JobTable table;
   table.attach_locality_index(&index);
-  std::vector<BlockId> blocks;
+  std::vector<BlockId> inputs;
   for (std::size_t i = 0; i < kMaps; ++i) {
-    blocks.push_back(static_cast<BlockId>(i));
-    index.replica_added(static_cast<BlockId>(i),
-                        static_cast<NodeId>(i % 4));
+    inputs.push_back(static_cast<BlockId>(i));
+    blocks.add(index, static_cast<BlockId>(i), static_cast<NodeId>(i % 4));
   }
-  table.add_job(make_job(1, blocks));
+  table.add_job(make_job(1, inputs));
   const JobRuntime& rt = table.job(1);
   // Launch every map on node 2 (maps 2, 6, ..., 146), front to back.
   std::vector<std::size_t> launched;
@@ -634,14 +517,16 @@ TEST(JobTableIndexTest, JobWithMoreMapsThanTheInlineWord) {
     launched.push_back(table.launch_map(1, *sel, Locality::kNodeLocal));
   }
   EXPECT_EQ(launched.size(), 37u);
-  EXPECT_TRUE(index.node_candidates(1, 2).empty());
-  EXPECT_EQ(index.node_candidates(1, 3).size(), 37u);
+  EXPECT_TRUE(index.node_candidates(rt.locality, 2).empty());
+  EXPECT_EQ(index.node_candidates(rt.locality, 3).size(), 37u);
   // Rack 1 still has node 3's maps, none of node 2's.
-  for (std::uint32_t mi : index.rack_candidates(1, 2)) EXPECT_EQ(mi % 4, 3u);
+  for (std::uint32_t mi : index.rack_candidates(rt.locality, 2)) {
+    EXPECT_EQ(mi % 4, 3u);
+  }
   table.requeue_running_map(1, 130, Locality::kNodeLocal);
-  EXPECT_EQ(index.node_candidates(1, 2), Candidates{130});
+  EXPECT_EQ(index.node_candidates(rt.locality, 2), Candidates{130});
   table.requeue_running_map(1, 2, Locality::kNodeLocal);
-  EXPECT_EQ(index.node_candidates(1, 2), (Candidates{2, 130}));
+  EXPECT_EQ(index.node_candidates(rt.locality, 2), (Candidates{2, 130}));
 }
 
 /// Every (key, map) pair stored under `key`, sorted.

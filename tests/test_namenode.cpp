@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <vector>
 
 namespace dare::storage {
 namespace {
@@ -180,6 +182,85 @@ TEST_F(NameNodeTest, StaticLocationsStableAfterDynamicChanges) {
   nn.report_dynamic_added(9, {b});
   nn.report_dynamic_removed(9, {b});
   EXPECT_EQ(nn.static_locations(b), before);
+}
+
+/// The replica-observer contract the locality index relies on: a delta
+/// comes after its mutation and before the next one, so at every
+/// notification locations(b) equals a model built from the deltas alone,
+/// node for node and in order. Drives every path that fires a delta, and
+/// the reports that must fire none.
+TEST_F(NameNodeTest, ObserverSeesEachMutationInLocations) {
+  NameNode nn(4, nullptr, rng_);
+  std::map<BlockId, std::vector<NodeId>> model;
+  std::size_t deltas = 0;
+  nn.set_replica_observer([&](BlockId b, NodeId n, bool added) {
+    ++deltas;
+    auto& nodes = model[b];
+    const auto pos = std::find(nodes.begin(), nodes.end(), n);
+    if (added) {
+      EXPECT_EQ(pos, nodes.end()) << "duplicate add, block " << b;
+      nodes.push_back(n);
+    } else {
+      ASSERT_NE(pos, nodes.end()) << "removal of an absent replica";
+      nodes.erase(pos);
+    }
+    EXPECT_EQ(nn.locations(b), nodes)
+        << "block " << b << " at delta " << deltas;
+  });
+  const auto holds = [&](BlockId b, NodeId n) {
+    const auto& locs = nn.locations(b);
+    return std::find(locs.begin(), locs.end(), n) != locs.end();
+  };
+
+  const FileId fid = nn.create_file("f", 3, kMiB, 3, 0);
+  EXPECT_EQ(deltas, 9u);
+  const BlockId b0 = nn.file(fid).blocks[0];
+
+  // A duplicate add and a missing remove fire nothing.
+  NodeId spare = 0;
+  while (holds(b0, spare)) ++spare;
+  nn.report_dynamic_added(spare, {b0});
+  nn.report_dynamic_added(spare, {b0});
+  EXPECT_EQ(deltas, 10u);
+  nn.report_dynamic_removed(spare, {b0});
+  nn.report_dynamic_removed(spare, {b0});
+  EXPECT_EQ(deltas, 11u);
+
+  // Death drops every replica on the victim; a repair restores b0's factor
+  // on the spare node.
+  const NodeId victim = nn.locations(b0).front();
+  std::vector<BlockId> victim_statics;
+  for (BlockId b : nn.file(fid).blocks) {
+    if (holds(b, victim)) victim_statics.push_back(b);
+  }
+  ASSERT_GE(victim_statics.size(), 2u);
+  nn.node_failed(victim);
+  EXPECT_EQ(deltas, 11u + victim_statics.size());
+  ASSERT_TRUE(nn.add_repair_replica(b0, spare));
+
+  // Rejoin re-adopts the stale copies still needed and prunes b0's.
+  const std::size_t before_rejoin = deltas;
+  const auto report = nn.node_rejoined(victim, victim_statics, {});
+  EXPECT_EQ(report.pruned_static, std::vector<BlockId>{b0});
+  EXPECT_EQ(report.adopted_static, victim_statics.size() - 1);
+  EXPECT_EQ(deltas, before_rejoin + report.adopted_static);
+
+  // A bad block is quarantined with one delta; a last replica is kept.
+  const std::size_t before_quarantine = deltas;
+  EXPECT_EQ(nn.report_bad_block(b0, spare),
+            NameNode::BadBlockResult::kQuarantined);
+  EXPECT_EQ(deltas, before_quarantine + 1);
+  const BlockId lone = nn.file(nn.create_file("g", 1, kMiB, 1, 0)).blocks[0];
+  const std::size_t before_last = deltas;
+  EXPECT_EQ(nn.report_bad_block(lone, nn.locations(lone).front()),
+            NameNode::BadBlockResult::kLastReplica);
+  EXPECT_EQ(deltas, before_last);
+
+  for (FileId f : nn.all_files()) {
+    for (BlockId b : nn.file(f).blocks) {
+      EXPECT_EQ(nn.locations(b), model[b]) << "block " << b;
+    }
+  }
 }
 
 }  // namespace

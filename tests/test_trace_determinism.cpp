@@ -16,7 +16,8 @@
 //
 //  4. A run that fires every kind of simulator event keeps its pinned
 //     fingerprint and export digests, so a refactor of the event engine
-//     that reorders any two kinds shows up here.
+//     that reorders any two kinds shows up here. The greedy LRU and LFU
+//     cases pin the adoption gate's adopt, evict and skip rows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -228,6 +229,9 @@ struct AllKindsCase {
   SchedulerKind scheduler;
   PolicyKind policy;
   bool scarlett;
+  /// Replication budget; 0 keeps paper_defaults' value. A case that sets
+  /// one must trace every outcome row of the adoption gate.
+  double budget_fraction;
   std::uint64_t fingerprint;
   std::uint64_t events_csv;
   std::uint64_t chrome_trace;
@@ -278,6 +282,7 @@ ClusterOptions all_kinds_options(const AllKindsCase& c) {
   options.partition_events = {{from_seconds(15.0), 1, from_seconds(12.0)}};
   options.enable_scarlett = c.scarlett;
   options.scarlett.epoch = from_seconds(20.0);
+  if (c.budget_fraction > 0.0) options.budget_fraction = c.budget_fraction;
   return options;
 }
 
@@ -306,6 +311,13 @@ TEST_P(AllEventKinds, PinnedFingerprintAndExportDigests) {
   if (c.scarlett) {
     EXPECT_GT(result.proactive_replication_bytes, 0u);
   }
+  if (c.budget_fraction > 0.0) {
+    std::map<obs::EventKind, std::size_t> rows;
+    for (const auto& e : tracer.events()) ++rows[e.kind];
+    EXPECT_GT(rows[obs::EventKind::kReplicaAdopted], 0u);
+    EXPECT_GT(rows[obs::EventKind::kReplicaEvicted], 0u);
+    EXPECT_GT(rows[obs::EventKind::kReplicaSkipped], 0u);
+  }
 
   std::ostringstream csv;
   obs::write_events_csv(tracer, csv);
@@ -322,11 +334,21 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Scarlett's epochs make this the one case that fires every kind.
         AllKindsCase{"FifoVanillaScarlett", SchedulerKind::kFifo,
-                     PolicyKind::kVanilla, true, 0x670345f85e20b40eULL,
+                     PolicyKind::kVanilla, true, 0.0, 0x670345f85e20b40eULL,
                      0x59e7592a435180f3ULL, 0x796f7a573013dbeaULL},
         AllKindsCase{"FairElephantTrap", SchedulerKind::kFair,
-                     PolicyKind::kElephantTrap, false, 0xb9bedbf353b1cfddULL,
-                     0xdec5e19ac1f8e6f6ULL, 0x0d0ba46d528b2fedULL}),
+                     PolicyKind::kElephantTrap, false, 0.0,
+                     0xb9bedbf353b1cfddULL, 0xdec5e19ac1f8e6f6ULL,
+                     0x0d0ba46d528b2fedULL},
+        // A quarter of the paper's budget, so the greedy policies evict.
+        AllKindsCase{"FifoGreedyLru", SchedulerKind::kFifo,
+                     PolicyKind::kGreedyLru, false, 0.05,
+                     0xb4b53a34f0b7a045ULL, 0x7cce948121882558ULL,
+                     0x9fbc99cca9e582bbULL},
+        AllKindsCase{"FairGreedyLfu", SchedulerKind::kFair,
+                     PolicyKind::kGreedyLfu, false, 0.05,
+                     0x5ed3dd8a3ccbc092ULL, 0x0fd085a046b0e4b0ULL,
+                     0x53f6e469244f5fa7ULL}),
     [](const ::testing::TestParamInfo<AllKindsCase>& info) {
       return std::string(info.param.name);
     });
