@@ -25,7 +25,7 @@ void EventQueue::release_slot(std::uint32_t slot) const {
   free_head_ = slot;
 }
 
-EventQueue::Entry EventQueue::make_entry(SimTime when, Event event) {
+EventHandle EventQueue::schedule(SimTime when, Event event, EventClass cls) {
   if (when < 0) throw std::invalid_argument("EventQueue: negative time");
   const std::uint32_t slot = acquire_slot();
   const std::uint64_t seq = next_seq_++;
@@ -34,41 +34,13 @@ EventQueue::Entry EventQueue::make_entry(SimTime when, Event event) {
   record.generation = seq;
   record.live = true;
   ++live_;
-  return Entry{when, seq, slot};
-}
-
-EventHandle EventQueue::schedule(SimTime when, Event event) {
-  const Entry entry = make_entry(when, event);
-  heap_.push_back(entry);
+  heap_.push_back(Entry{when, seq, slot, cls});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return EventHandle(this, entry.slot, entry.seq);
-}
-
-EventHandle EventQueue::schedule_in_order(SimTime when, Event event) {
-  if (when < 0) throw std::invalid_argument("EventQueue: negative time");
-  if (when < lane_last_) {
-    throw std::logic_error(
-        "EventQueue: lane schedule earlier than the lane's last entry");
-  }
-  if (lane_count_ == lane_.size()) {
-    // Full ring: unwrap it into one twice the size (the capacity stays a
-    // power of two, so positions wrap with a mask).
-    std::vector<Entry> grown(lane_.empty() ? 64 : 2 * lane_.size());
-    for (std::size_t i = 0; i < lane_count_; ++i) {
-      grown[i] = lane_[(lane_head_ + i) & (lane_.size() - 1)];
-    }
-    lane_.swap(grown);
-    lane_head_ = 0;
-  }
-  const Entry entry = make_entry(when, event);
-  lane_[(lane_head_ + lane_count_) & (lane_.size() - 1)] = entry;
-  ++lane_count_;
-  lane_last_ = when;
-  return EventHandle(this, entry.slot, entry.seq);
+  return EventHandle(this, slot, seq);
 }
 
 void EventQueue::skim() const {
-  // Drop cancelled entries from both fronts and recycle their tombstoned
+  // Drop cancelled entries from the front and recycle their tombstoned
   // records. An entry is dead exactly when its record was recycled
   // (generation mismatch — impossible here since tombstones hold the slot)
   // or tombstoned (live == false with matching generation).
@@ -77,38 +49,28 @@ void EventQueue::skim() const {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
-  while (lane_count_ != 0 && dead(lane_front())) {
-    release_slot(lane_front().slot);
-    lane_pop_front();
-  }
 }
 
 SimTime EventQueue::next_time() const {
   skim();
-  if (lane_first()) return lane_front().when;
   return heap_.empty() ? kTimeNever : heap_.front().when;
 }
 
 std::optional<TimedEvent> EventQueue::pop_due(SimTime until) {
   if (live_ == 0) return std::nullopt;
   skim();
-  DARE_INVARIANT(lane_count_ != 0 || !heap_.empty(),
+  DARE_INVARIANT(!heap_.empty(),
                  "EventQueue: live count is nonzero with nothing queued");
-  const bool from_lane = lane_first();
-  const Entry top = from_lane ? lane_front() : heap_.front();
+  const Entry top = heap_.front();
   if (top.when > until) return std::nullopt;
-  if (from_lane) {
-    lane_pop_front();
-  } else {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
   const Event event = slab_[top.slot].event;
   release_slot(top.slot);
   --live_;
   // The live count can never exceed the entries still queued; a mismatch
   // means a cancel/clear path lost track.
-  DARE_INVARIANT(live_ <= heap_.size() + lane_count_,
+  DARE_INVARIANT(live_ <= heap_.size(),
                  "EventQueue: live count exceeds queued entries");
   return TimedEvent{top.when, event};
 }
@@ -122,9 +84,6 @@ Event EventQueue::pop() {
 void EventQueue::clear() {
   std::size_t dropped = 0;
   for (const Entry& entry : heap_) dropped += dead(entry) ? 0 : 1;
-  for (std::size_t i = 0; i < lane_count_; ++i) {
-    dropped += dead(lane_[(lane_head_ + i) & (lane_.size() - 1)]) ? 0 : 1;
-  }
   DARE_INVARIANT(dropped == live_,
                  "EventQueue: live count disagrees with queued entries");
   // Release the backing storage outright instead of tombstoning: a dead
@@ -132,11 +91,6 @@ void EventQueue::clear() {
   // pending() range-checks the slot against the (now empty) slab.
   heap_.clear();
   heap_.shrink_to_fit();
-  lane_.clear();
-  lane_.shrink_to_fit();
-  lane_head_ = 0;
-  lane_count_ = 0;
-  lane_last_ = 0;
   slab_.clear();
   slab_.shrink_to_fit();
   free_head_ = kNoSlot;

@@ -1,23 +1,18 @@
 // Stable priority queue of timed event records for the discrete-event engine.
 //
-// Events at the same timestamp fire in insertion order (a strict sequence
-// number breaks ties), which keeps heartbeat/scheduling interleavings
-// deterministic. Events can be cancelled in O(1) (lazily: the slab record is
-// tombstoned and its queued entry skipped and reclaimed at pop time).
+// Events fire in (when, class, seq) order: by time; at equal times every
+// EventClass::kNormal event before any EventClass::kLate one; within a class
+// in insertion order (a strict sequence number breaks ties). That keeps
+// heartbeat/scheduling interleavings deterministic. Events can be cancelled
+// in O(1) (lazily: the slab record is tombstoned and its queued entry skipped
+// and reclaimed at pop time).
 //
 // Storage layout (the event-engine inner loop of every simulation):
 //  * a slab of 32-byte records recycled through an intrusive freelist — the
 //    event plus a generation counter live here, and a record is reused as
 //    soon as its queued entry has been drained;
-//  * two containers of 24-byte POD entries {when, seq, slot}:
-//    - a binary heap ordered by (when, seq), for events at arbitrary times;
-//    - an in-order lane, a FIFO ring for events whose owner schedules them
-//      at non-decreasing times (periodic chains with one fixed delay, such
-//      as heartbeats). Its entries arrive already sorted, so scheduling or
-//      popping one is O(1) instead of O(log n).
-//    Both take `seq` from one counter and a pop takes the smaller
-//    (when, seq) of the two fronts, so the pop order is exactly the order
-//    one heap holding every entry would give.
+//  * one binary heap of 24-byte POD entries {when, seq, slot, class}, the
+//    class in the padding after the slot.
 // Scheduling therefore performs zero heap allocations in steady state.
 //
 // Handles are {queue, slot, generation} triples: the generation (the
@@ -46,6 +41,11 @@ struct Event {
   std::uint64_t id = 0;
 };
 static_assert(sizeof(Event) == 16, "sim::Event must stay a 16-byte record");
+
+/// Tie class of a scheduled event: at one timestamp every kNormal event fires
+/// before any kLate one, whenever each was scheduled. Within a class,
+/// scheduling order decides.
+enum class EventClass : std::uint8_t { kNormal = 0, kLate = 1 };
 
 /// A popped event with the time it was scheduled for.
 struct TimedEvent {
@@ -83,16 +83,10 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedule `event` at absolute time `when` on the heap. Requires
+  /// Schedule `event` at absolute time `when` in tie class `cls`. Requires
   /// when >= 0.
-  EventHandle schedule(SimTime when, Event event);
-
-  /// Schedule `event` at absolute time `when` on the in-order lane.
-  /// Requires when >= 0 and `when` no earlier than the previous lane
-  /// schedule since construction or clear(); an earlier time throws
-  /// std::logic_error (the lane never reorders and never falls back to the
-  /// heap). Fires exactly where schedule() would have fired it.
-  EventHandle schedule_in_order(SimTime when, Event event);
+  EventHandle schedule(SimTime when, Event event,
+                       EventClass cls = EventClass::kNormal);
 
   /// True when no live (uncancelled) events remain.
   bool empty() const { return live_ == 0; }
@@ -112,8 +106,7 @@ class EventQueue {
   Event pop();
 
   /// Drop everything (used when a simulation ends early). Outstanding
-  /// handles become non-pending; the slab, heap and lane release their
-  /// memory.
+  /// handles become non-pending; the slab and heap release their memory.
   void clear();
 
   /// Slab records currently allocated (live + tombstoned awaiting drain).
@@ -140,58 +133,41 @@ class EventQueue {
   };
   static_assert(sizeof(Record) <= 32, "EventQueue record grew past 32 bytes");
 
-  /// A queued event, in the heap or the lane.
+  /// A queued event.
   struct Entry {
     SimTime when = 0;
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
+    EventClass cls = EventClass::kNormal;
   };
+  static_assert(sizeof(Entry) == 24, "EventQueue entry grew past 24 bytes");
 
-  /// Min-heap order on (when, seq) via std::push_heap/pop_heap with
+  /// Min-heap order on (when, class, seq) via std::push_heap/pop_heap with
   /// std::greater semantics expressed directly. A function object rather
   /// than a function pointer, so the heap algorithms inline the compare.
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) return a.when > b.when;
+      if (a.cls != b.cls) return a.cls > b.cls;
       return a.seq > b.seq;
     }
   };
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) const;
-  /// Fill a fresh slab record for `event` and return its entry at `when`
-  /// (the caller queues it).
-  Entry make_entry(SimTime when, Event event);
   /// The entry's event was cancelled (or its record recycled).
   bool dead(const Entry& entry) const {
     const Record& record = slab_[entry.slot];
     return record.generation != entry.seq || !record.live;
   }
-  const Entry& lane_front() const { return lane_[lane_head_]; }
-  void lane_pop_front() const {
-    lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
-    --lane_count_;
-  }
-  /// Remove drained (cancelled) entries from the front of the heap and of
-  /// the lane and reclaim their tombstoned records.
+  /// Remove drained (cancelled) entries from the front of the heap and
+  /// reclaim their tombstoned records.
   void skim() const;
-  /// After skim(): true when the earliest live entry is the lane's front.
-  bool lane_first() const {
-    return lane_count_ != 0 &&
-           (heap_.empty() || Later{}(heap_.front(), lane_front()));
-  }
 
   // skim() is logically const (it only reclaims dead storage), so the
   // containers are mutable.
   mutable std::vector<Record> slab_;
   mutable std::vector<Entry> heap_;
-  /// The lane's ring: capacity is zero or a power of two, and its
-  /// lane_count_ entries start at lane_head_ and wrap around.
-  mutable std::vector<Entry> lane_;
-  mutable std::size_t lane_head_ = 0;
-  mutable std::size_t lane_count_ = 0;
-  /// Time of the latest lane schedule; a lane schedule before it throws.
-  SimTime lane_last_ = 0;
   mutable std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;

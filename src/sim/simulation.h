@@ -1,11 +1,8 @@
 // The discrete-event simulation driver: a clock plus an event queue.
 //
 // Components hold a reference to the Simulation and use `at`/`after` to
-// schedule `Event` records, or `after_in_order` for a chain whose times
-// never decrease from one call to the next (one fixed delay from the
-// non-decreasing clock, such as heartbeats): those ride the queue's O(1)
-// in-order lane and still fire exactly where `after` would fire them.
-// `run(handler)` drains the queue in timestamp order with one pop per event,
+// schedule `Event` records, each in a tie class (EventClass::kLate events
+// fire after every kNormal event due at the same time). `run(handler)` drains the queue in timestamp order with one pop per event,
 // advancing the clock, and passes each popped record to `handler` — the
 // owning component's dispatch. The handler is a template parameter, so
 // nothing is type-erased, and the class is header-only. One Simulation
@@ -34,23 +31,18 @@ class Simulation {
   SimTime now() const { return now_; }
 
   /// Schedule at an absolute time (must be >= now()).
-  EventHandle at(SimTime when, Event event) {
+  EventHandle at(SimTime when, Event event,
+                 EventClass cls = EventClass::kNormal) {
     if (when < now_) {
       throw std::invalid_argument("Simulation: scheduling in the past");
     }
-    return queue_.schedule(when, event);
+    return queue_.schedule(when, event, cls);
   }
 
   /// Schedule after a relative delay (clamped to >= 0).
-  EventHandle after(SimDuration delay, Event event) {
-    return queue_.schedule(now_ + (delay < 0 ? 0 : delay), event);
-  }
-
-  /// `after` on the queue's in-order lane: the time must not precede any
-  /// earlier in-order schedule (std::logic_error otherwise), which holds
-  /// for a chain that always re-arms with the same delay.
-  EventHandle after_in_order(SimDuration delay, Event event) {
-    return queue_.schedule_in_order(now_ + (delay < 0 ? 0 : delay), event);
+  EventHandle after(SimDuration delay, Event event,
+                    EventClass cls = EventClass::kNormal) {
+    return queue_.schedule(now_ + (delay < 0 ? 0 : delay), event, cls);
   }
 
   /// Run until the queue is empty or `until` is reached (events at exactly

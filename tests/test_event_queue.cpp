@@ -171,53 +171,40 @@ TEST(EventQueue, CancelledTombstoneReclaimedBySkim) {
   EXPECT_EQ(q.slab_size(), slab_before);
 }
 
-TEST(EventQueue, LaneAndHeapTieFiresInSchedulingOrder) {
-  // Both containers share one sequence counter, so at equal times the entry
-  // scheduled first fires first, whichever container holds it.
-  EventQueue lane_first;
-  lane_first.schedule_in_order(5, tagged(1));
-  lane_first.schedule(5, tagged(2));
-  lane_first.schedule_in_order(5, tagged(3));
-  EXPECT_EQ(drain(lane_first), (std::vector<std::uint64_t>{1, 2, 3}));
+TEST(EventQueue, LateClassFiresAfterEveryNormalTie) {
+  // At one time every kNormal entry fires before any kLate one, whichever
+  // was scheduled first; within a class, scheduling order decides.
+  EventQueue late_first;
+  late_first.schedule(5, tagged(1), EventClass::kLate);
+  late_first.schedule(5, tagged(2));
+  late_first.schedule(5, tagged(3), EventClass::kLate);
+  late_first.schedule(5, tagged(4));
+  EXPECT_EQ(drain(late_first), (std::vector<std::uint64_t>{2, 4, 1, 3}));
 
-  EventQueue heap_first;
-  heap_first.schedule(5, tagged(1));
-  heap_first.schedule_in_order(5, tagged(2));
-  heap_first.schedule(5, tagged(3));
-  EXPECT_EQ(drain(heap_first), (std::vector<std::uint64_t>{1, 2, 3}));
+  EventQueue normal_first;
+  normal_first.schedule(5, tagged(1));
+  normal_first.schedule(5, tagged(2), EventClass::kLate);
+  normal_first.schedule(5, tagged(3));
+  EXPECT_EQ(drain(normal_first), (std::vector<std::uint64_t>{1, 3, 2}));
 }
 
-TEST(EventQueue, LaneInterleavesWithHeapByTime) {
+TEST(EventQueue, ClassOrdersOnlyTies) {
+  // The class breaks ties and nothing else: an earlier kLate entry fires
+  // before a later kNormal one.
   EventQueue q;
-  q.schedule_in_order(10, tagged(2));
+  q.schedule(10, tagged(2), EventClass::kLate);
   q.schedule(30, tagged(4));
-  q.schedule_in_order(20, tagged(3));
+  q.schedule(20, tagged(3), EventClass::kLate);
   q.schedule(5, tagged(1));
   EXPECT_EQ(q.next_time(), 5);
   EXPECT_EQ(q.size(), 4u);
   EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{1, 2, 3, 4}));
 }
 
-TEST(EventQueue, LaneRejectsOutOfOrderSchedule) {
+TEST(EventQueue, CancelledLateEntryNeverFires) {
   EventQueue q;
-  q.schedule_in_order(10, tagged(1));
-  q.schedule_in_order(10, tagged(2));  // equal times are in order
-  EXPECT_THROW(q.schedule_in_order(9, tagged(3)), std::logic_error);
-  EXPECT_THROW(q.schedule_in_order(-1, tagged(3)), std::invalid_argument);
-  // The order holds across pops: an emptied lane still refuses the past of
-  // its last schedule rather than taking it silently.
-  EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{1, 2}));
-  EXPECT_THROW(q.schedule_in_order(9, tagged(3)), std::logic_error);
-  EXPECT_TRUE(q.empty());
-  // The heap still takes any time.
-  q.schedule(1, tagged(4));
-  EXPECT_EQ(q.pop().id, 4u);
-}
-
-TEST(EventQueue, CancelledLaneEntryNeverFires) {
-  EventQueue q;
-  auto doomed = q.schedule_in_order(10, tagged(1));
-  q.schedule_in_order(20, tagged(2));
+  auto doomed = q.schedule(10, tagged(1), EventClass::kLate);
+  q.schedule(20, tagged(2), EventClass::kLate);
   q.schedule(15, tagged(3));
   EXPECT_TRUE(doomed.cancel());
   EXPECT_FALSE(doomed.pending());
@@ -228,7 +215,7 @@ TEST(EventQueue, CancelledLaneEntryNeverFires) {
 
 TEST(EventQueue, PopDueLeavesLaterEvents) {
   EventQueue q;
-  q.schedule_in_order(10, tagged(1));
+  q.schedule(10, tagged(1), EventClass::kLate);
   q.schedule(20, tagged(2));
   EXPECT_FALSE(q.pop_due(9).has_value());
   const auto first = q.pop_due(10);
@@ -241,35 +228,21 @@ TEST(EventQueue, PopDueLeavesLaterEvents) {
   EXPECT_FALSE(q.pop_due(kTimeNever).has_value());
 }
 
-TEST(EventQueue, LaneKeepsOrderWhenGrowingWrapped) {
-  // Pop part of the ring so its entries wrap past the end of storage, then
-  // grow it: the unwrapped copy must keep FIFO order.
+TEST(EventQueue, LateEntriesKeepSchedulingOrderAcrossGrowth) {
+  // Chains re-armed at one shared time, hundreds deep: the heap must keep
+  // their scheduling order while it grows and shrinks.
   EventQueue q;
-  SimTime t = 0;
   std::uint64_t next_id = 0;
   std::uint64_t expect = 0;
-  for (int i = 0; i < 50; ++i) q.schedule_in_order(++t, tagged(next_id++));
+  for (int i = 0; i < 50; ++i) {
+    q.schedule(7, tagged(next_id++), EventClass::kLate);
+  }
   for (int i = 0; i < 40; ++i) EXPECT_EQ(q.pop().id, expect++);
-  for (int i = 0; i < 300; ++i) q.schedule_in_order(++t, tagged(next_id++));
+  for (int i = 0; i < 300; ++i) {
+    q.schedule(7, tagged(next_id++), EventClass::kLate);
+  }
   while (!q.empty()) EXPECT_EQ(q.pop().id, expect++);
   EXPECT_EQ(expect, next_id);
-}
-
-TEST(EventQueue, ClearDropsLaneEntries) {
-  EventQueue q;
-  auto lane = q.schedule_in_order(10, tagged(1));
-  auto heap = q.schedule(20, tagged(2));
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.next_time(), kTimeNever);
-  EXPECT_FALSE(lane.pending());
-  EXPECT_FALSE(lane.cancel());
-  EXPECT_FALSE(heap.pending());
-  // A cleared lane starts over: an earlier time than before is in order.
-  q.schedule_in_order(5, tagged(3));
-  EXPECT_FALSE(lane.pending());
-  EXPECT_EQ(q.pop().id, 3u);
 }
 
 TEST(EventQueue, MillionEventChurnKeepsSlabBounded) {

@@ -7,6 +7,7 @@
 #include <list>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "common/rng.h"
 #include "core/elephant_trap.h"
@@ -217,96 +218,101 @@ TEST(FuzzEventQueue, MatchesExactPendingSetModel) {
   EXPECT_TRUE(pending.empty());
 }
 
-TEST(FuzzEventQueue, LaneAndHeapMatchOneOrderedModel) {
-  // The same (when, tag) model over both containers: a share of the
-  // schedules go on the in-order lane at non-decreasing times, and heap
-  // times cluster on the lane's frontier, so many heap and lane entries
-  // share a time and only the sequence number can order them. Pops go
-  // through pop_due with a random horizon; every pop, next_time() and
-  // size() must agree with the model.
+TEST(FuzzEventQueue, ClassOrderedHeapMatchesOneOrderedModel) {
+  // One (when, class, tag) model, the tag counting schedules: a share of
+  // the schedules are late-class, and times cluster on a moving frontier,
+  // so many entries of both classes share a time and only the class, then
+  // the sequence number, can order them. Pops go through pop_due with a
+  // random horizon; every pop, next_time() and size() must agree with the
+  // model.
   struct Pending {
     sim::EventHandle handle;
-    bool lane = false;
   };
+  using Key = std::tuple<SimTime, int, int>;  // when, class, tag
   Rng ops(709);
   sim::EventQueue queue;
-  std::map<std::pair<SimTime, int>, Pending> pending;
-  SimTime lane_time = 0;
+  std::map<Key, Pending> pending;
+  SimTime frontier = 0;
   int next_tag = 0;
-  std::size_t lane_cancels = 0;
-  std::size_t lane_pops = 0;
-  std::size_t cross_ties = 0;  // pops decided by seq across the containers
+  std::size_t late_cancels = 0;
+  std::size_t late_pops = 0;
+  std::size_t class_ties = 0;  // pops with the other class due at that time
 
   const auto pop_checked = [&](SimTime until, int step) {
     const auto got = queue.pop_due(until);
     const auto min = pending.begin();
-    if (min->first.first > until) {
+    const auto [when, cls, tag] = min->first;
+    if (when > until) {
       ASSERT_FALSE(got.has_value()) << "step " << step;
       return;
     }
     ASSERT_TRUE(got.has_value()) << "step " << step;
-    ASSERT_EQ(got->when, min->first.first) << "step " << step;
-    ASSERT_EQ(got->event.node, min->first.second) << "step " << step;
+    ASSERT_EQ(got->when, when) << "step " << step;
+    ASSERT_EQ(got->event.node, tag) << "step " << step;
     ASSERT_EQ(static_cast<SimTime>(got->event.id), got->when);
-    const auto next = std::next(min);
-    if (next != pending.end() && next->first.first == min->first.first &&
-        next->second.lane != min->second.lane) {
-      ++cross_ties;
+    for (auto it = std::next(min);
+         it != pending.end() && std::get<0>(it->first) == when; ++it) {
+      if (std::get<1>(it->first) != cls) {
+        ++class_ties;
+        break;
+      }
     }
-    lane_pops += min->second.lane ? 1 : 0;
+    late_pops += cls == 1 ? 1 : 0;
     pending.erase(min);
   };
 
   for (int step = 0; step < 20000; ++step) {
     const double dice = ops.uniform();
     if (dice < 0.5) {
-      const bool lane = dice < 0.25;
+      const bool late = dice < 0.25;
       SimTime when = 0;
-      if (lane) {
-        lane_time += static_cast<SimTime>(ops.uniform_int(std::uint64_t{2}));
-        when = lane_time;
+      if (late) {
+        frontier += static_cast<SimTime>(ops.uniform_int(std::uint64_t{2}));
+        when = frontier;
       } else if (ops.uniform() < 0.7) {
-        when = lane_time +
-               static_cast<SimTime>(ops.uniform_int(std::uint64_t{4}));
+        when =
+            frontier + static_cast<SimTime>(ops.uniform_int(std::uint64_t{4}));
       } else {
-        when = static_cast<SimTime>(ops.uniform_int(
-            static_cast<std::uint64_t>(lane_time) + 1));
+        when = static_cast<SimTime>(
+            ops.uniform_int(static_cast<std::uint64_t>(frontier) + 1));
       }
       const int tag = next_tag++;
       const sim::Event event{0, tag, static_cast<std::uint64_t>(when)};
-      auto handle = lane ? queue.schedule_in_order(when, event)
-                         : queue.schedule(when, event);
-      pending.emplace(std::make_pair(when, tag), Pending{handle, lane});
+      auto handle = queue.schedule(
+          when, event,
+          late ? sim::EventClass::kLate : sim::EventClass::kNormal);
+      pending.emplace(Key{when, late ? 1 : 0, tag}, Pending{handle});
     } else if (dice < 0.62 && !pending.empty()) {
       auto it = pending.begin();
       std::advance(it, static_cast<std::ptrdiff_t>(
                            ops.uniform_int(pending.size())));
       ASSERT_TRUE(it->second.handle.cancel());
-      lane_cancels += it->second.lane ? 1 : 0;
+      late_cancels += std::get<1>(it->first) == 1 ? 1 : 0;
       pending.erase(it);
     } else if (!pending.empty()) {
       const SimTime until =
           ops.uniform() < 0.8
               ? kTimeNever
               : static_cast<SimTime>(ops.uniform_int(
-                    static_cast<std::uint64_t>(lane_time) + 4));
+                    static_cast<std::uint64_t>(frontier) + 4));
       pop_checked(until, step);
     } else {
       ASSERT_FALSE(queue.pop_due(kTimeNever).has_value()) << "step " << step;
     }
     ASSERT_EQ(queue.size(), pending.size()) << "step " << step;
     ASSERT_EQ(queue.empty(), pending.empty()) << "step " << step;
-    ASSERT_EQ(queue.next_time(),
-              pending.empty() ? kTimeNever : pending.begin()->first.first)
+    ASSERT_EQ(queue.next_time(), pending.empty()
+                                     ? kTimeNever
+                                     : std::get<0>(pending.begin()->first))
         << "step " << step;
   }
   while (!pending.empty()) pop_checked(kTimeNever, -1);
   EXPECT_TRUE(queue.empty());
-  // The run exercised what it claims to: lane cancels, lane pops and ties
-  // between the containers that only the sequence number could break.
-  EXPECT_GT(lane_cancels, 100u);
-  EXPECT_GT(lane_pops, 1000u);
-  EXPECT_GT(cross_ties, 100u);
+  // The run exercised what it claims to: late cancels, late pops and ties
+  // between the classes that only the class could break.
+  EXPECT_GT(late_cancels, 100u);
+  EXPECT_GT(late_pops, 1000u);
+  EXPECT_GT(class_ties, 100u);
 }
 
 }  // namespace

@@ -135,30 +135,33 @@ TEST(Simulation, HandlerObservesItsOwnTimestamp) {
   EXPECT_EQ(observed, (std::vector<SimTime>{7, 7, 9}));
 }
 
-TEST(Simulation, InOrderChainInterleavesByTimeAndSequence) {
-  // A chain re-armed with one fixed delay rides the lane; at equal times it
-  // and heap events fire in scheduling order.
+TEST(Simulation, LateChainFiresAfterNormalTiesInSequence) {
+  // A chain re-armed with one fixed delay in the late class: at equal times
+  // it fires after every normal event, even one scheduled from its own
+  // handler at now, and two late chains keep their scheduling order.
   Simulation sim;
   std::vector<std::uint64_t> fired;
-  sim.after_in_order(10, tagged(1));
+  sim.after(10, tagged(1), EventClass::kLate);
+  sim.after(10, tagged(5), EventClass::kLate);
   sim.at(10, tagged(2));
-  sim.at(25, tagged(3));
+  sim.at(20, tagged(3));
   sim.run([&](const Event& event) {
     fired.push_back(event.id);
-    if (event.id == 1 && sim.now() < 30) sim.after_in_order(10, tagged(1));
+    if (event.id == 1 && sim.now() < 30) {
+      sim.after(10, tagged(1), EventClass::kLate);
+      sim.after(0, tagged(4));
+    }
   });
-  EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 2, 1, 3, 1}));
+  EXPECT_EQ(fired,
+            (std::vector<std::uint64_t>{2, 1, 4, 5, 3, 1, 4, 1}));
   EXPECT_EQ(sim.now(), 30);
-  // A shorter delay after a longer one would reorder the lane.
-  sim.after_in_order(100, tagged(4));
-  EXPECT_THROW(sim.after_in_order(50, tagged(5)), std::logic_error);
 }
 
-TEST(Simulation, CancelledInOrderEventLeavesClockAtLastLiveEvent) {
+TEST(Simulation, CancelledLateEventLeavesClockAtLastLiveEvent) {
   Simulation sim;
   std::vector<SimTime> seen;
   sim.at(10, tagged(0));
-  EventHandle beat = sim.after_in_order(50, tagged(1));
+  EventHandle beat = sim.after(50, tagged(1), EventClass::kLate);
   EXPECT_TRUE(beat.cancel());
   EXPECT_EQ(sim.run(ClockLog{&sim, &seen}), 1u);
   EXPECT_EQ(seen, (std::vector<SimTime>{10}));
