@@ -10,10 +10,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "cluster/heartbeat_chains.h"
 #include "cluster/options.h"
 #include "cluster/repair_scheduler.h"
 #include "cluster/slot_ledger.h"
@@ -149,7 +151,31 @@ class Cluster {
   /// its runtime is released, and drop its per-job side tables.
   void on_job_retired(const sched::JobRuntime& rt);
   void start_heartbeats();
+  /// A beat of `worker`: its kHeartbeat event, or the re-registration beat
+  /// a rejoin runs out of band.
   void heartbeat(NodeId worker);
+  /// What a beat of `worker` would carry: a dynamic report, a marked
+  /// replica, or straggler work (a verdict due from its progress samples,
+  /// or a probation to end). A chain without it sleeps.
+  bool has_beat_work(std::size_t worker) const {
+    return data_nodes_[worker]->has_beat_work() ||
+           (options_.enable_straggler_detection &&
+            (detected_slow_[worker] || straggler_evidence(worker)));
+  }
+  /// The monitor's chain id in chains_ (the workers' are their node ids).
+  std::size_t monitor_chain() const { return data_nodes_.size(); }
+  /// Move the master's freshness stamp of `worker` to its latest phase
+  /// point at or before `t` that is not still pending: beats its chain
+  /// skipped asleep reach the master like fired ones while the node is
+  /// reachable. The callers stamp at every monitor tick, and freeze the
+  /// stamp at the last phase point before a death or a cut.
+  void stamp_skipped_beats(std::size_t worker, SimTime t) {
+    name_node_->heartbeat_skipped(static_cast<NodeId>(worker),
+                                  chains_.latest_phase(worker, t));
+  }
+  /// validate()'s heartbeat-chain clause, also run at every monitor tick in
+  /// invariant builds: "" or the first broken rule.
+  std::string heartbeat_chain_fault() const;
 
   void try_assign_all();
   void try_assign_node(NodeId worker);
@@ -174,9 +200,12 @@ class Cluster {
   /// Kill a job whose task exhausted max_task_attempts.
   void fail_job(JobId job);
   void note_node_task_failure(NodeId worker);
-  /// Cancel dangling churn events (stochastic failures, recoveries, the
-  /// detection monitor) once the run is finished, so the event queue drains
-  /// without inflating the makespan.
+  /// Once the run is finished: cancel dangling churn events (stochastic
+  /// failures, recoveries, the detection monitor, the sampler) so the event
+  /// queue drains, and start the heartbeats' final round. Every live node
+  /// beats once more at its first phase point at or after the finish, which
+  /// delivers its last reports and sets the makespan: the last job
+  /// completion plus up to one interval.
   void cancel_pending_churn();
   void rereplication_tick();
   /// Retryable repair failure: re-enqueue `entry` with exponential backoff
@@ -313,6 +342,13 @@ class Cluster {
   /// path; a detected-slow node is excluded from launches and deprioritized
   /// as a read/repair source until its backoff expires.
   void note_attempt_progress(NodeId worker, double duration_s);
+  /// Enough samples, with an EWMA at or past the ratio: the next beat
+  /// weighs flagging `worker` slow.
+  bool straggler_evidence(std::size_t worker) const {
+    return progress_samples_[worker] >=
+               options_.straggler_detect_min_samples &&
+           progress_ewma_[worker] >= options_.straggler_detect_ratio;
+  }
   void straggler_decision(NodeId worker);
   /// Launch-eligibility gate: usable, not currently detected-slow, and not
   /// cut off behind a partitioned rack uplink (the master cannot reach a
@@ -435,10 +471,11 @@ class Cluster {
   std::vector<bool> blacklisted_;
   std::vector<std::size_t> node_task_failures_;
   std::unique_ptr<faults::FaultProcess> fault_process_;
-  std::vector<sim::EventHandle> heartbeat_event_;
+  /// One chain per worker (its heartbeats), then the detection monitor's;
+  /// empty until start_heartbeats().
+  HeartbeatChains chains_;
   std::vector<sim::EventHandle> next_failure_;
   std::vector<sim::EventHandle> recover_event_;
-  sim::EventHandle monitor_event_;
   /// Two-class prioritized repair queue (dedup + deterministic ordering;
   /// see cluster/repair_scheduler.h). Replaced the PR 5 FIFO deque.
   RepairScheduler repairs_;

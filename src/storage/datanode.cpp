@@ -66,8 +66,10 @@ bool DataNode::insert_dynamic(const BlockMeta& block) {
                      " exceed replication budget " +
                      std::to_string(audited_budget_) + " on node " +
                      std::to_string(id_));
+  const bool was_idle = !has_beat_work();
   pending_added_.push_back(block.id);
   ++dynamic_insertions_;
+  if (was_idle && beat_work_observer_) beat_work_observer_(id_);
   return true;
 }
 
@@ -77,10 +79,12 @@ bool DataNode::mark_for_deletion(BlockId block) {
   dynamic_bytes_ -= it->second.size;
   DARE_INVARIANT(dynamic_bytes_ >= 0,
                  "DataNode: live dynamic bytes went negative");
+  const bool was_idle = !has_beat_work();
   marked_.emplace(it->first, it->second);
   dynamic_.erase(it);
   pending_removed_.push_back(block);
   ++dynamic_evictions_;
+  if (was_idle && beat_work_observer_) beat_work_observer_(id_);
   return true;
 }
 

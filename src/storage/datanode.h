@@ -15,8 +15,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
@@ -138,6 +140,19 @@ class DataNode {
   /// Drain and return the pending report (cleared afterwards). A block
   /// inserted and deleted within one heartbeat interval cancels out.
   Report drain_report();
+  /// The next heartbeat has something to carry: a pending report or a
+  /// marked replica to reclaim.
+  bool has_beat_work() const {
+    return !pending_added_.empty() || !pending_removed_.empty() ||
+           !marked_.empty();
+  }
+  /// Observer of has_beat_work() turning true, called with this node's id
+  /// after the mutation (an insert or a mark): the cluster wakes the
+  /// node's heartbeat chain. One observer; setting replaces it.
+  using BeatWorkObserver = std::function<void(NodeId)>;
+  void set_beat_work_observer(BeatWorkObserver observer) {
+    beat_work_observer_ = std::move(observer);
+  }
 
   /// --- disk model ------------------------------------------------------
   /// One sampled sequential-read bandwidth figure, MB/s.
@@ -177,6 +192,7 @@ class DataNode {
 
   std::vector<BlockId> pending_added_;
   std::vector<BlockId> pending_removed_;
+  BeatWorkObserver beat_work_observer_;
 
   std::uint64_t dynamic_insertions_ = 0;
   std::uint64_t dynamic_evictions_ = 0;

@@ -172,6 +172,11 @@ void NameNode::heartbeat_received(NodeId node, SimTime now) {
   if (tracer_ != nullptr) tracer_->heartbeat(node);
 }
 
+void NameNode::heartbeat_skipped(NodeId node, SimTime when) {
+  auto& stamp = last_heartbeat_.at(static_cast<std::size_t>(node));
+  if (when > stamp) stamp = when;
+}
+
 std::vector<NodeId> NameNode::overdue_nodes(SimTime now,
                                             SimDuration timeout) const {
   std::vector<NodeId> overdue;

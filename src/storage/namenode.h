@@ -97,6 +97,10 @@ class NameNode {
   /// never observes deaths directly — it only ever *infers* them from the
   /// heartbeats that stop arriving (see overdue_nodes).
   void heartbeat_received(NodeId node, SimTime now);
+  /// The beats `node` skipped while it had nothing to report reached the
+  /// master, the latest at `when`: the freshness stamp moves there if that
+  /// is later. No trace row (no beat was processed).
+  void heartbeat_skipped(NodeId node, SimTime when);
 
   /// Nodes currently considered alive whose last heartbeat is *strictly*
   /// older than `timeout` (a live node heartbeating every interval is never

@@ -77,6 +77,16 @@ TEST(ClusterValidation, RejectsSubMicrosecondHeartbeat) {
   }
 }
 
+TEST(ClusterValidation, RejectsZeroMissedHeartbeatTimeout) {
+  // A zero timeout declares every node whose beat is not at the monitor's
+  // own tick: the run re-registers and re-declares nodes without end.
+  ClusterOptions opts = tiny_options();
+  opts.detection_missed_heartbeats = 0;
+  expect_rejects(opts, "detection_missed_heartbeats");
+  opts.detection_missed_heartbeats = 1;
+  EXPECT_NO_THROW(Cluster{opts});
+}
+
 TEST(ClusterValidation, RejectsScarlettWithDarePolicy) {
   // Scarlett's proactive copies bypass a DARE policy's budget accounting:
   // the two are alternatives, and Scarlett runs only on vanilla HDFS.
