@@ -3,7 +3,7 @@
 //   * the event queue: schedule + fire throughput of the slab/freelist
 //     design with 16-byte event records, and the simulator's steady state:
 //     N heartbeat chains re-armed at a fixed delay among other pending
-//     events, with the chains on the heap or on the in-order lane;
+//     events, all on the one heap (the chains in the late class);
 //   * the ElephantTrap and LRU policy hooks, name-node metadata operations,
 //     and the heavy-tailed samplers;
 //   * the scheduler hot path: find_local_map, the inverted locality index's

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -47,17 +46,18 @@ class ScarlettPlanner {
  public:
   explicit ScarlettPlanner(const ScarlettParams& params);
 
-  /// Record one file access (called for every scheduled map task).
+  /// Record one access of `file`, a name-node file id (dense, from 0);
+  /// called for every scheduled map task.
   void record_access(FileId file);
 
   /// Compute this epoch's orders, most-accessed files first, respecting the
   /// cluster-wide budget: `budget_bytes` minus bytes already spent on extra
-  /// replicas. `file_bytes(file)` and `current_replication(file)` supply
-  /// metadata. Resets the access window afterwards.
+  /// replicas. `file_bytes` and `current_replication`, indexed by FileId,
+  /// supply metadata; an accessed file past either is skipped. Resets the
+  /// access window afterwards.
   std::vector<ReplicationOrder> plan_epoch(
-      Bytes budget_remaining,
-      const std::unordered_map<FileId, Bytes>& file_bytes,
-      const std::unordered_map<FileId, int>& current_replication);
+      Bytes budget_remaining, const std::vector<Bytes>& file_bytes,
+      const std::vector<int>& current_replication);
 
   const ScarlettParams& params() const { return params_; }
 
@@ -66,7 +66,8 @@ class ScarlettPlanner {
 
  private:
   ScarlettParams params_;
-  std::unordered_map<FileId, std::uint64_t> window_;
+  /// Accesses per FileId in the current window, grown by record_access.
+  std::vector<std::uint64_t> window_;
 };
 
 }  // namespace dare::core

@@ -166,14 +166,15 @@ void LocalityIndex::replica_added(BlockId block, NodeId node) {
   if (node < 0 || static_cast<std::size_t>(node) >= num_nodes_) {
     throw std::out_of_range("LocalityIndex: bad node id");
   }
-  const auto wit = watchers_.find(block);
-  if (wit == watchers_.end()) return;
+  const auto b = static_cast<std::size_t>(block);
+  if (b >= watchers_.size() || watchers_[b].empty()) return;
+  const std::vector<Watcher>& watchers = watchers_[b];
   const RackId rack = node_rack_[static_cast<std::size_t>(node)];
   const bool first_in_rack = rack_replicas(block, rack) == 1;
   ++node_epoch_[static_cast<std::size_t>(node)];
   if (first_in_rack) ++rack_epoch_[static_cast<std::size_t>(rack)];
-  work_.watcher_visits += wit->second.size();
-  for (const Watcher& w : wit->second) {
+  work_.watcher_visits += watchers.size();
+  for (const Watcher& w : watchers) {
     add_candidate(w.state->by_node, static_cast<std::uint32_t>(node),
                   w.map_index);
     if (first_in_rack) {
@@ -184,12 +185,13 @@ void LocalityIndex::replica_added(BlockId block, NodeId node) {
 }
 
 void LocalityIndex::replica_removed(BlockId block, NodeId node) {
-  const auto wit = watchers_.find(block);
-  if (wit == watchers_.end()) return;
+  const auto b = static_cast<std::size_t>(block);
+  if (b >= watchers_.size() || watchers_[b].empty()) return;
+  const std::vector<Watcher>& watchers = watchers_[b];
   const RackId rack = node_rack_[static_cast<std::size_t>(node)];
   const bool last_in_rack = rack_replicas(block, rack) == 0;
-  work_.watcher_visits += wit->second.size();
-  for (const Watcher& w : wit->second) {
+  work_.watcher_visits += watchers.size();
+  for (const Watcher& w : watchers) {
     drop_candidate(w.state->by_node, static_cast<std::uint32_t>(node),
                    w.map_index);
     if (last_in_rack) {
@@ -202,7 +204,9 @@ void LocalityIndex::replica_removed(BlockId block, NodeId node) {
 void LocalityIndex::index_map(JobState& state, std::uint32_t map_index,
                               BlockId block) {
   state.watched.set(map_index, true);
-  watchers_[block].push_back(Watcher{&state, map_index});
+  const auto b = static_cast<std::size_t>(block);
+  if (b >= watchers_.size()) watchers_.resize(b + 1);
+  watchers_[b].push_back(Watcher{&state, map_index});
   const std::vector<NodeId>& holders = locations_(block);
   for (NodeId n : holders) {
     add_candidate(state.by_node, static_cast<std::uint32_t>(n), map_index);
@@ -252,11 +256,11 @@ void LocalityIndex::watch_map(JobState& state, std::size_t map_index,
 void LocalityIndex::unwatch_map(JobState& state, std::size_t map_index,
                                 BlockId block) {
   const auto mi = static_cast<std::uint32_t>(map_index);
-  const auto wit = watchers_.find(block);
-  DARE_INVARIANT(wit != watchers_.end(),
+  const auto b = static_cast<std::size_t>(block);
+  DARE_INVARIANT(b < watchers_.size(),
                  "LocalityIndex: unwatch of an unwatched block " +
                      std::to_string(block));
-  auto& watchers = wit->second;
+  auto& watchers = watchers_[b];
   const auto pos =
       std::find_if(watchers.begin(), watchers.end(), [&](const Watcher& w) {
         return w.state == &state && w.map_index == mi;
@@ -268,7 +272,6 @@ void LocalityIndex::unwatch_map(JobState& state, std::size_t map_index,
   state.watched.set(mi, false);
   *pos = watchers.back();
   watchers.pop_back();
-  if (watchers.empty()) watchers_.erase(wit);
 }
 
 std::vector<std::uint32_t> LocalityIndex::node_candidates(

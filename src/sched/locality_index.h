@@ -37,9 +37,9 @@
 // position whose block matches, so JobTable answers queries by taking the
 // argmin of pending-position over the candidate set (see
 // JobRuntime::pending_pos). The order in which a query visits candidates
-// therefore never affects results, which keeps the structure deterministic
-// even though replica deltas can arrive in unordered-map order from
-// NameNode::node_failed.
+// therefore never affects results. Replica deltas arrive in a fixed order
+// (NameNode::node_failed notifies in block-id order), and the argmin keeps
+// results independent of whatever table layout that order leaves.
 //
 // Cost: admitting a job allocates each of its two tables once, sized from
 // its blocks' replica sets, and inserts one node entry per replica and one
@@ -55,10 +55,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/types.h"
 #include "sched/job.h"
 
@@ -335,14 +333,10 @@ class LocalityIndex {
   std::vector<std::uint64_t> rack_epoch_;
   Work work_;
 
-  /// block -> watched maps reading it (a job may appear more than once if
-  /// several of its maps share a block). Slab-backed: watcher nodes churn
-  /// at task rate.
-  std::unordered_map<BlockId, std::vector<Watcher>, std::hash<BlockId>,
-                     std::equal_to<BlockId>,
-                     common::SlabAllocator<
-                         std::pair<const BlockId, std::vector<Watcher>>>>
-      watchers_;
+  /// Indexed by block id: the watched maps reading the block (a job may
+  /// appear more than once if several of its maps share a block). Grown by
+  /// index_map; a slot whose watchers all left stays, empty.
+  std::vector<std::vector<Watcher>> watchers_;
 };
 
 }  // namespace dare::sched

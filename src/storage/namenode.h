@@ -14,11 +14,10 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "net/topology.h"
@@ -66,10 +65,13 @@ class NameNode {
   void set_tracer(obs::TraceCollector* tracer) { tracer_ = tracer; }
 
   /// Create a file of `num_blocks` blocks and place `replication` static
-  /// replicas of each. Returns the new file's id.
+  /// replicas of each. Returns the new file's id. Files and blocks are
+  /// numbered 0, 1, 2, ... in creation order; no id is ever freed.
   FileId create_file(const std::string& name, std::size_t num_blocks,
                      Bytes block_size, int replication, SimTime now);
 
+  /// Lookups by id throw std::out_of_range for a negative or unknown id
+  /// (as does every call below that takes a block id).
   const FileInfo& file(FileId id) const;
   const BlockMeta& block(BlockId id) const;
   std::size_t file_count() const { return files_.size(); }
@@ -174,7 +176,7 @@ class NameNode {
   /// Total dynamic replicas currently registered (across all blocks).
   std::size_t dynamic_replica_count() const { return dynamic_replicas_; }
 
-  /// All file ids in creation order.
+  /// All file ids in creation order: 0 .. file_count() - 1.
   std::vector<FileId> all_files() const;
 
  private:
@@ -182,30 +184,24 @@ class NameNode {
     if (replica_observer_) replica_observer_(block, node, added);
   }
 
+  /// The replication factor of block `b`'s file (at least 1).
+  std::size_t factor(std::size_t b) const;
+
   ReplicaObserver replica_observer_;
   obs::TraceCollector* tracer_ = nullptr;
   std::size_t data_nodes_;
   const net::Topology* topology_;
   Rng rng_;
   std::unique_ptr<PlacementPolicy> placement_;
-  /// Metadata maps are slab-backed: a hyperscale catalog holds 10^5..10^6
-  /// block records, and packing their nodes into arena chunks keeps them
-  /// cache-adjacent (they are created together and scanned together) while
-  /// cutting a heap allocation per record.
-  template <typename K, typename V>
-  using MetaMap =
-      std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
-                         common::SlabAllocator<std::pair<const K, V>>>;
-  MetaMap<FileId, FileInfo> files_;
-  MetaMap<BlockId, BlockMeta> blocks_;
-  MetaMap<BlockId, std::vector<NodeId>> static_locations_;
-  MetaMap<BlockId, std::vector<NodeId>> locations_;
-  std::vector<FileId> file_order_;
+  /// Metadata tables indexed by id: file and block ids run 0, 1, 2, ... in
+  /// creation order and are never freed, so each id is its record's slot.
+  std::vector<FileInfo> files_;
+  std::vector<BlockMeta> blocks_;
+  std::vector<std::vector<NodeId>> static_locations_;
+  std::vector<std::vector<NodeId>> locations_;
   std::vector<bool> node_alive_;
   std::size_t live_nodes_;  ///< true entries of node_alive_
   std::vector<SimTime> last_heartbeat_;
-  FileId next_file_ = 0;
-  BlockId next_block_ = 0;
   std::size_t dynamic_replicas_ = 0;
 };
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace dare::storage {
@@ -148,11 +150,26 @@ TEST_F(NameNodeTest, RemoveOfAbsentReplicaIgnored) {
 
 TEST_F(NameNodeTest, UnknownIdsThrow) {
   NameNode nn(4, nullptr, rng_);
-  EXPECT_THROW(nn.file(99), std::out_of_range);
-  EXPECT_THROW(nn.block(99), std::out_of_range);
-  EXPECT_THROW(nn.locations(99), std::out_of_range);
-  EXPECT_THROW(nn.report_dynamic_added(0, {99}), std::out_of_range);
-  EXPECT_THROW(nn.report_dynamic_removed(0, {99}), std::out_of_range);
+  nn.create_file("a", 1, kMiB, 3, 0);  // file 0, block 0
+  // Negative, one past the last id, and far past it.
+  for (const std::int64_t id : {-1, 1, 99}) {
+    SCOPED_TRACE("id " + std::to_string(id));
+    EXPECT_THROW(nn.file(id), std::out_of_range);
+    EXPECT_THROW(nn.block(id), std::out_of_range);
+    EXPECT_THROW(nn.locations(id), std::out_of_range);
+    EXPECT_THROW(nn.static_locations(id), std::out_of_range);
+    EXPECT_THROW(nn.is_under_replicated(id), std::out_of_range);
+    EXPECT_THROW(nn.report_dynamic_added(0, {id}), std::out_of_range);
+    EXPECT_THROW(nn.report_dynamic_removed(0, {id}), std::out_of_range);
+    EXPECT_THROW(nn.report_bad_block(id, 0), std::out_of_range);
+    EXPECT_THROW(nn.add_repair_replica(id, 0), std::out_of_range);
+  }
+  try {
+    nn.file(-1);
+    ADD_FAILURE() << "file(-1) did not throw";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "NameNode: unknown file");
+  }
 }
 
 TEST_F(NameNodeTest, InvalidCreateArgumentsThrow) {
@@ -164,14 +181,19 @@ TEST_F(NameNodeTest, InvalidCreateArgumentsThrow) {
 
 TEST_F(NameNodeTest, AllFilesInCreationOrder) {
   NameNode nn(4, nullptr, rng_);
-  const FileId a = nn.create_file("a", 1, kMiB, 3, 0);
+  const FileId a = nn.create_file("a", 2, kMiB, 3, 0);
   const FileId b = nn.create_file("b", 1, kMiB, 3, 0);
   const auto files = nn.all_files();
   ASSERT_EQ(files.size(), 2u);
   EXPECT_EQ(files[0], a);
   EXPECT_EQ(files[1], b);
   EXPECT_EQ(nn.file_count(), 2u);
-  EXPECT_EQ(nn.block_count(), 2u);
+  EXPECT_EQ(nn.block_count(), 3u);
+  // Ids are dense and in creation order, files and blocks alike.
+  EXPECT_EQ(a, 0);
+  EXPECT_EQ(b, 1);
+  EXPECT_EQ(nn.file(a).blocks, (std::vector<BlockId>{0, 1}));
+  EXPECT_EQ(nn.file(b).blocks, (std::vector<BlockId>{2}));
 }
 
 TEST_F(NameNodeTest, StaticLocationsStableAfterDynamicChanges) {
@@ -193,8 +215,10 @@ TEST_F(NameNodeTest, ObserverSeesEachMutationInLocations) {
   NameNode nn(4, nullptr, rng_);
   std::map<BlockId, std::vector<NodeId>> model;
   std::size_t deltas = 0;
+  std::vector<BlockId> removals;  // block of each removal delta, in order
   nn.set_replica_observer([&](BlockId b, NodeId n, bool added) {
     ++deltas;
+    if (!added) removals.push_back(b);
     auto& nodes = model[b];
     const auto pos = std::find(nodes.begin(), nodes.end(), n);
     if (added) {
@@ -234,8 +258,11 @@ TEST_F(NameNodeTest, ObserverSeesEachMutationInLocations) {
     if (holds(b, victim)) victim_statics.push_back(b);
   }
   ASSERT_GE(victim_statics.size(), 2u);
+  removals.clear();
   nn.node_failed(victim);
   EXPECT_EQ(deltas, 11u + victim_statics.size());
+  // The death notifies in ascending block order (a file's blocks ascend).
+  EXPECT_EQ(removals, victim_statics);
   ASSERT_TRUE(nn.add_repair_replica(b0, spare));
 
   // Rejoin re-adopts the stale copies still needed and prunes b0's.
