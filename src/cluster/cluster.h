@@ -356,6 +356,17 @@ class Cluster {
     return node_usable(worker) && !detected_slow_[worker] &&
            !node_partitioned(worker);
   }
+  /// Copy the gate into the slot ledger's open bit, which next_free()
+  /// honours. Called at each of the 8 sites that change an input of the
+  /// gate: fail_node, recover_node, the blacklist and its reset in
+  /// reregister_node, straggler detection and the end of its probation,
+  /// and partition start and heal (for each node of the rack).
+  void refresh_open(std::size_t worker) {
+    slots_.set_open(worker, node_open_for_launch(worker));
+  }
+  /// validate()'s open-bit clause, also run at every monitor tick in
+  /// invariant builds: "" or the first node whose bit disagrees.
+  std::string open_mask_fault() const;
 
   /// --- proactive task cloning ---------------------------------------------
   /// Launch a budgeted clone of the map just launched on `original`, if the

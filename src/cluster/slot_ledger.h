@@ -8,6 +8,12 @@
 // per node. A saturated 1k-node cluster has its map slots full while its
 // reduce slots sit free almost everywhere, so a single any-slot-free set
 // would still visit every node; one set per kind does not.
+//
+// A third bitset holds each node's launch gate: a node is *open* unless it
+// is dead, blacklisted, detected slow or behind a partitioned rack uplink.
+// The owner derives the bit from those facts and refreshes it wherever one
+// changes (set_open); next_free() offers only open nodes, so neither the
+// sweep nor clone placement ever visits a node that cannot launch.
 #pragma once
 
 #include <bit>
@@ -19,9 +25,11 @@
 
 namespace dare::cluster {
 
-/// Free map/reduce task slots per node plus a free-node bitset per kind.
-/// Every mutation goes through take/give/clear/restore so the bits can
-/// never drift from the counts (validate() audits the invariant).
+/// Free map/reduce task slots per node plus a free-node bitset per kind
+/// and an open-node bitset. Every slot mutation goes through
+/// take/give/clear/restore so the free bits can never drift from the
+/// counts (validate() audits the invariant, and the open bits against the
+/// owner's launch gate).
 class SlotLedger {
  public:
   /// (Re)initialize for `nodes` nodes at full per-node capacity.
@@ -33,6 +41,7 @@ class SlotLedger {
     free_reduces_.assign(nodes, reduce_slots_per_node);
     fill_bits(map_bits_, nodes, map_slots_per_node > 0);
     fill_bits(reduce_bits_, nodes, reduce_slots_per_node > 0);
+    fill_bits(open_bits_, nodes, true);
   }
 
   std::size_t free_maps(std::size_t node) const { return free_maps_[node]; }
@@ -82,8 +91,14 @@ class SlotLedger {
     set_bit(reduce_bits_, node, reduce_capacity_ > 0);
   }
 
-  /// The first node in [from, end) with a free map slot (when `maps`) or a
-  /// free reduce slot (when `reduces`); `end` when there is none.
+  /// The launch gate of `node` (all nodes start open).
+  void set_open(std::size_t node, bool open) {
+    set_bit(open_bits_, node, open);
+  }
+  bool open(std::size_t node) const { return bit(open_bits_, node); }
+
+  /// The first open node in [from, end) with a free map slot (when `maps`)
+  /// or a free reduce slot (when `reduces`); `end` when there is none.
   std::size_t next_free(std::size_t from, std::size_t end, bool maps,
                         bool reduces) const {
     const std::uint64_t map_mask = maps ? ~std::uint64_t{0} : 0;
@@ -91,7 +106,9 @@ class SlotLedger {
     for (std::size_t w = from; w < end;) {
       const std::size_t word = w / 64;
       const std::uint64_t bits =
-          ((map_bits_[word] & map_mask) | (reduce_bits_[word] & reduce_mask)) >>
+          (((map_bits_[word] & map_mask) |
+            (reduce_bits_[word] & reduce_mask)) &
+           open_bits_[word]) >>
           (w % 64);
       if (bits != 0) {
         const std::size_t hit = w + static_cast<std::size_t>(
@@ -140,6 +157,7 @@ class SlotLedger {
   std::vector<std::size_t> free_reduces_;
   std::vector<std::uint64_t> map_bits_;
   std::vector<std::uint64_t> reduce_bits_;
+  std::vector<std::uint64_t> open_bits_;
   std::size_t map_capacity_ = 0;
   std::size_t reduce_capacity_ = 0;
 };

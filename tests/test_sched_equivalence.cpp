@@ -236,5 +236,52 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+/// The same counters on a fault run: churn, rack partitions, stragglers
+/// with detection and budgeted cloning on 24 EC2 nodes. Dead, blacklisted,
+/// detected-slow and partitioned nodes are closed to launches, and the
+/// assignment pass offers only open nodes, so `node_visits` counts exactly
+/// the visits that can launch.
+TEST(FaultWorkCounters, MatchRecorded) {
+  ThrowOnInvariant guard;
+  auto opts = paper_defaults(net::ec2_profile(24), SchedulerKind::kFair,
+                             PolicyKind::kGreedyLru, 42);
+  opts.faults.enabled = true;
+  opts.faults.mtbf_s = 120.0;
+  opts.faults.mttr_s = 30.0;
+  opts.faults.permanent_fraction = 0.2;
+  opts.faults.min_live_workers = 4;
+  opts.stragglers.enabled = true;
+  opts.stragglers.tail_prob = 0.1;
+  opts.stragglers.tail_cap = 8.0;
+  opts.enable_straggler_detection = true;
+  opts.netfault.enabled = true;
+  opts.netfault.partition_mtbf_s = 60.0;
+  opts.netfault.partition_duration_s = 20.0;
+  opts.enable_task_cloning = true;
+  opts.clone_budget_fraction = 0.1;
+  const auto result = run_once(opts, standard_wl1(24, 200, 1));
+  // The pin only guards the closed-node paths while the run reaches them.
+  EXPECT_GT(result.partition_episodes, 0u);
+  EXPECT_GT(result.failures_detected, 0u);
+  EXPECT_GT(result.stragglers_detected, 0u);
+  EXPECT_GT(result.clones_launched, 0u);
+  EXPECT_EQ(metrics::fingerprint(result), 0xa4ff67546996504bULL);
+  const auto& events = result.work.events;
+  EXPECT_EQ(std::accumulate(events.begin(), events.end(), std::uint64_t{0}),
+            3141u);
+  EXPECT_EQ(events[static_cast<std::size_t>(Cluster::EventKind::kHeartbeat)],
+            102u);
+  EXPECT_EQ(result.work.sweeps, 613u);
+  EXPECT_EQ(result.work.node_visits, 1917u);
+  EXPECT_EQ(result.work.select_map_calls, 1860u);
+  EXPECT_EQ(result.work.select_reduce_calls, 240u);
+  EXPECT_EQ(result.work.job_probes, 1345u);
+  EXPECT_EQ(result.work.memo_answers, 1112u);
+  EXPECT_EQ(result.work.candidate_inserts, 2282u);
+  EXPECT_EQ(result.work.candidate_erases, 237u);
+  EXPECT_EQ(result.work.candidate_allocations, 408u);
+  EXPECT_EQ(result.work.watcher_visits, 31u);
+}
+
 }  // namespace
 }  // namespace dare::cluster

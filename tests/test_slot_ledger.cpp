@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -43,11 +44,47 @@ TEST(SlotLedger, StartsFullAndTracksEveryMutation) {
   EXPECT_TRUE(ledger.consistent());
 }
 
-/// Random take / give / clear_node / restore_node against a per-node model,
-/// across word boundaries of the bitsets: after every operation the ledger
-/// is consistent, its counts equal the model's, and a rotation walk from a
-/// random start returns exactly the model's nodes for every (maps, reduces)
-/// flag pair.
+/// A closed node is never offered, whatever its free slots, for either
+/// kind and on either side of a word boundary; reopened, it is offered
+/// again.
+TEST(SlotLedger, ClosedNodesAreNeverOffered) {
+  SlotLedger ledger;
+  ledger.reset(130, 2, 1);
+  for (const std::size_t w : {0u, 63u, 64u, 127u, 129u}) {
+    ledger.set_open(w, false);
+    EXPECT_FALSE(ledger.open(w));
+  }
+  for (const bool maps : {false, true}) {
+    const bool reduces = !maps;
+    const auto visited = walk(ledger, 100, maps, reduces);
+    EXPECT_EQ(visited.size(), 125u);
+    for (const std::size_t w : {0u, 63u, 64u, 127u, 129u}) {
+      EXPECT_EQ(std::count(visited.begin(), visited.end(), w), 0);
+    }
+    // Word-boundary neighbours of the closed nodes are still offered.
+    EXPECT_EQ(ledger.next_free(63, 130, maps, reduces), 65u);
+    EXPECT_EQ(ledger.next_free(127, 130, maps, reduces), 128u);
+    EXPECT_EQ(ledger.next_free(129, 130, maps, reduces), 130u);
+  }
+  // Closing leaves the counts and free bits alone: a closed node still
+  // takes and returns slots (its running tasks finish).
+  ledger.take_map(64);
+  ledger.give_map(64);
+  EXPECT_TRUE(ledger.consistent());
+  ledger.set_open(64, true);
+  EXPECT_TRUE(ledger.open(64));
+  EXPECT_EQ(ledger.next_free(63, 130, true, false), 64u);
+  EXPECT_EQ(ledger.next_free(63, 130, false, true), 64u);
+  // A reopened node with no free slot of a wanted kind stays unoffered.
+  ledger.take_reduce(64);
+  EXPECT_EQ(ledger.next_free(63, 130, false, true), 65u);
+}
+
+/// Random take / give / clear_node / restore_node / set_open against a
+/// per-node model, across word boundaries of the bitsets: after every
+/// operation the ledger is consistent, its counts and open bits equal the
+/// model's, and a rotation walk from a random start returns exactly the
+/// model's open nodes for every (maps, reduces) flag pair.
 TEST(SlotLedger, FreeNodeWalkMatchesPerNodeModel) {
   constexpr std::size_t kMapSlots = 2;
   constexpr std::size_t kReduceSlots = 1;
@@ -57,13 +94,14 @@ TEST(SlotLedger, FreeNodeWalkMatchesPerNodeModel) {
     ledger.reset(n, kMapSlots, kReduceSlots);
     std::vector<std::size_t> maps(n, kMapSlots);
     std::vector<std::size_t> reduces(n, kReduceSlots);
+    std::vector<bool> open(n, true);
     Rng rng(1000 + n);
     const auto pick = [&](std::size_t k) {
       return static_cast<std::size_t>(rng.uniform_int(k));
     };
     for (int step = 0; step < 3000; ++step) {
       const std::size_t w = pick(n);
-      switch (pick(10)) {
+      switch (pick(12)) {
         case 0:
         case 1:
           if (maps[w] > 0) {
@@ -100,6 +138,11 @@ TEST(SlotLedger, FreeNodeWalkMatchesPerNodeModel) {
           maps[w] = kMapSlots;
           reduces[w] = kReduceSlots;
           break;
+        case 8:
+        case 9:
+          open[w] = !open[w];
+          ledger.set_open(w, open[w]);
+          break;
         default:
           break;  // no mutation: walk the unchanged ledger again
       }
@@ -107,6 +150,7 @@ TEST(SlotLedger, FreeNodeWalkMatchesPerNodeModel) {
       for (std::size_t v = 0; v < n; ++v) {
         ASSERT_EQ(ledger.free_maps(v), maps[v]);
         ASSERT_EQ(ledger.free_reduces(v), reduces[v]);
+        ASSERT_EQ(ledger.open(v), open[v]);
       }
       const std::size_t start = pick(n);
       for (const bool want_maps : {false, true}) {
@@ -114,8 +158,8 @@ TEST(SlotLedger, FreeNodeWalkMatchesPerNodeModel) {
           std::vector<std::size_t> expected;
           for (std::size_t k = 0; k < n; ++k) {
             const std::size_t v = (start + k) % n;
-            if ((want_maps && maps[v] > 0) ||
-                (want_reduces && reduces[v] > 0)) {
+            if (open[v] && ((want_maps && maps[v] > 0) ||
+                            (want_reduces && reduces[v] > 0))) {
               expected.push_back(v);
             }
           }
