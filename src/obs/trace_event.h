@@ -76,7 +76,11 @@ enum class EventKind : std::uint8_t {
   kRepairRetried,      ///< task = block re-enqueued with backoff,
                        ///< detail = retries so far
   kRepairPreempted,    ///< task = bulk block deferred behind the critical
-                       ///< class this tick
+                       ///< class; once per queued entry, at the first
+                       ///< tick that preempts it (a retry or a fresh
+                       ///< enqueue starts a new entry). The fingerprinted
+                       ///< RunResult::repair_preemptions still counts
+                       ///< every per-tick deferral.
 
   kKindCount,          ///< sentinel, not a real kind
 };

@@ -335,20 +335,20 @@ INSTANTIATE_TEST_SUITE_P(
         // Scarlett's epochs make this the one case that fires every kind.
         AllKindsCase{"FifoVanillaScarlett", SchedulerKind::kFifo,
                      PolicyKind::kVanilla, true, 0.0, 0xa8e676527ef46725ULL,
-                     0x497eafe53b47e144ULL, 0xcc742943793abbc8ULL},
+                     0x8abf2ef9dc23083aULL, 0xf6502c5fbbf14908ULL},
         AllKindsCase{"FairElephantTrap", SchedulerKind::kFair,
                      PolicyKind::kElephantTrap, false, 0.0,
-                     0xf9813206f2a0a6faULL, 0x088a887e10bf52c1ULL,
-                     0xe2c2db49f4962f02ULL},
+                     0xf9813206f2a0a6faULL, 0xf750a22b6dc3e459ULL,
+                     0x6470bf12eb59e932ULL},
         // A quarter of the paper's budget, so the greedy policies evict.
         AllKindsCase{"FifoGreedyLru", SchedulerKind::kFifo,
                      PolicyKind::kGreedyLru, false, 0.05,
-                     0xca8f901c41fe485aULL, 0x2e99a14a25bdcb4fULL,
-                     0xa966ed8a68c5bcd8ULL},
+                     0xca8f901c41fe485aULL, 0xa8c3473befacaf30ULL,
+                     0xe114e4c835b66713ULL},
         AllKindsCase{"FairGreedyLfu", SchedulerKind::kFair,
                      PolicyKind::kGreedyLfu, false, 0.05,
-                     0xfd8096d5f85807b9ULL, 0x2a4e10930bdcaeb0ULL,
-                     0x03e9efb5eb0e5731ULL}),
+                     0xfd8096d5f85807b9ULL, 0x9e999cd20be857acULL,
+                     0xd66d409cb2aa0267ULL}),
     [](const ::testing::TestParamInfo<AllKindsCase>& info) {
       return std::string(info.param.name);
     });
